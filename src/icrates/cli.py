@@ -12,6 +12,7 @@ Exit codes: 0 success / clean suite, 1 suite failures, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -35,34 +36,32 @@ from .regimes import (
 from .regions import GAUSSIAN_SCHEMES, SCHEMES, RateRegion, region_gaussian, region_scheme
 from .serialize import frontier_csv, stable_json_dumps
 from .sumcap import certify_sum_capacity, gaussian_noisy_sumcap, outer_bound, tin_sumrate
-from .verify import SUITES, run_suite
+from .verify import SUITE_CONFIG, SUITES, run_suite
+
+
+#: Search flag -> (``SearchConfig`` field, type, help).  Every flag defaults
+#: to ``None``, so unset flags keep the command's base configuration.
+_SEARCH_FLAGS = {
+    "--grid": ("grid_steps", int, "marginal simplex grid steps"),
+    "--cgrid": ("cond_grid_steps", int, "conditional simplex grid steps"),
+    "--aux-w": ("aux_card_w", int, "auxiliary layer cardinality"),
+    "--aux-u": ("aux_card_u", int, "auxiliary U cardinality"),
+    "--restarts": ("restarts", int, "seeded random restarts"),
+    "--seed": ("seed", int, "search seed"),
+    "--angles": ("angles", int, "support angle samples"),
+    "--tol": ("violation_tol", float, "tolerance in bits for the command's main check"),
+}
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=8, help="marginal simplex grid steps")
-    p.add_argument("--cgrid", type=int, default=4, help="conditional simplex grid steps")
-    p.add_argument("--aux-w", type=int, default=None, help="auxiliary layer cardinality")
-    p.add_argument("--aux-u", type=int, default=None, help="auxiliary U cardinality")
-    p.add_argument("--restarts", type=int, default=4, help="seeded random restarts")
-    p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--angles", type=int, default=91, help="support angle samples")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance in bits for the command's main check")
+    for flag, (dest, kind, text) in _SEARCH_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind, help=text)
 
 
-def _config(args: argparse.Namespace) -> SearchConfig:
-    kwargs = dict(
-        grid_steps=args.grid,
-        cond_grid_steps=args.cgrid,
-        restarts=args.restarts,
-        aux_card_w=args.aux_w,
-        aux_card_u=args.aux_u,
-        seed=args.seed,
-        angles=args.angles,
-    )
-    if args.tol is not None:
-        kwargs["violation_tol"] = args.tol
-    return SearchConfig(**kwargs)
+def _config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> SearchConfig:
+    """``base`` with every search flag given on the command line applied."""
+    given = {dest: getattr(args, dest) for dest, _, _ in _SEARCH_FLAGS.values()}
+    return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,7 +135,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     ch = load_channel(args.channel)
     cfg = _config(args)
     if isinstance(ch, GaussianIC):
-        region = region_gaussian(ch, args.scheme, splits=args.splits, angles=args.angles)
+        region = region_gaussian(ch, args.scheme, splits=args.splits, angles=cfg.angles)
     else:
         region = region_scheme(ch, args.scheme, cfg)
     doc = _region_doc(region, args.scheme, _channel_header(ch), cfg.to_json_dict())
@@ -197,8 +196,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    outcome = run_suite(args.suite, trials=args.trials, seed=args.seed, cfg=cfg, tol=args.tol)
+    cfg = _config(args, SUITE_CONFIG)
+    outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,
+                        tol=args.violation_tol)
     doc = {"command": "verify", **outcome.to_json_dict()}
     _emit(stable_json_dumps(doc), args.out)
     return 0 if outcome.ok else 1

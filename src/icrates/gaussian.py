@@ -152,8 +152,9 @@ class GaussianNoisyReport:
     the alignment equalities ``eta1*rho1 = a^2 P2 + 1`` and
     ``eta2*rho2 = b^2 P1 + 1`` (so the side outputs are conditionally
     independent of the own input given the true output at Gaussian inputs).
-    ``search_feasible`` reports whether an independent grid search over the
-    correlation pair also found such a certificate.
+    ``search_feasible`` reports whether an independent scan over ``rho1``
+    (``search_points`` values, each tested at its smallest admissible
+    ``rho2``) also found such a certificate.
     """
 
     in_regime: bool
@@ -197,13 +198,15 @@ def noisy_gaussian(g: GaussianIC, search_points: int = 256) -> GaussianNoisyRepo
         rho2 = math.sqrt(max(0.0, 1.0 - rho1**2))
         certificate = _certificate_ok(g, rho1, rho2)
 
-    # Independent cross-check: scan the correlation square for any pair that
-    # admits aligned side channels within the noise budget.
-    grid = np.linspace(1.0 / search_points, 1.0, search_points)
-    r1g, r2g = np.meshgrid(grid, grid, indexing="ij")
-    ok = (
-        (abs(g.b) * k1 / r1g <= np.sqrt(1.0 - r2g**2) + 1e-15)
-        & (abs(g.a) * k2 / r2g <= np.sqrt(1.0 - r1g**2) + 1e-15)
+    # Independent cross-check: scan rho1 for a correlation pair that admits
+    # aligned side channels within the noise budget.  At each rho1 the
+    # second budget inequality is a lower bound on rho2, and the first only
+    # gets harder as rho2 grows, so testing the first at the smallest
+    # admissible rho2 is exact for that rho1.
+    r1 = np.linspace(1.0 / search_points, 1.0, search_points)
+    r2 = abs(g.a) * k2 / (np.sqrt(1.0 - r1**2) + 1e-15)
+    ok = (r2 <= 1.0) & (
+        abs(g.b) * k1 / r1 <= np.sqrt(1.0 - np.minimum(r2, 1.0) ** 2) + 1e-15
     )
     search_feasible = bool(ok.any())
 

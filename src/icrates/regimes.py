@@ -56,7 +56,6 @@ class SearchConfig:
     seed: int = 0
     violation_tol: float = 1e-6
     angles: int = 91
-    region_tol: float = 5e-3
     max_candidates: int = 200_000
 
     def __post_init__(self) -> None:
@@ -92,7 +91,6 @@ class SearchConfig:
             "seed": self.seed,
             "violation_tol": self.violation_tol,
             "angles": self.angles,
-            "region_tol": self.region_tol,
             "max_candidates": self.max_candidates,
         }
 

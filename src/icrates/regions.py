@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     NotOneSidedError,
     ValidationError,
 )
-from .gaussian import GaussSystem, split_system
+from .gaussian import split_system
 from .probtensor import (
     BatchJoint,
     InfoQuery,
@@ -242,12 +242,8 @@ class RatePolytope:
         object.__setattr__(self, "constraints", tuple(cleaned))
 
     def _dirs_bounds(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        merged: dict[tuple[int, int], float] = {}
-        for c1, c2, bound in self.constraints:
-            key = (c1, c2)
-            merged[key] = min(merged.get(key, math.inf), bound)
-        dirs = list(merged.keys())
-        return dirs, np.array([[merged[d] for d in dirs]])
+        bounds = np.array([[b for _, _, b in self.constraints]])
+        return merged_dirs_bounds(self.constraints, bounds)
 
     def vertices(self) -> np.ndarray:
         """Feasible candidate vertices (deduplicated, unordered)."""
@@ -468,20 +464,25 @@ def max_sumrate(r: RateRegion) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bounds_from_joint(joint: ProbTensor, table: Sequence[Constraint]) -> list[float]:
-    out = []
+def table_bounds(table: Sequence[Constraint], mi: Callable[..., object]) -> np.ndarray:
+    """``[B, n_constraints]`` matrix of unclamped constraint bounds.
+
+    ``mi(target, second, given)`` evaluates one term: an array over a batch
+    of laws, or a float for a single law (then ``B = 1``).
+    """
+    cols = []
     for _, _, terms in table:
         val = 0.0
-        for target, second, given in terms:
-            val += mutual_information(joint, InfoQuery.of(target, second, given))
-        out.append(val)
-    return out
+        for term in terms:
+            val = val + mi(*term)
+        cols.append(val)
+    return np.column_stack(cols)
 
 
 def _polytope_from_table(ch: DiscreteIC, d: AuxInputDist, table: Sequence[Constraint]) -> RatePolytope:
     joint = compose_joint(d, ch)
-    bounds = _bounds_from_joint(joint, table)
-    return RatePolytope(tuple((c1, c2, b) for (c1, c2, _), b in zip(table, bounds)))
+    bounds = table_bounds(table, lambda *term: mutual_information(joint, InfoQuery.of(*term)))
+    return RatePolytope(tuple((c1, c2, b) for (c1, c2, _), b in zip(table, bounds[0])))
 
 
 def polytope_semijoint(ch: DiscreteIC, d: AuxInputDist) -> RatePolytope:
@@ -532,19 +533,17 @@ def batch_joint(ch: DiscreteIC, batch: DistBatch) -> BatchJoint:
 
 def batch_bounds(bj: BatchJoint, table: Sequence[Constraint]) -> np.ndarray:
     """``[B, n_constraints]`` bound matrix for one constraint table."""
-    cols = []
-    for _, _, terms in table:
-        val = np.zeros(bj.batch_size)
-        for target, second, given in terms:
-            val = val + bj.mi(target, second, given)
-        cols.append(np.maximum(val, 0.0))
-    return np.stack(cols, axis=1)
+    return np.maximum(table_bounds(table, bj.mi), 0.0)
 
 
 def merged_dirs_bounds(
-    table: Sequence[Constraint], bounds: np.ndarray
+    table: Sequence[tuple[int, int, object]], bounds: np.ndarray
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Deduplicate parallel constraints by taking the minimum bound."""
+    """Deduplicate parallel constraints by taking the minimum bound.
+
+    ``table`` rows start with their direction ``(c1, c2)``; ``bounds`` holds
+    one column per row.
+    """
     dirs: list[tuple[int, int]] = []
     cols: dict[tuple[int, int], np.ndarray] = {}
     for idx, (c1, c2, _) in enumerate(table):
@@ -739,30 +738,37 @@ def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
 
 def union_over_batches(
     ch: DiscreteIC,
-    tables: Mapping[str, Sequence[Constraint]],
-    batches: Iterable[DistBatch],
+    regions: Mapping[str, str],
+    batches: Iterable[tuple[DistBatch, Collection[str]]],
     angles: int,
     per_batch_hook: Callable[[BatchJoint, Mapping[str, np.ndarray]], None] | None = None,
 ) -> dict[str, RateRegion]:
-    """Accumulate several schemes' unions over one shared family.
+    """Accumulate named regions over one stream of law batches.
 
-    ``per_batch_hook`` receives each batch's joint and the per-scheme bound
-    matrices, enabling zero-tolerance per-law checks on exactly the laws the
-    regions were built from.
+    ``regions`` maps each region name to its scheme; several regions may
+    share one.  Each batch comes with the names of the regions it feeds.
+    Every scheme's bounds are computed once per batch, and
+    ``per_batch_hook`` receives the batch's joint and the bound matrices
+    keyed by scheme, enabling zero-tolerance per-law checks on exactly the
+    laws the regions were built from.
     """
-    accs = {name: SupportAccumulator(angles) for name in tables}
-    count = 0
-    for batch in batches:
+    tables = {scheme: table_for_scheme(scheme) for scheme in regions.values()}
+    accs = {name: SupportAccumulator(angles) for name in regions}
+    laws = dict.fromkeys(regions, 0)
+    for batch, feeds in batches:
         bj = batch_joint(ch, batch)
-        count += bj.batch_size
-        bounds = {name: batch_bounds(bj, table) for name, table in tables.items()}
-        for name, table in tables.items():
-            dirs, merged = merged_dirs_bounds(table, bounds[name])
-            accs[name].add(dirs, merged)
+        bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
+        merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
+                  for scheme, table in tables.items()}
+        for name in feeds:
+            accs[name].add(*merged[regions[name]])
+            laws[name] += bj.batch_size
         if per_batch_hook is not None:
             per_batch_hook(bj, bounds)
     return {
-        name: acc.finalize({"scheme": name, "laws_enumerated": count, "angles": angles})
+        name: acc.finalize(
+            {"scheme": regions[name], "laws_enumerated": laws[name], "angles": angles}
+        )
         for name, acc in accs.items()
     }
 
@@ -773,10 +779,8 @@ def region_scheme(ch: DiscreteIC, scheme: str, cfg: SearchConfig = SearchConfig(
         raise ConfigError("unknown scheme", scheme=scheme, allowed=SCHEMES)
     if scheme == "one_sided" and is_one_sided(ch) != OneSided.SIDE_A:
         raise NotOneSidedError("one_sided scheme needs a channel with a clean receiver 2")
-    regions = union_over_batches(
-        ch, {scheme: table_for_scheme(scheme)}, scheme_family(ch, scheme, cfg), cfg.angles
-    )
-    region = regions[scheme]
+    batches = ((batch, (scheme,)) for batch in scheme_family(ch, scheme, cfg))
+    region = union_over_batches(ch, {scheme: scheme}, batches, cfg.angles)[scheme]
     region.meta.update({
         "grid_steps": cfg.grid_steps,
         "cond_grid_steps": cfg.cond_grid_steps,
@@ -791,16 +795,6 @@ def region_scheme(ch: DiscreteIC, scheme: str, cfg: SearchConfig = SearchConfig(
 # ---------------------------------------------------------------------------
 
 GAUSSIAN_SCHEMES = ("tin", "semijoint", "hk_strong_y2", "one_sided")
-
-
-def _gauss_bounds(sys: GaussSystem, table: Sequence[Constraint]) -> list[float]:
-    out = []
-    for _, _, terms in table:
-        val = 0.0
-        for target, second, given in terms:
-            val += sys.mi_bits(target, second, given)
-        out.append(val)
-    return out
 
 
 def region_gaussian(
@@ -828,10 +822,8 @@ def region_gaussian(
     else:
         pairs = [(0.0, float(l2)) for l2 in lam]
     for lam1, lam2 in pairs:
-        sys = split_system(g, lam1, lam2)
-        bounds = np.array([_gauss_bounds(sys, table)])
-        dirs, merged = merged_dirs_bounds(table, bounds)
-        acc.add(dirs, merged)
+        bounds = table_bounds(table, split_system(g, lam1, lam2).mi_bits)
+        acc.add(*merged_dirs_bounds(table, bounds))
     return acc.finalize({
         "scheme": scheme, "splits": splits, "angles": angles, "gaussian": True,
     })

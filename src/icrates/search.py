@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SizeLimitError
 
 #: Default number of candidate points evaluated per vectorized chunk.
 CHUNK = 4096
@@ -89,6 +89,7 @@ def shrink_to_budget(blocks: Sequence[SimplexBlock], budget: int) -> list[Simple
 
     The returned blocks keep their order; effective resolutions may differ
     from the requested ones and are reported through ``SearchResult``.
+    Raises :class:`SizeLimitError` when even one step per block overshoots.
     """
     out = list(blocks)
     while grid_size(out) > budget:
@@ -96,10 +97,15 @@ def shrink_to_budget(blocks: Sequence[SimplexBlock], budget: int) -> list[Simple
         i = int(np.argmax(sizes))
         b = out[i]
         if b.steps == 1:
-            # Cannot coarsen further; accept the overshoot on this block.
             others = [j for j in range(len(out)) if j != i and out[j].steps > 1]
             if not others:
-                break
+                raise SizeLimitError(
+                    "search grid exceeds the candidate budget at one step per block; "
+                    "lower the auxiliary cardinality (--aux-u / --aux-w) or raise max_candidates",
+                    blocks=[blk.name for blk in out],
+                    smallest_grid=grid_size(out),
+                    budget=budget,
+                )
             i = max(others, key=lambda j: sizes[j])
             b = out[i]
         out[i] = SimplexBlock(b.name, b.n_slices, b.k, max(1, b.steps // 2))

@@ -25,7 +25,7 @@ from .channels import DiscreteIC, GaussianIC, VirtualCoupling
 from .errors import IcError, ValidationError
 from .gaussian import noisy_sum_capacity
 from .probtensor import BatchJoint, InfoQuery, ProbTensor, mutual_information, require_valid
-from .regimes import NO_VIOLATION_FOUND, RegimeReport, SearchConfig, _report
+from .regimes import NO_VIOLATION_FOUND, RegimeReport, SearchConfig, _product_blocks, _report
 from .search import Point, SearchResult, SimplexBlock, maximize
 
 CERTIFIED = "CERTIFIED"
@@ -52,13 +52,6 @@ class ProductInput:
 
     def to_json_dict(self) -> dict:
         return {"px1": self.px1.tolist(), "px2": self.px2.tolist()}
-
-
-def _input_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
-    return [
-        SimplexBlock("px1", 1, ch.nx1, cfg.grid_steps),
-        SimplexBlock("px2", 1, ch.nx2, cfg.grid_steps),
-    ]
 
 
 def _point_of(opt: ProductInput) -> Point:
@@ -116,7 +109,7 @@ def _tin_search(
 ) -> SearchResult:
     return maximize(
         _tin_objective(ch),
-        _input_blocks(ch, cfg),
+        _product_blocks(ch, cfg),
         seed=cfg.seed,
         restarts=cfg.restarts,
         budget=cfg.max_candidates,
@@ -149,7 +142,7 @@ def _genie_search(
         )
     return maximize(
         _genie_objective(vc),
-        _input_blocks(ch, cfg),
+        _product_blocks(ch, cfg),
         seed=cfg.seed,
         restarts=cfg.restarts,
         budget=cfg.max_candidates,

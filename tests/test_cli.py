@@ -120,6 +120,33 @@ class TestCommands:
         assert doc["failures"] == 0
 
 
+class TestDefaults:
+    def test_flagless_verify_runs_the_suite_config(self, capsys):
+        from icrates.serialize import stable_json_dumps
+        from icrates.verify import verify_one_sided_reduction
+
+        code, out = run(capsys, "verify", "one_sided_regions", "--trials", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["cfg"]["aux_card_w"] == 2
+        assert "region_tol" not in doc["config"]["cfg"]
+        library = verify_one_sided_reduction(trials=1).to_json_dict()
+        assert out == stable_json_dumps({"command": "verify", **library})
+
+    def test_flag_overrides_suite_config(self, capsys):
+        code, out = run(capsys, "verify", "one_sided_regions", "--trials", "0", "--aux-w", "3",
+                        "--grid", "4")
+        assert code == 0
+        cfg = json.loads(out)["config"]["cfg"]
+        assert (cfg["aux_card_w"], cfg["grid_steps"], cfg["cond_grid_steps"]) == (3, 4, 4)
+
+    def test_region_flags_resolve_against_search_config(self, capsys, channel_file):
+        code, out = run(capsys, "sumrate", channel_file)
+        assert code == 0
+        cfg = json.loads(out)["config"]
+        assert cfg["aux_card_w"] is None and cfg["grid_steps"] == 8 and cfg["seed"] == 0
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -133,6 +160,14 @@ class TestExitCodes:
 
     def test_missing_file_is_three(self, capsys):
         assert main(["classify", "/nonexistent/file.json"]) == 3
+
+    def test_over_budget_grid_is_three(self, capsys, tmp_path):
+        ch = random_channel(4, (3, 3, 2, 2))
+        ch_path, vc_path = tmp_path / "ch.json", tmp_path / "vc.json"
+        save_channel(ch, ch_path)
+        save_coupling(random_coupling(ch, 2, 2, seed=4), vc_path)
+        assert main(["certify", str(ch_path), "--virtual", str(vc_path)]) == 3
+        assert "--aux-u" in capsys.readouterr().err
 
 
 class TestDeterminism:

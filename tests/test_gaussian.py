@@ -111,6 +111,34 @@ class TestRegimes:
             if abs(report.margin) > 5e-3:
                 assert report.in_regime == report.search_feasible
 
+    def test_scan_covers_correlation_square(self):
+        # Every pair the full 64 x 64 correlation grid accepts has its rho1
+        # accepted by the one-dimensional scan at the same resolution.
+        rng = np.random.default_rng(8)
+        grid = np.linspace(1.0 / 64, 1.0, 64)
+        r1, r2 = np.meshgrid(grid, grid, indexing="ij")
+        for _ in range(300):
+            a, b = 10.0 ** rng.uniform(-2, 0.3, size=2)
+            p1, p2 = 10.0 ** rng.uniform(-1, 1.2, size=2)
+            k1, k2 = b**2 * p1 + 1.0, a**2 * p2 + 1.0
+            square = (
+                (b * k1 / r1 <= np.sqrt(1.0 - r2**2) + 1e-15)
+                & (a * k2 / r2 <= np.sqrt(1.0 - r1**2) + 1e-15)
+            ).any()
+            report = check_noisy_gaussian(GaussianIC(a=a, b=b, p1=p1, p2=p2), search_points=64)
+            assert report.search_feasible or not square
+
+    def test_scan_finds_certificate_near_guard(self):
+        # Sample 305 of `verify gaussian_regimes --seed 114` lies 0.0054 inside
+        # the noisy regime, just outside the 5e-3 guard band.
+        rng = np.random.default_rng(np.random.SeedSequence([0x6A55, 114]))
+        gains = 10.0 ** rng.uniform(-2.0, 0.5, size=(1000, 2))
+        powers = 10.0 ** rng.uniform(-1.0, 1.5, size=(1000, 2))
+        g = GaussianIC(a=gains[305, 0], b=gains[305, 1], p1=powers[305, 0], p2=powers[305, 1])
+        report = check_noisy_gaussian(g, search_points=4096)
+        assert 5e-3 < report.margin < 6e-3
+        assert report.search_feasible
+
 
 class TestSumCapacity:
     def test_unit_powers(self):

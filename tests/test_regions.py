@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icrates import (
     AuxInputDist,
@@ -32,10 +34,13 @@ from icrates.errors import (
 )
 from icrates.gaussian import tin_rates
 from icrates.regions import (
+    SupportAccumulator,
     batch_bounds,
     batch_joint,
     dist_batch_from_aux,
+    scheme_family,
     table_for_scheme,
+    union_over_batches,
 )
 from icrates.verify import generate_regime_channel
 from tests.conftest import orthogonal_channel, product_channel, strong_pair_channel
@@ -256,6 +261,52 @@ class TestRegionScheme:
         b = region_scheme(ch, "semijoint", CFG)
         np.testing.assert_array_equal(a.h_bits, b.h_bits)
         np.testing.assert_array_equal(a.points, b.points)
+
+
+class TestUnionEngine:
+    def test_shared_run_matches_region_scheme(self):
+        ch = random_channel(5, (2, 2, 2, 2))
+        regions = {"hk": "hk", "semijoint": "semijoint"}
+        batches = ((b, tuple(regions)) for b in scheme_family(ch, "hk", CFG))
+        shared = union_over_batches(ch, regions, batches, CFG.angles)["hk"]
+        single = region_scheme(ch, "hk", CFG)
+        np.testing.assert_array_equal(shared.h_bits, single.h_bits)
+        np.testing.assert_array_equal(shared.points, single.points)
+        np.testing.assert_array_equal(shared.vertices, single.vertices)
+        assert shared.meta["laws_enumerated"] == single.meta["laws_enumerated"]
+
+    def test_regions_sharing_a_scheme_see_only_their_batches(self):
+        ch = random_channel(6, (2, 2, 2, 2))
+        batches = list(scheme_family(ch, "semijoint", CFG))
+        feeds = [(b, ("all", "first") if i == 0 else ("all",)) for i, b in enumerate(batches)]
+        out = union_over_batches(ch, {"all": "semijoint", "first": "semijoint"}, feeds, CFG.angles)
+        assert out["first"].meta["laws_enumerated"] == batches[0]["pw1"].shape[0]
+        assert includes(out["all"], out["first"], tol=0.0)
+
+
+#: Bound values on a coarse non-dyadic lattice (so ties and shared vertices
+#: are common) mixed with arbitrary floats.
+_BOUND = st.one_of(st.integers(0, 12).map(lambda k: k / 6), st.floats(0.0, 3.0))
+_DIRS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.lists(st.lists(_BOUND, min_size=5, max_size=5), min_size=1, max_size=30))
+def test_accumulator_invariant_under_chunking_and_order(data, rows):
+    bounds = np.array(rows)
+    whole = SupportAccumulator(91)
+    whole.add(_DIRS, bounds)
+    expected = whole.finalize()
+
+    perm = data.draw(st.permutations(range(len(rows))))
+    cuts = data.draw(st.lists(st.integers(1, len(rows)), max_size=len(rows)))
+    edges = sorted({0, len(rows), *cuts})
+    acc = SupportAccumulator(91)
+    for start, stop in zip(edges, edges[1:]):
+        acc.add(_DIRS, bounds[perm[start:stop]])
+    got = acc.finalize()
+    np.testing.assert_array_equal(got.h_bits, expected.h_bits)
+    np.testing.assert_array_equal(got.points, expected.points)
 
 
 class TestStrongBothInclusion:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from icrates.errors import SizeLimitError
 from icrates.search import (
     SimplexBlock,
     grid_size,
@@ -43,6 +44,15 @@ def test_shrink_to_budget_reduces_largest_block():
     out = shrink_to_budget(blocks, 10_000)
     assert grid_size(out) <= 10_000
     assert out[1].steps == 8  # small block untouched
+
+
+def test_shrink_to_budget_refuses_overshoot_at_one_step():
+    # 9 slices over 9 outcomes: 9**9 points even at one step per slice.
+    blocks = [SimplexBlock("px1", 1, 3, 8), SimplexBlock("pu", 9, 9, 4)]
+    with pytest.raises(SizeLimitError, match="aux-u") as exc:
+        shrink_to_budget(blocks, 200_000)
+    assert exc.value.context["smallest_grid"] == 3 * 9**9
+    assert exc.value.context["blocks"] == ["px1", "pu"]
 
 
 def test_iter_grid_batches_lexicographic():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from icrates import (
     tin_sumrate,
 )
 from icrates.channels import X1, X2, Y1, Y2, YT1, YT2, VirtualCoupling
+from icrates.errors import SizeLimitError
 from icrates.probtensor import ProbTensor
 from icrates.regimes import NO_VIOLATION_FOUND, VIOLATED
 from icrates.sumcap import CERTIFIED, INCONCLUSIVE, evaluate_genie_dominance_margin
@@ -104,6 +107,15 @@ class TestOuterBound:
 
 
 class TestDominance:
+    def test_default_aux_u_on_three_by_three_exceeds_budget(self):
+        # |U| defaults to 9: even one step per block leaves 3 * 3 * 9**9 points.
+        ch = random_channel(4, (3, 3, 2, 2))
+        vc = random_coupling(ch, 2, 2, seed=4)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="aux-u"):
+            check_genie_dominance(ch, vc, SearchConfig())
+        assert time.perf_counter() - start < 10.0
+
     def test_degenerate_coupling_violated_with_cross_dependence(self):
         # Y2 = X1 noiselessly: constant side outputs cannot dominate
         law = np.zeros((2, 2, 2, 2))
