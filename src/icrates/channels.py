@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,14 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .probtensor import MASS_TOL, SIZE_LIMIT, ProbTensor, require_valid
+from .probtensor import (
+    MASS_TOL,
+    SIZE_LIMIT,
+    KernelCache,
+    ProbTensor,
+    marginal_kernel,
+    require_valid,
+)
 
 #: Canonical axis names used everywhere in the package.
 W1, W2, X1, X2, Y1, Y2 = "W1", "W2", "X1", "X2", "Y1", "Y2"
@@ -49,6 +56,8 @@ class DiscreteIC:
     """Two-user discrete memoryless interference channel ``p(y1,y2|x1,x2)``."""
 
     law: ProbTensor  # axes (X1, X2, Y1, Y2), conditional on (X1, X2)
+    _kernels: KernelCache = field(default_factory=KernelCache, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         if self.law.names != (X1, X2, Y1, Y2):
@@ -59,6 +68,17 @@ class DiscreteIC:
             require_valid(self.law, conditioning=(X1, X2))
         except IcError as e:
             raise ValidationError(f"channel law invalid: {e}") from e
+
+    def marginal_kernel(
+        self, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
+    ) -> np.ndarray:
+        """:func:`~icrates.probtensor.marginal_kernel` of this channel's law.
+
+        Kernels are cached on the channel, so they are built once per input
+        layout and subset and are freed with the channel.
+        """
+        return self._kernels.get((names, shape, keep),
+                                 lambda: marginal_kernel(names, shape, keep, self.law))
 
     @classmethod
     def from_array(cls, p: np.ndarray) -> "DiscreteIC":

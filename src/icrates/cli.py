@@ -64,6 +64,13 @@ def _config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> Se
     return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
+def _gaussian_region(g: GaussianIC, scheme: str, splits: int | None, angles: int | None) -> RateRegion:
+    """``region_gaussian`` with only the given resolution flags, so its own
+    defaults fill the rest; the resolved values are in the region's meta."""
+    given = {"splits": splits, "angles": angles}
+    return region_gaussian(g, scheme, **{k: v for k, v in given.items() if v is not None})
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -135,7 +142,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     ch = load_channel(args.channel)
     cfg = _config(args)
     if isinstance(ch, GaussianIC):
-        region = region_gaussian(ch, args.scheme, splits=args.splits, angles=cfg.angles)
+        region = _gaussian_region(ch, args.scheme, args.splits, cfg.angles)
     else:
         region = region_scheme(ch, args.scheme, cfg)
     doc = _region_doc(region, args.scheme, _channel_header(ch), cfg.to_json_dict())
@@ -227,9 +234,9 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
         }
         _emit(stable_json_dumps(doc), args.out)
         return 0
-    region = region_gaussian(g, args.scheme, splits=args.splits, angles=args.angles)
+    region = _gaussian_region(g, args.scheme, args.splits, args.angles)
     doc = _region_doc(region, args.scheme, _channel_header(g),
-                      {"splits": args.splits, "angles": args.angles})
+                      {"splits": region.meta["splits"], "angles": region.meta["angles"]})
     doc["command"] = "gaussian region"
     _emit(stable_json_dumps(doc), args.out)
     if args.csv:
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="rate region frontier for one scheme")
     p.add_argument("channel")
     p.add_argument("--scheme", required=True, choices=SCHEMES)
-    p.add_argument("--splits", type=int, default=17, help="gaussian power-split grid")
+    p.add_argument("--splits", type=int, help="gaussian power-split grid")
     _add_search_flags(p)
     p.add_argument("--out", default=None, help="region JSON path (default stdout)")
     p.add_argument("--csv", default=None, help="frontier CSV path")
@@ -294,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, required=True)
     p.add_argument("--p2", type=float, required=True)
     p.add_argument("--scheme", default="tin", choices=GAUSSIAN_SCHEMES)
-    p.add_argument("--splits", type=int, default=17)
-    p.add_argument("--angles", type=int, default=91)
+    p.add_argument("--splits", type=int, help="power-split grid points")
+    p.add_argument("--angles", type=int, help="support angle samples")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_gaussian)

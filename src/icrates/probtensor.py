@@ -17,8 +17,9 @@ to one.  The normalization tolerance is ``MASS_TOL``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -278,55 +279,165 @@ def compose_joint(aux: "AuxInputDist", ch: "DiscreteIC") -> ProbTensor:
     return ProbTensor(("W1", "W2", "X1", "X2", "Y1", "Y2"), joint)
 
 
+@functools.lru_cache(maxsize=256)
+def _einsum_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    return np.einsum_path(expr, *(np.empty(s) for s in shapes), optimize="greedy")[0]
+
+
+def contract(expr: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(expr, *operands, optimize=True)`` with the contraction
+    path computed once per expression and operand shapes."""
+    path = _einsum_path(expr, tuple(np.shape(op) for op in operands))
+    return np.einsum(expr, *operands, optimize=path)
+
+
+def marginal_kernel(
+    names: Sequence[str],
+    shape: Sequence[int],
+    keep: frozenset[str],
+    law: ProbTensor | None = None,
+) -> np.ndarray:
+    """Matrix ``G`` such that ``q_flat @ G`` is a flattened marginal.
+
+    ``q`` is a tensor over ``names`` with ``shape``.  Without ``law`` the
+    marginal is that of ``q`` on ``keep`` and ``G`` is 0/1.  A conditional
+    ``law`` whose conditioning axes are among ``names`` extends ``q`` to the
+    joint ``q * law`` over ``names`` and the law's other axes (its outputs).
+    When ``keep`` names an output, ``G`` has the law folded in: entry
+    ``[k, s]`` sums the law weights of the joint cells that input cell ``k``
+    sends to kept cell ``s``.  When it names none, the law is never read and
+    ``G`` is the 0/1 aggregation of ``q``, so the marginal is an exact sum.
+    Kept cells are ordered like the joint's axes: ``names``, then outputs.
+    """
+    names, shape = tuple(names), tuple(shape)
+    outs = () if law is None else tuple(n for n in law.names if n not in names)
+    if not keep & set(outs):
+        outs = ()
+    full_names = names + outs
+    full_shape = shape + tuple(law.card(n) for n in outs)
+    coords = np.indices(full_shape).reshape(len(full_shape), -1)
+    kept = [i for i, n in enumerate(full_names) if n in keep]
+    kept_shape = tuple(full_shape[i] for i in kept)
+    agg = np.zeros((coords.shape[1], int(np.prod(kept_shape))))
+    agg[np.arange(coords.shape[1]),
+        np.ravel_multi_index(coords[kept], kept_shape) if kept else 0] = 1.0
+    if not outs:
+        return agg
+    # Weight every joint cell by its law entry, then sum out the outputs.
+    weights = law.values[tuple(coords[full_names.index(n)] for n in law.names)]
+    return (weights[:, np.newaxis] * agg).reshape(int(np.prod(shape)), -1, agg.shape[1]).sum(axis=1)
+
+
+class KernelCache:
+    """Marginal kernels by key under a byte budget.
+
+    The oldest kernels are evicted first; a single kernel larger than the
+    budget is kept alone.  Kernels are read-only because callers share them.
+    """
+
+    def __init__(self, budget: int = 64 << 20) -> None:
+        self.budget = budget
+        self._kernels: dict[Hashable, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._kernels)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(k.nbytes for k in self._kernels.values())
+
+    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = build()
+            kernel.setflags(write=False)
+            while len(self._kernels) > 1 and self.nbytes > self.budget:
+                del self._kernels[next(iter(self._kernels))]
+        return kernel
+
+
+#: Aggregation matrices of joints without a channel.  They depend only on
+#: the axis names, the cardinalities and the kept subset, so all instances
+#: share them.
+_AGGREGATIONS = KernelCache()
+
+
 class BatchJoint:
     """A batch of joint distributions sharing one axis layout.
 
-    ``values`` has shape ``[B, c1, ..., cn]`` where row ``b`` is one joint
-    distribution.  Subset entropies are cached per instance, so evaluating
-    many mutual-information terms over the same batch reuses marginals.
+    ``values`` has shape ``[B, c1, ..., cn]`` over the axes ``in_names``;
+    row ``b`` is one distribution.  Without a channel that is the joint.
+    With a ``channel``, row ``b`` is an input law over axes that include the
+    channel's inputs, and the joint is that law times ``p(y1,y2|x1,x2)``
+    over ``in_names`` plus the outputs (``names``).  Its marginals are
+    contracted from the input law through kernels the channel caches (see
+    :func:`marginal_kernel`), so the joint itself is never formed.
+
+    Subset entropies are cached per instance, so evaluating many
+    mutual-information terms over the same batch reuses marginals.
     Instances are write-once: callers must not mutate ``values``.
     """
 
-    #: Joints with more cells than this marginalize by axis sums instead of
-    #: cached aggregation matrices (which would get quadratically large).
+    #: Joints with more cells than this marginalize by axis sums (or, with a
+    #: channel, by one contraction of the input law with the channel law)
+    #: instead of cached kernel matrices, which would get quadratically large.
     _AGG_LIMIT = 65536
 
-    def __init__(self, names: Sequence[str], values: np.ndarray) -> None:
-        self.names = tuple(names)
+    def __init__(
+        self, in_names: Sequence[str], values: np.ndarray, channel: "DiscreteIC | None" = None
+    ) -> None:
+        self.in_names = tuple(in_names)
         self.values = values
-        if values.ndim != len(self.names) + 1:
+        if values.ndim != len(self.in_names) + 1:
             raise DimensionMismatchError(
                 "batch rank must be 1 + number of axes",
                 rank=values.ndim,
-                names=list(self.names),
+                names=list(self.in_names),
             )
+        self._channel = channel
+        out_cells = 1
+        self._outputs: tuple[str, ...] = ()
+        if channel is not None:
+            law = channel.law  # axes (X1, X2, Y1, Y2), conditional on (X1, X2)
+            if any(n not in self.in_names or values.shape[1 + self.in_names.index(n)] != law.card(n)
+                   for n in law.names[:2]):
+                raise DimensionMismatchError(
+                    "input law does not match the channel inputs",
+                    names=list(self.in_names), shape=values.shape[1:], channel=law.cards,
+                )
+            self._outputs = law.names[2:]
+            out_cells = int(np.prod(law.cards[2:]))
+        self.names = self.in_names + self._outputs
         self._flat = np.ascontiguousarray(values.reshape(values.shape[0], -1))
+        self._cells = self._flat.shape[1] * out_cells
         self._cache: dict[frozenset[str], np.ndarray] = {}
-        self._agg_cache: dict[frozenset[str], np.ndarray] = {}
 
     @property
     def batch_size(self) -> int:
         return self.values.shape[0]
 
-    def _agg_matrix(self, key: frozenset[str]) -> np.ndarray:
-        """0/1 matrix mapping flattened joint cells to flattened kept cells."""
-        cached = self._agg_cache.get(key)
-        if cached is not None:
-            return cached
+    def _kernel(self, key: frozenset[str]) -> np.ndarray:
         shape = self.values.shape[1:]
-        keep_axes = tuple(i for i, n in enumerate(self.names) if n in key)
-        coords = np.indices(shape).reshape(len(shape), -1)
-        if keep_axes:
-            kept_shape = tuple(shape[i] for i in keep_axes)
-            kept_flat = np.ravel_multi_index([coords[i] for i in keep_axes], kept_shape)
-            mtot = int(np.prod(kept_shape))
+        if self._channel is not None:
+            return self._channel.marginal_kernel(self.in_names, shape, key)
+        return _AGGREGATIONS.get((self.in_names, shape, key),
+                                 lambda: marginal_kernel(self.in_names, shape, key))
+
+    def _contract(self, key: frozenset[str]) -> np.ndarray:
+        """Marginal on ``key`` without a kernel matrix, ``[B, kept cells]``."""
+        if key & set(self._outputs):
+            law = self._channel.law
+            sub = {n: i + 1 for i, n in enumerate(self.names)}
+            m = np.einsum(
+                self.values, [0, *(sub[n] for n in self.in_names)],
+                law.values, [sub[n] for n in law.names],
+                [0, *(sub[n] for n in self.names if n in key)],
+                optimize=True,
+            )
         else:
-            kept_flat = np.zeros(coords.shape[1], dtype=np.int64)
-            mtot = 1
-        agg = np.zeros((coords.shape[1], mtot))
-        agg[np.arange(coords.shape[1]), kept_flat] = 1.0
-        self._agg_cache[key] = agg
-        return agg
+            sum_axes = tuple(i + 1 for i, n in enumerate(self.in_names) if n not in key)
+            m = self.values.sum(axis=sum_axes) if sum_axes else self.values
+        return m.reshape(m.shape[0], -1)
 
     def entropy(self, names: Iterable[str]) -> np.ndarray:
         key = frozenset(names)
@@ -336,12 +447,10 @@ class BatchJoint:
         unknown = key - set(self.names)
         if unknown:
             raise UnknownAxisError("no such axis", axis=sorted(unknown), have=list(self.names))
-        if self._flat.shape[1] <= self._AGG_LIMIT:
-            m = self._flat @ self._agg_matrix(key)
+        if self._cells <= self._AGG_LIMIT:
+            m = self._flat @ self._kernel(key)
         else:
-            sum_axes = tuple(i + 1 for i, n in enumerate(self.names) if n not in key)
-            m = self.values.sum(axis=sum_axes) if sum_axes else self.values
-            m = m.reshape(m.shape[0], -1)
+            m = self._contract(key)
         logs = np.zeros_like(m)
         np.log2(m, out=logs, where=m > 0.0)
         h = -(m * logs).sum(axis=1)

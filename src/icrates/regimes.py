@@ -30,7 +30,7 @@ from .gaussian import (
     noisy_gaussian,
     very_weak_gaussian,
 )
-from .probtensor import BatchJoint
+from .probtensor import BatchJoint, contract
 from .search import Point, SearchResult, SimplexBlock, maximize
 
 VIOLATED = "VIOLATED"
@@ -167,12 +167,12 @@ def _very_weak_objective(ch: DiscreteIC, direction: int):
         px = batch["px_other"][:, 0, :]
         if direction == 1:
             # joint over (W, X2, Y1, Y2); X1 summed out
-            joint = np.einsum("bw,bwi,bj,ijkl->bwjkl", pw, pxw, px, law, optimize=True)
+            joint = contract("bw,bwi,bj,ijkl->bwjkl", pw, pxw, px, law)
             bj = BatchJoint(("W", "XO", "YC", "YO"), joint)
             # I(W1; Y2 | X2) - I(W1; Y1)
             return bj.mi(("W",), ("YO",), ("XO",)) - bj.mi(("W",), ("YC",))
         # mirror: joint over (W, X1, Y1, Y2); X2 summed out
-        joint = np.einsum("bw,bwj,bi,ijkl->bwikl", pw, pxw, px, law, optimize=True)
+        joint = contract("bw,bwj,bi,ijkl->bwikl", pw, pxw, px, law)
         bj = BatchJoint(("W", "XO", "YO", "YC"), joint)
         # I(W2; Y1 | X1) - I(W2; Y2)
         return bj.mi(("W",), ("YO",), ("XO",)) - bj.mi(("W",), ("YC",))
@@ -193,7 +193,7 @@ def _strong_objective(ch: DiscreteIC, direction: int):
     def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         px1 = batch["px1"][:, 0, :]
         px2 = batch["px2"][:, 0, :]
-        joint = np.einsum("bi,bj,ijkl->bijkl", px1, px2, law, optimize=True)
+        joint = contract("bi,bj,ijkl->bijkl", px1, px2, law)
         bj = BatchJoint(("X1", "X2", "Y1", "Y2"), joint)
         if direction == 1:
             # I(X1; Y1 | X2) - I(X1; Y2 | X2)

@@ -523,12 +523,11 @@ DistBatch = dict[str, np.ndarray]
 
 
 def batch_joint(ch: DiscreteIC, batch: DistBatch) -> BatchJoint:
-    joint = np.einsum(
-        "bw,bv,bwi,bvj,ijkl->bwvijkl",
-        batch["pw1"], batch["pw2"], batch["px1w1"], batch["px2w2"],
-        ch.law.values, optimize=True,
-    )
-    return BatchJoint(("W1", "W2", "X1", "X2", "Y1", "Y2"), joint)
+    """Joints over ``(W1, W2, X1, X2, Y1, Y2)`` as input laws ``q(w1,w2,x1,x2)``
+    with the channel law as their kernel (the 6-D joint is never formed)."""
+    q = (batch["pw1"][:, :, None, None, None] * batch["pw2"][:, None, :, None, None]
+         * batch["px1w1"][:, :, None, :, None] * batch["px2w2"][:, None, :, None, :])
+    return BatchJoint(("W1", "W2", "X1", "X2"), q, ch)
 
 
 def batch_bounds(bj: BatchJoint, table: Sequence[Constraint]) -> np.ndarray:

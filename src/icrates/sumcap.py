@@ -24,7 +24,7 @@ import numpy as np
 from .channels import DiscreteIC, GaussianIC, VirtualCoupling
 from .errors import IcError, ValidationError
 from .gaussian import noisy_sum_capacity
-from .probtensor import BatchJoint, InfoQuery, ProbTensor, mutual_information, require_valid
+from .probtensor import BatchJoint, InfoQuery, ProbTensor, contract, mutual_information, require_valid
 from .regimes import NO_VIOLATION_FOUND, RegimeReport, SearchConfig, _product_blocks, _report
 from .search import Point, SearchResult, SimplexBlock, maximize
 
@@ -68,7 +68,7 @@ def _tin_objective(ch: DiscreteIC):
     def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         px1 = batch["px1"][:, 0, :]
         px2 = batch["px2"][:, 0, :]
-        joint = np.einsum("bi,bj,ijkl->bijkl", px1, px2, law, optimize=True)
+        joint = contract("bi,bj,ijkl->bijkl", px1, px2, law)
         bj = BatchJoint(("X1", "X2", "Y1", "Y2"), joint)
         return bj.mi(("X1",), ("Y1",)) + bj.mi(("X2",), ("Y2",))
 
@@ -81,7 +81,7 @@ def _genie_objective(vc: VirtualCoupling):
     def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         px1 = batch["px1"][:, 0, :]
         px2 = batch["px2"][:, 0, :]
-        joint = np.einsum("bi,bj,ijklmn->bijklmn", px1, px2, law, optimize=True)
+        joint = contract("bi,bj,ijklmn->bijklmn", px1, px2, law)
         bj = BatchJoint(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"), joint)
         return bj.mi(("X1",), ("Y1", "Yt1")) + bj.mi(("X2",), ("Y2", "Yt2"))
 
@@ -183,11 +183,11 @@ def _dominance_objective(ch: DiscreteIC, vc: VirtualCoupling, direction: int):
         pu = batch["pu"].reshape(batch["pu"].shape[0], nx1, nx2, -1)
         if direction == 1:
             # joint over (U, X2, Y2, Yt1, Yt2); X1 and Y1 summed out
-            joint = np.einsum("bi,bj,biju,ijklmn->bujlmn", px1, px2, pu, law, optimize=True)
+            joint = contract("bi,bj,biju,ijklmn->bujlmn", px1, px2, pu, law)
             bj = BatchJoint(("U", "X2", "Y2", "Yt1", "Yt2"), joint)
             return bj.mi(("U",), ("Y2",), ("X2", "Yt2")) - bj.mi(("U",), ("Yt1",), ("X2", "Yt2"))
         # mirror: joint over (U, X1, Y1, Yt1, Yt2); X2 and Y2 summed out
-        joint = np.einsum("bi,bj,biju,ijklmn->buikmn", px1, px2, pu, law, optimize=True)
+        joint = contract("bi,bj,biju,ijklmn->buikmn", px1, px2, pu, law)
         bj = BatchJoint(("U", "X1", "Y1", "Yt1", "Yt2"), joint)
         return bj.mi(("U",), ("Y1",), ("X1", "Yt1")) - bj.mi(("U",), ("Yt2",), ("X1", "Yt1"))
 

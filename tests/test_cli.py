@@ -140,6 +140,19 @@ class TestDefaults:
         cfg = json.loads(out)["config"]["cfg"]
         assert (cfg["aux_card_w"], cfg["grid_steps"], cfg["cond_grid_steps"]) == (3, 4, 4)
 
+    def test_flagless_gaussian_region_equals_library_call(self, capsys):
+        from icrates.channels import GaussianIC
+        from icrates.regions import region_gaussian
+        from icrates.serialize import stable_json_dumps
+
+        code, out = run(capsys, "gaussian", "region", "--a", "0.3", "--b", "0.2",
+                        "--p1", "1.5", "--p2", "1", "--scheme", "semijoint")
+        assert code == 0
+        region = region_gaussian(GaussianIC(a=0.3, b=0.2, p1=1.5, p2=1.0), "semijoint")
+        doc = json.loads(out)
+        assert doc["region"] == json.loads(stable_json_dumps(region.to_json_dict()))
+        assert doc["config"] == {"splits": region.meta["splits"], "angles": region.meta["angles"]}
+
     def test_region_flags_resolve_against_search_config(self, capsys, channel_file):
         code, out = run(capsys, "sumrate", channel_file)
         assert code == 0

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icrates import regions
 from icrates import (
     AuxInputDist,
+    DiscreteIC,
     InfoQuery,
     RatePolytope,
     SearchConfig,
@@ -32,18 +34,29 @@ from icrates.errors import (
     EmptyListError,
     NotOneSidedError,
 )
-from icrates.gaussian import tin_rates
+from icrates.gaussian import split_system, tin_rates
+from icrates.probtensor import BatchJoint
 from icrates.regions import (
+    SCHEME_TABLES,
     SupportAccumulator,
     batch_bounds,
     batch_joint,
+    collapse_w1,
+    collapse_w2,
     dist_batch_from_aux,
+    merged_dirs_bounds,
     scheme_family,
+    table_bounds,
     table_for_scheme,
     union_over_batches,
 )
-from icrates.verify import generate_regime_channel
-from tests.conftest import orthogonal_channel, product_channel, strong_pair_channel
+from icrates.verify import _REGION_SUITES, generate_regime_channel
+from tests.conftest import (
+    orthogonal_channel,
+    product_channel,
+    strong_pair_channel,
+    xor_channel,
+)
 
 CFG = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2, seed=0)
 
@@ -358,7 +371,126 @@ class TestBatchConsistency:
                 np.testing.assert_allclose(bounds[row], single, atol=1e-12)
 
 
+def dense_batch_joint(ch, batch):
+    """The full 6-D joint of every law, marginalized by plain aggregation."""
+    joint = np.einsum(
+        "bw,bv,bwi,bvj,ijkl->bwvijkl",
+        batch["pw1"], batch["pw2"], batch["px1w1"], batch["px2w2"], ch.law.values,
+        optimize=True,
+    )
+    return BatchJoint(("W1", "W2", "X1", "X2", "Y1", "Y2"), joint)
+
+
+def table_subsets():
+    """Every entropy subset that a scheme table or a suite probe table reads."""
+    tables = [*SCHEME_TABLES.values()]
+    tables += [t for suite in _REGION_SUITES.values() for t in suite.probes.values()]
+    subsets = set()
+    for table in tables:
+        for _, _, terms in table:
+            for target, second, given in terms:
+                t, s, g = frozenset(target), frozenset(second), frozenset(given)
+                subsets |= {t | g, s | g, g, t | s | g}
+    return subsets
+
+
+def zero_entry_channel():
+    """Random 2x3 channel with whole output rows and single cells zeroed."""
+    law = random_channel(5, (2, 3, 3, 2)).law.values.copy()
+    law[0, 1, 1, :] = 0.0
+    law[1, 2, :, 0] = 0.0
+    law[1, 0, 2, 1] = 0.0
+    return DiscreteIC.from_array(law / law.sum(axis=(2, 3), keepdims=True))
+
+
+def zero_entry_batch(nx1, nx2):
+    rng = np.random.default_rng(11)
+    batch = {
+        "pw1": rng.dirichlet(np.ones(2), size=5),
+        "px1w1": rng.dirichlet(np.ones(nx1), size=(5, 2)),
+        "pw2": rng.dirichlet(np.ones(3), size=5),
+        "px2w2": rng.dirichlet(np.ones(nx2), size=(5, 3)),
+    }
+    batch["pw1"][0] = (1.0, 0.0)
+    batch["px1w1"][1, 0] = np.eye(nx1)[0]
+    batch["px2w2"][2, :, 0] = 0.0
+    batch["px2w2"][2] /= batch["px2w2"][2].sum(axis=1, keepdims=True)
+    return batch
+
+
+class TestChannelKernel:
+    @pytest.mark.parametrize("ch", [
+        random_channel(2, (3, 3, 3, 3)),
+        random_channel(4, (2, 3, 2, 3)),
+        random_channel(6, (3, 2, 2, 3)),
+        zero_entry_channel(),
+        xor_channel(),
+        strong_pair_channel(),
+    ], ids=["3x3", "2x3-2x3", "3x2-2x3", "zeros", "xor", "strong-pair"])
+    def test_entropies_match_dense_joint(self, ch):
+        subsets = table_subsets()
+        family = list(scheme_family(ch, "hk", CFG))  # |W| = 1, 2 and W = X lifts
+        family.append(zero_entry_batch(ch.nx1, ch.nx2))
+        for batch in [*family, collapse_w1(family[-1]), collapse_w2(family[-1])]:
+            bj = batch_joint(ch, batch)
+            dense = dense_batch_joint(ch, batch)
+            for s in subsets:
+                np.testing.assert_allclose(bj.entropy(s), dense.entropy(s), rtol=0, atol=1e-12)
+
+    def test_same_shape_channels_in_sequence(self, monkeypatch):
+        # Same-shape channels, each built, used and freed in turn, so the
+        # interpreter reuses their ids: no region may see kernels of an
+        # earlier channel (as a cache keyed by the id() of a law would hand
+        # it).  Each is compared with its region from the dense 6-D joints.
+        cfg = SearchConfig(grid_steps=3, cond_grid_steps=1, restarts=0, aux_card_w=2)
+        seeds = range(21, 29)
+
+        def region_of(seed):
+            return region_scheme(random_channel(seed, (2, 2, 2, 2)), "hk", cfg)
+
+        got = [region_of(seed) for seed in seeds]
+        monkeypatch.setattr(regions, "batch_joint", dense_batch_joint)
+        for region, seed in zip(got, seeds):
+            alone = region_of(seed)
+            np.testing.assert_allclose(region.h_bits, alone.h_bits, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(region.points, alone.points, rtol=0, atol=1e-11)
+
+    def test_kernel_cache_stays_within_its_byte_budget(self):
+        ch = random_channel(8, (2, 2, 2, 2))
+        want = region_scheme(ch, "hk", CFG)
+        small = random_channel(8, (2, 2, 2, 2))
+        small._kernels.budget = 2048
+        got = region_scheme(small, "hk", CFG)
+        # over budget only when the newest kernel alone exceeds it
+        assert len(small._kernels) == 1 or small._kernels.nbytes <= 2048
+        assert len(small._kernels) < len(ch._kernels)
+        np.testing.assert_array_equal(got.h_bits, want.h_bits)
+        np.testing.assert_array_equal(got.points, want.points)
+
+    def test_kernels_live_with_their_channel(self):
+        ch = random_channel(8, (2, 2, 2, 2))
+        other = random_channel(9, (2, 2, 2, 2))
+        region_scheme(ch, "hk", CFG)
+        assert len(ch._kernels) > 0 and len(other._kernels) == 0
+
+
 class TestGaussianRegions:
+    @pytest.mark.parametrize("a,b,p1,p2", [
+        (1.0, 1.0, 1.0, 1.0), (1.5, -2.0, 2.0, 0.5), (-1.2, 3.0, 10.0, 3.0), (2.5, 1.0, 0.3, 4.0),
+    ])
+    def test_full_common_layers_give_sato_region(self, a, b, p1, p2):
+        # Strong interference (|a|, |b| >= 1): the semijoint member at
+        # lam1 = lam2 = 1 (W = X) is Sato's (1981) capacity region.
+        table = table_for_scheme("semijoint")
+        bounds = table_bounds(table, split_system(GaussianIC(a, b, p1, p2), 1.0, 1.0).mi_bits)
+        dirs, merged = merged_dirs_bounds(table, bounds)
+        c = lambda snr: 0.5 * math.log2(1.0 + snr)  # noqa: E731
+        sato = {(1, 0): c(p1), (0, 1): c(p2),
+                (1, 1): min(c(p1 + a * a * p2), c(b * b * p1 + p2))}
+        assert set(dirs) == set(sato)
+        for d, bound in zip(dirs, merged[0]):
+            assert bound == pytest.approx(sato[d], abs=1e-12)
+
     def test_no_interference_rectangle(self):
         g = GaussianIC(a=0.0, b=0.0, p1=1.0, p2=1.0)
         region = region_gaussian(g, "tin", splits=3)
