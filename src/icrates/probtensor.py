@@ -242,6 +242,18 @@ def entropy(t: ProbTensor, q: InfoQuery) -> float:
     return max(h, 0.0)
 
 
+#: Mutual-information term ``I(target; second | given)`` as three tuples of
+#: axis names; the row format of every constraint and objective table.
+Term = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+
+
+def term(
+    target: str | Iterable[str], second: str | Iterable[str], given: str | Iterable[str] = ()
+) -> Term:
+    """A :data:`Term`; a lone axis may be named by a bare string."""
+    return tuple((n,) if isinstance(n, str) else tuple(n) for n in (target, second, given))
+
+
 def mutual_information(t: ProbTensor, q: InfoQuery) -> float:
     """Conditional mutual information ``I(target; second | given)`` in bits."""
     if not q.second:

@@ -17,8 +17,8 @@ resolution increases monotone: the old witness is always re-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .gaussian import (
     noisy_gaussian,
     very_weak_gaussian,
 )
-from .probtensor import BatchJoint, contract
+from .probtensor import BatchJoint, ProbTensor, Term, contract
+from .probtensor import term as _T  # table shorthand
 from .search import Point, SearchResult, SimplexBlock, maximize
 
 VIOLATED = "VIOLATED"
@@ -82,17 +83,7 @@ class SearchConfig:
         return self.aux_card_u if self.aux_card_u is not None else nx1 * nx2
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid_steps": self.grid_steps,
-            "cond_grid_steps": self.cond_grid_steps,
-            "restarts": self.restarts,
-            "aux_card_w": self.aux_card_w,
-            "aux_card_u": self.aux_card_u,
-            "seed": self.seed,
-            "violation_tol": self.violation_tol,
-            "angles": self.angles,
-            "max_candidates": self.max_candidates,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -138,46 +129,30 @@ def _report(condition: str, result: SearchResult, cfg: SearchConfig) -> RegimeRe
 
 
 # ---------------------------------------------------------------------------
-# Condition objectives (batched over candidate input laws)
+# Search objectives: layouts plus signed mutual-information rows
 # ---------------------------------------------------------------------------
 
 
-def _very_weak_blocks(ch: DiscreteIC, cfg: SearchConfig, direction: int) -> list[SimplexBlock]:
-    if direction == 1:
-        nw = cfg.card_w(ch.nx1)
-        return [
-            SimplexBlock("pw", 1, nw, cfg.grid_steps),
-            SimplexBlock("px_own", nw, ch.nx1, cfg.cond_grid_steps),
-            SimplexBlock("px_other", 1, ch.nx2, cfg.grid_steps),
-        ]
-    nw = cfg.card_w(ch.nx2)
-    return [
-        SimplexBlock("pw", 1, nw, cfg.grid_steps),
-        SimplexBlock("px_own", nw, ch.nx2, cfg.cond_grid_steps),
-        SimplexBlock("px_other", 1, ch.nx1, cfg.grid_steps),
-    ]
+_LAW_LETTERS = "ijklmn"  # X1, X2, Y1, Y2, Yt1, Yt2
 
 
-def _very_weak_objective(ch: DiscreteIC, direction: int):
-    law = ch.law.values
+@dataclass(frozen=True)
+class Layout:
+    """Dense joint of a batch of search laws times a conditional law.
 
-    def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        pw = batch["pw"][:, 0, :]
-        pxw = batch["px_own"]
-        px = batch["px_other"][:, 0, :]
-        if direction == 1:
-            # joint over (W, X2, Y1, Y2); X1 summed out
-            joint = contract("bw,bwi,bj,ijkl->bwjkl", pw, pxw, px, law)
-            bj = BatchJoint(("W", "XO", "YC", "YO"), joint)
-            # I(W1; Y2 | X2) - I(W1; Y1)
-            return bj.mi(("W",), ("YO",), ("XO",)) - bj.mi(("W",), ("YC",))
-        # mirror: joint over (W, X1, Y1, Y2); X2 summed out
-        joint = contract("bw,bwj,bi,ijkl->bwikl", pw, pxw, px, law)
-        bj = BatchJoint(("W", "XO", "YO", "YC"), joint)
-        # I(W2; Y1 | X1) - I(W2; Y2)
-        return bj.mi(("W",), ("YO",), ("XO",)) - bj.mi(("W",), ("YC",))
+    ``expr`` contracts the blocks named by ``operands`` with the law as last
+    operand, whose axes are lettered ``i, j, k, ...`` in order.  The law's
+    subscripts end in ``...``, which stands for its remaining letters, so
+    one layout serves the channel law and a coupling's joint law; the
+    joint's axes are ``names`` followed by those remaining law axes.  Each
+    block ``[B, slices, k]`` is reshaped to its subscripts: law letters
+    take the law's cardinalities, the one other letter the rest.
+    """
 
-    return objective
+    blocks: Callable[[DiscreteIC, SearchConfig], list[SimplexBlock]]
+    expr: str
+    operands: tuple[str, ...]
+    names: tuple[str, ...]
 
 
 def _product_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
@@ -187,37 +162,82 @@ def _product_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
     ]
 
 
-def _strong_objective(ch: DiscreteIC, direction: int):
-    law = ch.law.values
-
-    def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        px1 = batch["px1"][:, 0, :]
-        px2 = batch["px2"][:, 0, :]
-        joint = contract("bi,bj,ijkl->bijkl", px1, px2, law)
-        bj = BatchJoint(("X1", "X2", "Y1", "Y2"), joint)
-        if direction == 1:
-            # I(X1; Y1 | X2) - I(X1; Y2 | X2)
-            return bj.mi(("X1",), ("Y1",), ("X2",)) - bj.mi(("X1",), ("Y2",), ("X2",))
-        # mirror: I(X2; Y2 | X1) - I(X2; Y1 | X1)
-        return bj.mi(("X2",), ("Y2",), ("X1",)) - bj.mi(("X2",), ("Y1",), ("X1",))
-
-    return objective
+def _layer_blocks(cfg: SearchConfig, n_own: int, n_other: int) -> list[SimplexBlock]:
+    nw = cfg.card_w(n_own)
+    return [
+        SimplexBlock("pw", 1, nw, cfg.grid_steps),
+        SimplexBlock("px_own", nw, n_own, cfg.cond_grid_steps),
+        SimplexBlock("px_other", 1, n_other, cfg.grid_steps),
+    ]
 
 
-_CONDITIONS = {
-    "very_weak_1": (_very_weak_blocks, _very_weak_objective, 1),
-    "very_weak_2": (_very_weak_blocks, _very_weak_objective, 2),
-    "strong_y2": (_product_blocks, _strong_objective, 1),
-    "strong_y1": (_product_blocks, _strong_objective, 2),
+def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
+    return _product_blocks(ch, cfg) + [
+        SimplexBlock("pu", ch.nx1 * ch.nx2, cfg.card_u(ch.nx1, ch.nx2), cfg.cond_grid_steps),
+    ]
+
+
+#: ``P(x1) P(x2)`` times the law: joint over ``(X1, X2, <law outputs>)``.
+_PRODUCT = Layout(_product_blocks, "bi,bj,ij...->bij...", ("px1", "px2"), ("X1", "X2"))
+#: ``P(w) P(x1|w) P(x2)`` times the channel, X1 summed out, and its mirror.
+_LAYER_1 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx1, ch.nx2), "bw,bwi,bj,ij...->bwj...",
+                  ("pw", "px_own", "px_other"), ("W1", "X2"))
+_LAYER_2 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx2, ch.nx1), "bw,bwj,bi,ij...->bwi...",
+                  ("pw", "px_own", "px_other"), ("W2", "X1"))
+#: ``P(x1) P(x2) P(u|x1,x2)`` times a coupling, with X1, Y1 summed out, and
+#: its mirror with X2, Y2 summed out.
+_AUX_U_1 = Layout(_dominance_blocks, "bi,bj,biju,ijk...->buj...", ("px1", "px2", "pu"), ("U", "X2"))
+_AUX_U_2 = Layout(_dominance_blocks, "bi,bj,biju,ijkl...->buik...", ("px1", "px2", "pu"),
+                  ("U", "X1", "Y1"))
+
+#: Every searched objective: a layout and signed rows, summed in order as
+#: ``sum(sign * I(term))`` over the layout's joint; ``strong_y1`` and the
+#: ``_2`` names are mirrors.  ``genie`` and the ``genie_dominance``
+#: conditions read a coupling's joint law, the others the channel law.
+OBJECTIVES: dict[str, tuple[Layout, tuple[tuple[int, Term], ...]]] = {
+    "tin": (_PRODUCT, ((+1, _T("X1", "Y1")), (+1, _T("X2", "Y2")))),
+    "genie": (_PRODUCT, ((+1, _T("X1", ("Y1", "Yt1"))), (+1, _T("X2", ("Y2", "Yt2"))))),
+    "strong_y2": (_PRODUCT, ((+1, _T("X1", "Y1", "X2")), (-1, _T("X1", "Y2", "X2")))),
+    "strong_y1": (_PRODUCT, ((+1, _T("X2", "Y2", "X1")), (-1, _T("X2", "Y1", "X1")))),
+    "very_weak_1": (_LAYER_1, ((+1, _T("W1", "Y2", "X2")), (-1, _T("W1", "Y1")))),
+    "very_weak_2": (_LAYER_2, ((+1, _T("W2", "Y1", "X1")), (-1, _T("W2", "Y2")))),
+    "genie_dominance_1": (_AUX_U_1, ((+1, _T("U", "Y2", ("X2", "Yt2"))),
+                                     (-1, _T("U", "Yt1", ("X2", "Yt2"))))),
+    "genie_dominance_2": (_AUX_U_2, ((+1, _T("U", "Y1", ("X1", "Yt1"))),
+                                     (-1, _T("U", "Yt2", ("X1", "Yt1"))))),
 }
+
+
+def objective(name: str, law: ProbTensor) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    """Batched ``OBJECTIVES[name]`` over the search laws times ``law``."""
+    layout, rows = OBJECTIVES[name]
+    subs = layout.expr.split("->")[0].split(",")
+    named = len(subs[-1].removesuffix("..."))
+    expr = layout.expr.replace("...", _LAW_LETTERS[named:len(law.cards)])
+    cards = dict(zip(_LAW_LETTERS, law.cards))
+    shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs[:-1]]
+    names = layout.names + law.names[named:]
+
+    def evaluate(batch: Mapping[str, np.ndarray]) -> np.ndarray:
+        ops = [batch[op].reshape(len(batch[op]), *s) for op, s in zip(layout.operands, shapes)]
+        bj = BatchJoint(names, contract(expr, *ops, law.values))
+        total = 0.0
+        for sign, t in rows:
+            total = total + bj.mi(*t) if sign > 0 else total - bj.mi(*t)
+        return total
+
+    return evaluate
+
+
+def evaluate_objective(name: str, law: ProbTensor, witness: Mapping[str, np.ndarray]) -> float:
+    """``OBJECTIVES[name]`` at one witness law, e.g. to re-score a report."""
+    batch = {k: np.asarray(v, dtype=np.float64)[np.newaxis, ...] for k, v in witness.items()}
+    return float(objective(name, law)(batch)[0])
 
 
 def evaluate_condition_margin(ch: DiscreteIC, condition: str, witness: Mapping[str, np.ndarray]) -> float:
     """Re-evaluate a condition's margin at one witness distribution."""
-    blocks_fn, obj_fn, direction = _CONDITIONS[condition]
-    objective = obj_fn(ch, direction)
-    batch = {k: np.asarray(v, dtype=np.float64)[np.newaxis, ...] for k, v in witness.items()}
-    return float(objective(batch)[0])
+    return evaluate_objective(condition, ch.law, witness)
 
 
 def _run_condition(
@@ -226,17 +246,12 @@ def _run_condition(
     condition: str,
     prior_witnesses: Iterable[Mapping[str, np.ndarray]] = (),
 ) -> RegimeReport:
-    blocks_fn, obj_fn, direction = _CONDITIONS[condition]
-    if condition.startswith("very_weak"):
-        blocks = blocks_fn(ch, cfg, direction)
-    else:
-        blocks = blocks_fn(ch, cfg)
     extra: list[Point] = [
         {k: np.asarray(v, dtype=np.float64) for k, v in w.items()} for w in prior_witnesses
     ]
     result = maximize(
-        obj_fn(ch, direction),
-        blocks,
+        objective(condition, ch.law),
+        OBJECTIVES[condition][0].blocks(ch, cfg),
         seed=cfg.seed,
         restarts=cfg.restarts,
         budget=cfg.max_candidates,

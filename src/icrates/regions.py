@@ -48,11 +48,13 @@ from .probtensor import (
     BatchJoint,
     InfoQuery,
     ProbTensor,
+    Term,
     compose_joint,
     mutual_information,
     require_valid,
 )
-from .regimes import SearchConfig
+from .probtensor import term as _T  # table shorthand
+from .regimes import SearchConfig, _product_blocks
 from .search import SimplexBlock, iter_grid_batches, shrink_to_budget
 
 SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
@@ -62,48 +64,44 @@ ALLOWED_DIRS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 _FEAS_TOL = 1e-12
 _CHUNK = 4096
 
-# Mutual-information term: (target names, second names, given names).
-Term = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 # Constraint: (c1, c2, terms); bound = sum of the terms' MI values.
 Constraint = tuple[int, int, tuple[Term, ...]]
-
-_T = lambda t, s, g=(): (tuple(t), tuple(s), tuple(g))  # noqa: E731 - table shorthand
 
 #: Per-scheme constraint systems.  ``strong_capacity`` reuses the
 #: ``semijoint`` table evaluated at W1 = X1, W2 = X2.
 SCHEME_TABLES: dict[str, tuple[Constraint, ...]] = {
     "tin": (
-        (1, 0, (_T(("X1",), ("Y1",)),)),
-        (0, 1, (_T(("X2",), ("Y2",)),)),
+        (1, 0, (_T("X1", "Y1"),)),
+        (0, 1, (_T("X2", "Y2"),)),
     ),
     "semijoint": (
-        (1, 0, (_T(("X1",), ("Y1",), ("W2",)),)),
-        (0, 1, (_T(("X2",), ("Y2",), ("W1",)),)),
-        (1, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X2",), ("Y2",), ("W2",)))),
-        (1, 1, (_T(("X1",), ("Y1",), ("W1",)), _T(("X2", "W1"), ("Y2",)))),
+        (1, 0, (_T("X1", "Y1", "W2"),)),
+        (0, 1, (_T("X2", "Y2", "W1"),)),
+        (1, 1, (_T(("X1", "W2"), "Y1"), _T("X2", "Y2", "W2"))),
+        (1, 1, (_T("X1", "Y1", "W1"), _T(("X2", "W1"), "Y2"))),
     ),
     "hk": (
-        (1, 0, (_T(("X1",), ("Y1",), ("W2",)),)),
-        (0, 1, (_T(("X2",), ("Y2",), ("W1",)),)),
-        (1, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X2",), ("Y2",), ("W1", "W2")))),
-        (1, 1, (_T(("X1",), ("Y1",), ("W1", "W2")), _T(("X2", "W1"), ("Y2",)))),
-        (1, 1, (_T(("X1", "W2"), ("Y1",), ("W1",)), _T(("X2", "W1"), ("Y2",), ("W2",)))),
-        (2, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X1",), ("Y1",), ("W1", "W2")),
-                _T(("X2", "W1"), ("Y2",), ("W2",)))),
-        (1, 2, (_T(("X2", "W1"), ("Y2",)), _T(("X2",), ("Y2",), ("W1", "W2")),
-                _T(("X1", "W2"), ("Y1",), ("W1",)))),
+        (1, 0, (_T("X1", "Y1", "W2"),)),
+        (0, 1, (_T("X2", "Y2", "W1"),)),
+        (1, 1, (_T(("X1", "W2"), "Y1"), _T("X2", "Y2", ("W1", "W2")))),
+        (1, 1, (_T("X1", "Y1", ("W1", "W2")), _T(("X2", "W1"), "Y2"))),
+        (1, 1, (_T(("X1", "W2"), "Y1", "W1"), _T(("X2", "W1"), "Y2", "W2"))),
+        (2, 1, (_T(("X1", "W2"), "Y1"), _T("X1", "Y1", ("W1", "W2")),
+                _T(("X2", "W1"), "Y2", "W2"))),
+        (1, 2, (_T(("X2", "W1"), "Y2"), _T("X2", "Y2", ("W1", "W2")),
+                _T(("X1", "W2"), "Y1", "W1"))),
     ),
     "hk_strong_y2": (
-        (1, 0, (_T(("X1",), ("Y1",), ("W2",)),)),
-        (0, 1, (_T(("X2",), ("Y2",), ("X1",)),)),
-        (1, 1, (_T(("X1", "X2"), ("Y2",)),)),
-        (1, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X2",), ("Y2",), ("X1", "W2")))),
-        (2, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X1", "X2"), ("Y2",), ("W2",)))),
+        (1, 0, (_T("X1", "Y1", "W2"),)),
+        (0, 1, (_T("X2", "Y2", "X1"),)),
+        (1, 1, (_T(("X1", "X2"), "Y2"),)),
+        (1, 1, (_T(("X1", "W2"), "Y1"), _T("X2", "Y2", ("X1", "W2")))),
+        (2, 1, (_T(("X1", "W2"), "Y1"), _T(("X1", "X2"), "Y2", "W2"))),
     ),
     "one_sided": (
-        (1, 0, (_T(("X1",), ("Y1",), ("W2",)),)),
-        (0, 1, (_T(("X2",), ("Y2",)),)),
-        (1, 1, (_T(("X1", "W2"), ("Y1",)), _T(("X2",), ("Y2",), ("W2",)))),
+        (1, 0, (_T("X1", "Y1", "W2"),)),
+        (0, 1, (_T("X2", "Y2"),)),
+        (1, 1, (_T(("X1", "W2"), "Y1"), _T("X2", "Y2", "W2"))),
     ),
 }
 
@@ -629,11 +627,7 @@ def lift_wx(px1: np.ndarray, px2: np.ndarray, side1: bool = True, side2: bool = 
 
 
 def _product_grid(ch: DiscreteIC, cfg: SearchConfig, chunk: int = _CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    blocks = [
-        SimplexBlock("px1", 1, ch.nx1, cfg.grid_steps),
-        SimplexBlock("px2", 1, ch.nx2, cfg.grid_steps),
-    ]
-    for _, batch in iter_grid_batches(blocks, chunk):
+    for _, batch in iter_grid_batches(_product_blocks(ch, cfg), chunk):
         yield batch["px1"][:, 0, :], batch["px2"][:, 0, :]
 
 

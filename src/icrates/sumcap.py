@@ -24,9 +24,17 @@ import numpy as np
 from .channels import DiscreteIC, GaussianIC, VirtualCoupling
 from .errors import IcError, ValidationError
 from .gaussian import noisy_sum_capacity
-from .probtensor import BatchJoint, InfoQuery, ProbTensor, contract, mutual_information, require_valid
-from .regimes import NO_VIOLATION_FOUND, RegimeReport, SearchConfig, _product_blocks, _report
-from .search import Point, SearchResult, SimplexBlock, maximize
+from .probtensor import MASS_TOL, InfoQuery, ProbTensor, mutual_information, require_valid
+from .regimes import (
+    NO_VIOLATION_FOUND,
+    OBJECTIVES,
+    RegimeReport,
+    SearchConfig,
+    _report,
+    evaluate_objective,
+    objective,
+)
+from .search import Point, SearchResult, maximize
 
 CERTIFIED = "CERTIFIED"
 OUTER_ONLY = "OUTER_ONLY"
@@ -62,30 +70,33 @@ def _input_of(point: Mapping[str, np.ndarray]) -> ProductInput:
     return ProductInput(px1=point["px1"].reshape(-1), px2=point["px2"].reshape(-1))
 
 
-def _tin_objective(ch: DiscreteIC):
-    law = ch.law.values
-
-    def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        px1 = batch["px1"][:, 0, :]
-        px2 = batch["px2"][:, 0, :]
-        joint = contract("bi,bj,ijkl->bijkl", px1, px2, law)
-        bj = BatchJoint(("X1", "X2", "Y1", "Y2"), joint)
-        return bj.mi(("X1",), ("Y1",)) + bj.mi(("X2",), ("Y2",))
-
-    return objective
+def _coupled_law(ch: DiscreteIC, vc: VirtualCoupling) -> ProbTensor:
+    """The coupling's joint law; a coupling of another channel is refused."""
+    base = vc.base.law
+    if base.cards != ch.law.cards or not np.allclose(
+        base.values, ch.law.values, atol=MASS_TOL, rtol=0.0
+    ):
+        raise ValidationError("coupling was built for a different channel",
+                              coupling=base.cards, channel=ch.law.cards)
+    return vc.joint_law
 
 
-def _genie_objective(vc: VirtualCoupling):
-    law = vc.joint_law.values
-
-    def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        px1 = batch["px1"][:, 0, :]
-        px2 = batch["px2"][:, 0, :]
-        joint = contract("bi,bj,ijklmn->bijklmn", px1, px2, law)
-        bj = BatchJoint(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"), joint)
-        return bj.mi(("X1",), ("Y1", "Yt1")) + bj.mi(("X2",), ("Y2", "Yt2"))
-
-    return objective
+def _search(
+    name: str,
+    ch: DiscreteIC,
+    law: ProbTensor,
+    cfg: SearchConfig,
+    extra_candidates: Iterable[ProductInput] = (),
+) -> SearchResult:
+    """Maximize ``OBJECTIVES[name]`` over ``law`` at the resolution of ``cfg``."""
+    return maximize(
+        objective(name, law),
+        OBJECTIVES[name][0].blocks(ch, cfg),
+        seed=cfg.seed,
+        restarts=cfg.restarts,
+        budget=cfg.max_candidates,
+        extra_candidates=[_point_of(p) for p in extra_candidates],
+    )
 
 
 def tin_sumrate(
@@ -107,14 +118,7 @@ def _tin_search(
     cfg: SearchConfig,
     extra_candidates: Iterable[ProductInput] = (),
 ) -> SearchResult:
-    return maximize(
-        _tin_objective(ch),
-        _product_blocks(ch, cfg),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-        budget=cfg.max_candidates,
-        extra_candidates=[_point_of(p) for p in extra_candidates],
-    )
+    return _search("tin", ch, ch.law, cfg, extra_candidates)
 
 
 def maximize_genie_rate(
@@ -134,20 +138,7 @@ def _genie_search(
     cfg: SearchConfig,
     extra_candidates: Iterable[ProductInput] = (),
 ) -> SearchResult:
-    if vc.base.law.cards != ch.law.cards:
-        raise ValidationError(
-            "coupling was built for a different channel",
-            coupling=vc.base.law.cards,
-            channel=ch.law.cards,
-        )
-    return maximize(
-        _genie_objective(vc),
-        _product_blocks(ch, cfg),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-        budget=cfg.max_candidates,
-        extra_candidates=[_point_of(p) for p in extra_candidates],
-    )
+    return _search("genie", ch, _coupled_law(ch, vc), cfg, extra_candidates)
 
 
 def outer_bound(ch: DiscreteIC, vc: VirtualCoupling, cfg: SearchConfig = SearchConfig()) -> float:
@@ -164,36 +155,6 @@ def outer_bound(ch: DiscreteIC, vc: VirtualCoupling, cfg: SearchConfig = SearchC
 # ---------------------------------------------------------------------------
 
 
-def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
-    nu = cfg.card_u(ch.nx1, ch.nx2)
-    return [
-        SimplexBlock("px1", 1, ch.nx1, cfg.grid_steps),
-        SimplexBlock("px2", 1, ch.nx2, cfg.grid_steps),
-        SimplexBlock("pu", ch.nx1 * ch.nx2, nu, cfg.cond_grid_steps),
-    ]
-
-
-def _dominance_objective(ch: DiscreteIC, vc: VirtualCoupling, direction: int):
-    law = vc.joint_law.values
-    nx1, nx2 = ch.nx1, ch.nx2
-
-    def objective(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        px1 = batch["px1"][:, 0, :]
-        px2 = batch["px2"][:, 0, :]
-        pu = batch["pu"].reshape(batch["pu"].shape[0], nx1, nx2, -1)
-        if direction == 1:
-            # joint over (U, X2, Y2, Yt1, Yt2); X1 and Y1 summed out
-            joint = contract("bi,bj,biju,ijklmn->bujlmn", px1, px2, pu, law)
-            bj = BatchJoint(("U", "X2", "Y2", "Yt1", "Yt2"), joint)
-            return bj.mi(("U",), ("Y2",), ("X2", "Yt2")) - bj.mi(("U",), ("Yt1",), ("X2", "Yt2"))
-        # mirror: joint over (U, X1, Y1, Yt1, Yt2); X2 and Y2 summed out
-        joint = contract("bi,bj,biju,ijklmn->buikmn", px1, px2, pu, law)
-        bj = BatchJoint(("U", "X1", "Y1", "Yt1", "Yt2"), joint)
-        return bj.mi(("U",), ("Y1",), ("X1", "Yt1")) - bj.mi(("U",), ("Yt2",), ("X1", "Yt1"))
-
-    return objective
-
-
 def check_genie_dominance(
     ch: DiscreteIC,
     vc: VirtualCoupling,
@@ -205,17 +166,11 @@ def check_genie_dominance(
     mirror.  ``VIOLATED`` witnesses disqualify the coupling for the outer
     bound pipeline.
     """
-    reports = []
-    for direction, name in ((1, "genie_dominance_1"), (2, "genie_dominance_2")):
-        result = maximize(
-            _dominance_objective(ch, vc, direction),
-            _dominance_blocks(ch, cfg),
-            seed=cfg.seed,
-            restarts=cfg.restarts,
-            budget=cfg.max_candidates,
-        )
-        reports.append(_report(name, result, cfg))
-    return reports[0], reports[1]
+    law = _coupled_law(ch, vc)
+    return tuple(
+        _report(name, _search(name, ch, law, cfg), cfg)
+        for name in ("genie_dominance_1", "genie_dominance_2")
+    )
 
 
 def evaluate_genie_dominance_margin(
@@ -225,14 +180,7 @@ def evaluate_genie_dominance_margin(
     witness: Mapping[str, np.ndarray],
 ) -> float:
     """Re-evaluate one dominance margin at a witness law."""
-    objective = _dominance_objective(ch, vc, direction)
-    batch = {k: np.asarray(v, dtype=np.float64)[np.newaxis, ...] for k, v in witness.items()}
-    return float(objective(batch)[0])
-
-
-def _full_joint(vc: VirtualCoupling, opt: ProductInput) -> ProbTensor:
-    joint = np.einsum("i,j,ijklmn->ijklmn", opt.px1, opt.px2, vc.joint_law.values)
-    return ProbTensor(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"), joint)
+    return evaluate_objective(f"genie_dominance_{direction}", _coupled_law(ch, vc), witness)
 
 
 def check_genie_alignment(
@@ -241,7 +189,8 @@ def check_genie_alignment(
     opt: ProductInput,
 ) -> tuple[float, float]:
     """``(I(X1;Yt1|Y1), I(X2;Yt2|Y2))`` at one product input law."""
-    joint = _full_joint(vc, opt)
+    law = _coupled_law(ch, vc)
+    joint = ProbTensor(law.names, np.einsum("i,j,ijklmn->ijklmn", opt.px1, opt.px2, law.values))
     gap1 = mutual_information(joint, InfoQuery.of("X1", "Yt1", "Y1"))
     gap2 = mutual_information(joint, InfoQuery.of("X2", "Yt2", "Y2"))
     return gap1, gap2
@@ -259,7 +208,24 @@ class SumCapacityCertificate:
     ``CERTIFIED`` means: dominance clean in both directions, alignment gaps
     within tolerance at every near-optimal input found, and the outer bound
     matches the TIN sum rate within tolerance -- so ``tin_bits`` is the
-    sum-rate capacity at the reported search resolution.
+    sum-rate capacity at the reported search resolution.  All eight
+    outcomes, each check passing (ok) or not (tol = ``tolerance``):
+
+    ==========  ==================  ===========================  ================
+    dominance   alignment (worst)   gap ``|outer - tin|``         verdict
+    ==========  ==================  ===========================  ================
+    ok          <= tol              <= tol                       ``CERTIFIED``
+    ok          <= tol              > tol                        ``INCONCLUSIVE``
+    ok          > tol               <= tol                       ``OUTER_ONLY``
+    ok          > tol               > tol                        ``OUTER_ONLY``
+    VIOLATED    <= tol              <= tol                       ``INCONCLUSIVE``
+    VIOLATED    <= tol              > tol                        ``INCONCLUSIVE``
+    VIOLATED    > tol               <= tol                       ``INCONCLUSIVE``
+    VIOLATED    > tol               > tol                        ``INCONCLUSIVE``
+    ==========  ==================  ===========================  ================
+
+    Row two is ``INCONCLUSIVE`` although dominance alone makes
+    ``outer_bits`` a valid upper bound.
     """
 
     verdict: str

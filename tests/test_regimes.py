@@ -7,10 +7,16 @@ from icrates import (
     check_strong_at_y2,
     check_strong_both,
     check_very_weak,
+    InfoQuery,
+    ProbTensor,
     evaluate_condition_margin,
+    mutual_information,
+    random_channel,
+    random_coupling,
 )
+from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
-from icrates.regimes import NO_VIOLATION_FOUND, VIOLATED
+from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
 from tests.conftest import product_channel, strong_pair_channel, xor_channel
 
 CFG = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, seed=3)
@@ -107,3 +113,93 @@ class TestConfig:
         doc = report.to_json_dict()
         assert doc["condition"] == "strong_y2"
         assert "witness" in doc and "resolution" in doc
+
+
+def _mi(joint: ProbTensor, target, second, given=()) -> float:
+    return mutual_information(joint, InfoQuery.of(target, second, given))
+
+
+def _reference(name: str, law: np.ndarray, q: np.ndarray, w: dict) -> float:
+    """Each objective from the full joint of its laws, its terms written out."""
+    if name in ("tin", "strong_y2", "strong_y1"):
+        t = ProbTensor(("X1", "X2", "Y1", "Y2"),
+                       np.einsum("i,j,ijkl->ijkl", w["px1"][0], w["px2"][0], law))
+        return {
+            "tin": _mi(t, "X1", "Y1") + _mi(t, "X2", "Y2"),
+            "strong_y2": _mi(t, "X1", "Y1", "X2") - _mi(t, "X1", "Y2", "X2"),
+            "strong_y1": _mi(t, "X2", "Y2", "X1") - _mi(t, "X2", "Y1", "X1"),
+        }[name]
+    if name == "genie":
+        t = ProbTensor(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"),
+                       np.einsum("i,j,ijklmn->ijklmn", w["px1"][0], w["px2"][0], q))
+        return _mi(t, "X1", ("Y1", "Yt1")) + _mi(t, "X2", ("Y2", "Yt2"))
+    if name == "very_weak_1":
+        t = ProbTensor(("W1", "X1", "X2", "Y1", "Y2"),
+                       np.einsum("w,wi,j,ijkl->wijkl", w["pw"][0], w["px_own"], w["px_other"][0], law))
+        return _mi(t, "W1", "Y2", "X2") - _mi(t, "W1", "Y1")
+    if name == "very_weak_2":
+        t = ProbTensor(("W2", "X1", "X2", "Y1", "Y2"),
+                       np.einsum("w,wj,i,ijkl->wijkl", w["pw"][0], w["px_own"], w["px_other"][0], law))
+        return _mi(t, "W2", "Y1", "X1") - _mi(t, "W2", "Y2")
+    pu = w["pu"].reshape(law.shape[0], law.shape[1], -1)
+    t = ProbTensor(("U", "X1", "X2", "Y1", "Y2", "Yt1", "Yt2"),
+                   np.einsum("i,j,iju,ijklmn->uijklmn", w["px1"][0], w["px2"][0], pu, q))
+    if name == "genie_dominance_1":
+        return _mi(t, "U", "Y2", ("X2", "Yt2")) - _mi(t, "U", "Yt1", ("X2", "Yt2"))
+    return _mi(t, "U", "Y1", ("X1", "Yt1")) - _mi(t, "U", "Yt2", ("X1", "Yt1"))
+
+
+def _copy_coupling(sizes, seed: int, side: int) -> VirtualCoupling:
+    """A coupling whose side output ``Yt<side>`` copies a cross output.
+
+    For ``side == 1`` the channel's Y2 depends on X1 alone and ``Yt1 = Y2``,
+    which stays correlated with Y1; ``side == 2`` is the mirror.  So unlike
+    a product coupling, conditioning on a side output changes the terms.
+    """
+    nx1, nx2, ny1, ny2 = sizes
+    rng = np.random.default_rng(seed)
+    if side == 1:
+        b = rng.dirichlet(np.ones(ny2), size=nx1)  # y2 | x1
+        c = rng.dirichlet(np.ones(ny1), size=(nx1, nx2, ny2))  # y1 | x1, x2, y2
+        law = np.einsum("il,ijlk->ijkl", b, c)
+        t = rng.dirichlet(np.ones(2), size=nx2)
+        q = np.einsum("ijkl,lm,jn->ijklmn", law, np.eye(ny2), t)
+    else:
+        a = rng.dirichlet(np.ones(ny1), size=nx2)  # y1 | x2
+        c = rng.dirichlet(np.ones(ny2), size=(nx1, nx2, ny1))  # y2 | x1, x2, y1
+        law = np.einsum("jk,ijkl->ijkl", a, c)
+        t = rng.dirichlet(np.ones(2), size=nx1)
+        q = np.einsum("ijkl,im,kn->ijklmn", law, t, np.eye(ny1))
+    ch = DiscreteIC.from_array(law)
+    return VirtualCoupling(ch, ProbTensor(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"), q))
+
+
+class TestObjectiveTable:
+    NAMES = ("tin", "genie", "strong_y2", "strong_y1", "very_weak_1", "very_weak_2",
+             "genie_dominance_1", "genie_dominance_2")
+
+    def test_names(self):
+        assert set(OBJECTIVES) == set(self.NAMES)
+
+    @pytest.mark.parametrize("coupling", ["product", "copy_y2", "copy_y1"])
+    @pytest.mark.parametrize("sizes", [(2, 3, 2, 3), (3, 2, 3, 2), (2, 3, 3, 2), (3, 3, 2, 2)])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_scalar_reference(self, name, sizes, coupling):
+        if coupling == "product":
+            vc = random_coupling(random_channel(sum(sizes), sizes), 2, 3, seed=5)
+        else:
+            vc = _copy_coupling(sizes, sum(sizes), 1 if coupling == "copy_y2" else 2)
+        ch = vc.base
+        cfg = SearchConfig(aux_card_w=3, aux_card_u=3)
+        law = vc.joint_law if name.startswith("genie") else ch.law
+        rng = np.random.default_rng(len(name))
+        batch = {b.name: rng.dirichlet(np.ones(b.k), size=(6, b.n_slices))
+                 for b in OBJECTIVES[name][0].blocks(ch, cfg)}
+        first = next(iter(batch.values()))
+        first[0, 0] = np.eye(first.shape[2])[0]  # a point mass: zero entries
+        values = objective(name, law)(batch)
+        for row in range(6):
+            w = {k: v[row] for k, v in batch.items()}
+            want = _reference(name, ch.law.values, vc.joint_law.values, w)
+            assert values[row] == pytest.approx(want, abs=1e-12)
+            assert evaluate_objective(name, law, w) == pytest.approx(values[row], abs=1e-12)

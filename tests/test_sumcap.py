@@ -20,11 +20,22 @@ from icrates import (
     revealing_coupling,
     tin_sumrate,
 )
-from icrates.channels import X1, X2, Y1, Y2, YT1, YT2, VirtualCoupling
-from icrates.errors import SizeLimitError
+from icrates import sumcap
+from icrates.channels import X1, X2, Y1, Y2, YT1, YT2, VirtualCoupling, save_channel, save_coupling
+from icrates.cli import main
+from icrates.errors import SizeLimitError, ValidationError
 from icrates.probtensor import ProbTensor
-from icrates.regimes import NO_VIOLATION_FOUND, VIOLATED
-from icrates.sumcap import CERTIFIED, INCONCLUSIVE, evaluate_genie_dominance_margin
+from icrates.regimes import NO_VIOLATION_FOUND, VIOLATED, RegimeReport
+from icrates.search import SearchResult
+from icrates.sumcap import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    OUTER_ONLY,
+    _genie_search,
+    _input_of,
+    _tin_search,
+    evaluate_genie_dominance_margin,
+)
 from tests.conftest import orthogonal_channel, product_channel
 
 CFG = SearchConfig(grid_steps=8, cond_grid_steps=2, restarts=2, aux_card_u=2, seed=1)
@@ -214,3 +225,98 @@ class TestCertify:
             vc = random_coupling(ch, 2, 2, seed=seed)
             cert = certify_sum_capacity(ch, vc, CFG)
             assert cert.tin_bits <= cert.outer_bits + 1e-9
+
+
+def y1_ignores_x1_channel(seed: int) -> DiscreteIC:
+    """``p(y1|x2) p(y2|x1,x2)``: receiver 1 sees only the interferer."""
+    rng = np.random.default_rng(seed)
+    m1 = rng.dirichlet(np.ones(2), size=2)
+    m2 = rng.dirichlet(np.ones(2), size=(2, 2))
+    return DiscreteIC.from_array(np.einsum("jk,ijl->ijkl", m1, m2))
+
+
+class TestCouplingMismatch:
+    def couplings(self):
+        ch = random_channel(1, (2, 2, 2, 2))
+        other_shape = random_coupling(random_channel(1, (2, 2, 3, 2)), 2, 2, seed=1)
+        other_law = random_coupling(random_channel(3, (2, 2, 2, 2)), 2, 2, seed=1)
+        return ch, (other_shape, other_law)
+
+    def test_library_calls_reject_a_coupling_of_another_channel(self):
+        ch, couplings = self.couplings()
+        opt = ProductInput(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        for vc in couplings:
+            for call in (lambda: certify_sum_capacity(ch, vc, CFG),
+                         lambda: outer_bound(ch, vc, CFG),
+                         lambda: check_genie_dominance(ch, vc, CFG),
+                         lambda: check_genie_alignment(ch, vc, opt)):
+                with pytest.raises(ValidationError, match="different channel"):
+                    call()
+
+    def test_cli_exits_three(self, capsys, tmp_path):
+        ch, couplings = self.couplings()
+        ch_path = tmp_path / "ch.json"
+        save_channel(ch, ch_path)
+        for i, vc in enumerate(couplings):
+            vc_path = tmp_path / f"vc{i}.json"
+            save_coupling(vc, vc_path)
+            for cmd in ("certify", "outer"):
+                code = main([cmd, str(ch_path), "--virtual", str(vc_path), "--grid", "4",
+                             "--cgrid", "2", "--restarts", "1", "--aux-u", "2"])
+                assert code == 3
+                assert "VALIDATION_ERROR" in capsys.readouterr().err
+
+    def test_coupling_within_mass_tolerance_accepted(self):
+        ch = random_channel(1, (2, 2, 2, 2))
+        law = ch.law.values.copy()
+        law[0, 0, 0, 0] += 1e-12
+        law[0, 0, 0, 1] -= 1e-12
+        vc = random_coupling(DiscreteIC.from_array(law), 2, 2, seed=1)
+        assert outer_bound(ch, vc, CFG) >= 0.0
+
+
+def _dominance_report(status: str) -> RegimeReport:
+    return RegimeReport("genie_dominance_1", status, 0.0, witness={}, resolution={})
+
+
+class TestVerdictTable:
+    """The verdict rows of :class:`SumCapacityCertificate`, as they stand."""
+
+    @pytest.mark.parametrize("dominance_ok, alignment_ok, gap_ok, verdict", [
+        (True, True, True, CERTIFIED),
+        (True, True, False, INCONCLUSIVE),
+        (True, False, True, OUTER_ONLY),
+        (True, False, False, OUTER_ONLY),
+        (False, True, True, INCONCLUSIVE),
+        (False, True, False, INCONCLUSIVE),
+        (False, False, True, INCONCLUSIVE),
+        (False, False, False, INCONCLUSIVE),
+    ])
+    def test_verdict(self, monkeypatch, dominance_ok, alignment_ok, gap_ok, verdict):
+        bad = 10 * CFG.violation_tol
+        point = {"px1": np.array([[0.5, 0.5]]), "px2": np.array([[0.5, 0.5]])}
+        tin = SearchResult(1.0, point, 1.0, 1, {})
+        genie = SearchResult(1.0 if gap_ok else 1.0 + bad, point, 1.0, 1, {})
+        dominance = _dominance_report(NO_VIOLATION_FOUND if dominance_ok else VIOLATED)
+        monkeypatch.setattr(sumcap, "check_genie_dominance",
+                            lambda ch, vc, cfg: (dominance, _dominance_report(NO_VIOLATION_FOUND)))
+        monkeypatch.setattr(sumcap, "_tin_search", lambda ch, cfg, extra_candidates=(): tin)
+        monkeypatch.setattr(sumcap, "_genie_search", lambda ch, vc, cfg, extra_candidates=(): genie)
+        monkeypatch.setattr(sumcap, "check_genie_alignment",
+                            lambda ch, vc, opt: (0.0, 0.0 if alignment_ok else bad))
+        ch = random_channel(0, (2, 2, 2, 2))
+        assert certify_sum_capacity(ch, degenerate_coupling(ch), CFG).verdict == verdict
+
+
+class TestNearOptima:
+    def test_alignment_is_worst_over_every_near_optimum(self):
+        ch = y1_ignores_x1_channel(2)
+        vc = random_coupling(ch, 2, 2, seed=2)
+        cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_u=2, seed=1)
+        cert = certify_sum_capacity(ch, vc, cfg)
+        tin_first = _tin_search(ch, cfg)
+        genie = _genie_search(ch, vc, cfg, extra_candidates=[_input_of(tin_first.point)])
+        gaps = [check_genie_alignment(ch, vc, _input_of(p)) for _, p in genie.near_optima]
+        assert cert.near_optima_checked == len(gaps) > 1
+        assert cert.alignment_gaps == tuple(map(max, zip(*gaps)))
+        assert cert.alignment_gaps != gaps[0]  # the maximizer alone would understate them
