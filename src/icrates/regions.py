@@ -296,12 +296,13 @@ class RateRegion:
 
 
 def _pareto_prune(rows: np.ndarray) -> np.ndarray:
-    """Drop rows strictly dominated in both coordinates.
+    """Drop rows strictly dominated in both coordinates, and exact duplicates.
 
     A strictly dominated point scores strictly less in every direction of
     the closed positive quadrant, so it can neither set a support value nor
-    win a tie; pruning keeps the angle reduction exact while shrinking the
-    candidate set to (roughly) the frontier.
+    win a tie, and a duplicate cannot change a maximum in a total order;
+    pruning keeps the angle reduction exact while shrinking the candidate
+    set to (roughly) the frontier.
     """
     if rows.shape[0] <= 2:
         return rows
@@ -316,6 +317,7 @@ def _pareto_prune(rows: np.ndarray) -> np.ndarray:
     gmax = np.maximum.reduceat(r2, starts)
     prev_best = np.concatenate(([-math.inf], np.maximum.accumulate(gmax)[:-1]))
     keep = r2 >= prev_best[gid]
+    keep[1:] &= new_group[1:] | (r2[1:] != r2[:-1])
     return r[keep]
 
 
@@ -329,16 +331,16 @@ def _angle_grid(angles: int) -> tuple[np.ndarray, np.ndarray]:
 class SupportAccumulator:
     """Running union of polytopes as per-angle support maxima.
 
-    The reduction keeps, per angle, the best ``(h, -r1, -r2)`` in
-    lexicographic order, which is a total order, so the result does not
+    The only state is the pruned frontier of every candidate vertex seen so
+    far; ``finalize`` scores it once and keeps, per angle, the best
+    ``(h, -r1, -r2)`` in lexicographic order.  That is a total order, and
+    pruning never drops a row that could win it, so the result does not
     depend on how the polytopes are chunked.
     """
 
     def __init__(self, angles: int) -> None:
         self.theta_deg, self._u = _angle_grid(angles)
-        K = angles
-        self._h = np.full(K, -math.inf)
-        self._pts = np.zeros((K, 2))
+        self._rows = np.empty((0, 2))
 
     def add(self, dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> None:
         V, feas = _candidate_vertices(dirs, bounds)
@@ -347,42 +349,24 @@ class SupportAccumulator:
         # without this, 1e-16 noise defeats both the lexicographic tie-break
         # and the dominance prune.
         flatV = np.maximum(np.round(flatV, 12), 0.0)
-        flatV = _pareto_prune(flatV)
-        # sub-chunk to bound the [n, K] score matrix; the merge is a max in a
-        # total order, so chunking does not change the result
-        for start in range(0, flatV.shape[0], 8192):
-            self._reduce_merge(flatV[start : start + 8192])
-
-    def _reduce_merge(self, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        scores = rows @ self._u.T  # [n, K]
-        m = scores.max(axis=0)
-        tie = scores == m
-        r1m = np.where(tie, rows[:, 0:1], math.inf).min(axis=0)
-        tie &= rows[:, 0:1] == r1m
-        r2m = np.where(tie, rows[:, 1:2], math.inf).min(axis=0)
-        better = (m > self._h) | (
-            (m == self._h)
-            & ((r1m < self._pts[:, 0]) | ((r1m == self._pts[:, 0]) & (r2m < self._pts[:, 1])))
-        )
-        self._h = np.where(better, m, self._h)
-        self._pts[:, 0] = np.where(better, r1m, self._pts[:, 0])
-        self._pts[:, 1] = np.where(better, r2m, self._pts[:, 1])
-
-    def add_polytope(self, poly: RatePolytope) -> None:
-        dirs, bounds = poly._dirs_bounds()
-        self.add(dirs, bounds)
+        self._rows = _pareto_prune(np.concatenate([self._rows, flatV]))
 
     def finalize(self, meta: dict | None = None) -> RateRegion:
-        if not np.isfinite(self._h).all():
+        rows = self._rows
+        if rows.shape[0] == 0:
             raise EmptyListError("no polytopes were accumulated")
-        h = np.maximum(self._h, 0.0)
+        scores = rows @ self._u.T  # [n, K]
+        h = scores.max(axis=0)
+        tie = scores == h
+        r1 = np.where(tie, rows[:, 0:1], math.inf).min(axis=0)
+        tie &= rows[:, 0:1] == r1
+        r2 = np.where(tie, rows[:, 1:2], math.inf).min(axis=0)
+        pts = np.stack([r1, r2], axis=1)
         return RateRegion(
             theta_deg=self.theta_deg.copy(),
-            h_bits=h,
-            points=self._pts.copy(),
-            vertices=_extract_vertices(self._pts),
+            h_bits=np.maximum(h, 0.0),
+            points=pts,
+            vertices=_extract_vertices(pts),
             meta=dict(meta or {}),
         )
 
@@ -415,7 +399,7 @@ def union_region(polytopes: Sequence[RatePolytope], angles: int = 91) -> RateReg
         raise EmptyListError("union_region needs at least one polytope")
     acc = SupportAccumulator(angles)
     for poly in polytopes:
-        acc.add_polytope(poly)
+        acc.add(*poly._dirs_bounds())
     return acc.finalize({"n_polytopes": len(polytopes)})
 
 
@@ -562,15 +546,6 @@ def dist_batch_from_aux(dists: Sequence[AuxInputDist]) -> DistBatch:
     }
 
 
-def aux_from_dist_batch(batch: DistBatch, row: int) -> AuxInputDist:
-    return AuxInputDist(
-        pw1=batch["pw1"][row],
-        pw2=batch["pw2"][row],
-        px1_given_w1=batch["px1w1"][row],
-        px2_given_w2=batch["px2w2"][row],
-    )
-
-
 def collapse_w1(batch: DistBatch) -> DistBatch:
     """Replace the W1 layer by its X1 marginal (a legal family member)."""
     px1 = np.einsum("bw,bwi->bi", batch["pw1"], batch["px1w1"])
@@ -631,6 +606,23 @@ def _product_grid(ch: DiscreteIC, cfg: SearchConfig, chunk: int = _CHUNK) -> Ite
         yield batch["px1"][:, 0, :], batch["px2"][:, 0, :]
 
 
+def _layered_blocks(ch: DiscreteIC, cfg: SearchConfig, nw1: int, nw2: int) -> list[SimplexBlock]:
+    """Grid blocks of ``layered_family``, coarsened to ``cfg.max_candidates``.
+
+    Side layers of cardinality one use the marginal resolution (that factor
+    *is* a marginal); wider layers use the conditional resolution.
+    """
+    def steps_for(n_slices: int) -> int:
+        return cfg.grid_steps if n_slices == 1 else cfg.cond_grid_steps
+
+    return shrink_to_budget([
+        SimplexBlock("pw1", 1, nw1, cfg.grid_steps),
+        SimplexBlock("px1w1", nw1, ch.nx1, steps_for(nw1)),
+        SimplexBlock("pw2", 1, nw2, cfg.grid_steps),
+        SimplexBlock("px2w2", nw2, ch.nx2, steps_for(nw2)),
+    ], cfg.max_candidates)
+
+
 def layered_family(
     ch: DiscreteIC,
     cfg: SearchConfig,
@@ -640,23 +632,9 @@ def layered_family(
     chunk: int = _CHUNK,
     tag: int = 0,
 ) -> Iterator[DistBatch]:
-    """Grid + seeded random draws over ``P(w1) P(w2) P(x1|w1) P(x2|w2)``.
-
-    Side layers of cardinality one use the marginal resolution (that factor
-    *is* a marginal); wider layers use the conditional resolution.  Blocks
-    are coarsened to respect ``cfg.max_candidates``.
-    """
-    def steps_for(n_slices: int) -> int:
-        return cfg.grid_steps if n_slices == 1 else cfg.cond_grid_steps
-
-    blocks = [
-        SimplexBlock("pw1", 1, nw1, cfg.grid_steps),
-        SimplexBlock("px1w1", nw1, ch.nx1, steps_for(nw1)),
-        SimplexBlock("pw2", 1, nw2, cfg.grid_steps),
-        SimplexBlock("px2w2", nw2, ch.nx2, steps_for(nw2)),
-    ]
-    blocks = shrink_to_budget(blocks, cfg.max_candidates)
-    for _, raw in iter_grid_batches(blocks, chunk):
+    """Grid (over ``_layered_blocks``) + seeded random draws over
+    ``P(w1) P(w2) P(x1|w1) P(x2|w2)``."""
+    for _, raw in iter_grid_batches(_layered_blocks(ch, cfg, nw1, nw2), chunk):
         yield {
             "pw1": raw["pw1"][:, 0, :],
             "px1w1": raw["px1w1"],
@@ -680,6 +658,19 @@ def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarr
     return opt.px1, opt.px2
 
 
+def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, int] | None:
+    """``(|W1|, |W2|)`` of a layered scheme's family, ``None`` for the others.
+
+    The reduced families of ``hk_strong_y2`` and ``one_sided`` have no W1
+    layer.
+    """
+    if scheme in ("hk", "semijoint"):
+        return cfg.card_w(ch.nx1), cfg.card_w(ch.nx2)
+    if scheme in ("hk_strong_y2", "one_sided"):
+        return 1, cfg.card_w(ch.nx2)
+    return None
+
+
 def scheme_family(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> Iterator[DistBatch]:
     """Enumerated input-law family for one scheme (see module docstring)."""
     tag = SCHEMES.index(scheme)
@@ -700,9 +691,7 @@ def scheme_family(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> Iterator[Di
         return
 
     if scheme in ("hk", "semijoint"):
-        nw1 = cfg.card_w(ch.nx1)
-        nw2 = cfg.card_w(ch.nx2)
-        for batch in layered_family(ch, cfg, nw1, nw2, tag=tag):
+        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
             yield batch
             yield collapse_w1(batch)
             yield collapse_w2(batch)
@@ -715,8 +704,7 @@ def scheme_family(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> Iterator[Di
         return
 
     if scheme in ("hk_strong_y2", "one_sided"):
-        nw2 = cfg.card_w(ch.nx2)
-        for batch in layered_family(ch, cfg, 1, nw2, tag=tag):
+        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
             yield batch
             yield collapse_w2(batch)
         yield lift_wx(anchors1, anchors2, side1=False, side2=False)
@@ -780,6 +768,10 @@ def region_scheme(ch: DiscreteIC, scheme: str, cfg: SearchConfig = SearchConfig(
         "restarts": cfg.restarts,
         "seed": cfg.seed,
     })
+    cards = _layer_cards(ch, scheme, cfg)
+    if cards is not None:
+        blocks = _layered_blocks(ch, cfg, *cards)
+        region.meta["effective_steps"] = dict(sorted((b.name, b.steps) for b in blocks))
     return region
 
 

@@ -217,6 +217,14 @@ class TestUnionRegion:
         resampled = (verts @ u.T).max(axis=0)
         np.testing.assert_allclose(resampled, region.h_bits, atol=1e-12)
 
+    def test_collinear_supporting_points_are_not_vertices(self):
+        # At 45 deg the flat edge R1 + R2 = 0.5 ties with (0.1, 0.4), which
+        # lies on it; whichever tied point the scoring keeps, the
+        # collinearity pass leaves only the edge's endpoints.
+        region = union_region([RatePolytope(((1, 1, 0.5),)),
+                               RatePolytope(((1, 0, 0.1), (0, 1, 0.4)))])
+        assert region.vertices.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
 
 class TestRegionOps:
     def test_equality_reflexive(self):
@@ -268,6 +276,16 @@ class TestRegionScheme:
         with pytest.raises(NotOneSidedError):
             region_scheme(strong_pair_channel(), "one_sided", CFG)
 
+    def test_meta_reports_effective_steps(self):
+        # 3x3 inputs at |W| = 4 overshoot the default candidate budget, so
+        # every layered block runs at one step; the 2x2 |W| = 2 grid fits.
+        ch3, ch2 = random_channel(1, (3, 3, 3, 3)), random_channel(1, (2, 2, 2, 2))
+        shrunk = region_scheme(ch3, "hk", SearchConfig(aux_card_w=4))
+        assert shrunk.meta["effective_steps"] == {"pw1": 1, "pw2": 1, "px1w1": 1, "px2w2": 1}
+        full = region_scheme(ch2, "semijoint", SearchConfig(aux_card_w=2))
+        assert full.meta["effective_steps"] == {"pw1": 8, "pw2": 8, "px1w1": 4, "px2w2": 4}
+        assert "effective_steps" not in region_scheme(ch2, "tin", CFG).meta
+
     def test_deterministic(self):
         ch = random_channel(12, (2, 2, 2, 2))
         a = region_scheme(ch, "semijoint", CFG)
@@ -303,20 +321,38 @@ _BOUND = st.one_of(st.integers(0, 12).map(lambda k: k / 6), st.floats(0.0, 3.0))
 _DIRS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
 
 
+def _lexmax_oracle(bounds: np.ndarray, angles: int = 91) -> tuple[np.ndarray, np.ndarray]:
+    """Per-angle lexicographic max of ``(h, -r1, -r2)`` over every snapped
+    candidate vertex, with no pruning."""
+    V, feas = regions._candidate_vertices(_DIRS, bounds)
+    rows = np.maximum(np.round(V.reshape(-1, 2)[feas.reshape(-1)], 12), 0.0)
+    _, u = regions._angle_grid(angles)
+    scores = rows @ u.T
+    best = [max(range(len(rows)), key=lambda i: (scores[i, k], -rows[i, 0], -rows[i, 1]))
+            for k in range(angles)]
+    return np.maximum(scores[best, range(angles)], 0.0), rows[best]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), rows=st.lists(st.lists(_BOUND, min_size=5, max_size=5), min_size=1, max_size=30))
 def test_accumulator_invariant_under_chunking_and_order(data, rows):
     bounds = np.array(rows)
+    h, points = _lexmax_oracle(bounds)
     whole = SupportAccumulator(91)
     whole.add(_DIRS, bounds)
     expected = whole.finalize()
+    np.testing.assert_array_equal(expected.h_bits, h)
+    np.testing.assert_array_equal(expected.points, points)
 
-    perm = data.draw(st.permutations(range(len(rows))))
-    cuts = data.draw(st.lists(st.integers(1, len(rows)), max_size=len(rows)))
-    edges = sorted({0, len(rows), *cuts})
+    # Any order and chunking of the rows, with any of them repeated.
+    repeats = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)))
+    stream = bounds[[*range(len(rows)), *repeats]]
+    perm = data.draw(st.permutations(range(len(stream))))
+    cuts = data.draw(st.lists(st.integers(1, len(stream)), max_size=len(stream)))
+    edges = sorted({0, len(stream), *cuts})
     acc = SupportAccumulator(91)
     for start, stop in zip(edges, edges[1:]):
-        acc.add(_DIRS, bounds[perm[start:stop]])
+        acc.add(_DIRS, stream[perm[start:stop]])
     got = acc.finalize()
     np.testing.assert_array_equal(got.h_bits, expected.h_bits)
     np.testing.assert_array_equal(got.points, expected.points)
