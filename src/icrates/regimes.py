@@ -6,9 +6,9 @@ therefore reports one of two statuses:
 
 - ``VIOLATED``: a concrete witness distribution was found whose margin
   (left side minus right side, in bits) exceeds the violation tolerance.
-  Witnesses are self-contained: re-evaluating them reproduces the margin
-  up to rounding, since a witness scored alone can differ in the last bits
-  from its value inside a larger search batch.
+  Witnesses are self-contained: the margin is the witness scored alone,
+  so re-evaluating it (:func:`evaluate_condition_margin`) reproduces the
+  margin bit for bit.
 - ``NO_VIOLATION_FOUND``: no violation exists on the search grid (plus
   refinement); this certifies the condition *at the reported resolution*,
   never globally.

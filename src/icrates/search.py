@@ -8,8 +8,17 @@ Strategy: exhaustively score a composition grid (step ``1/steps`` per block),
 then refine with projected coordinate ascent (step halving, bounded
 iterations) from the best grid point, from caller-supplied prior candidates,
 and from seeded random restarts.  Everything is deterministic for a fixed
-seed; grid ties resolve to the lexicographically smallest flat index because
-enumeration order is lexicographic and strict improvement is required.
+seed.
+
+Ties go to the first candidate in enumeration order, whatever evaluator
+computed the values: the grid scan visits each chunk by its values snapped to
+12 decimals (``np.round(values, 12)``, stable order), the ascent takes the
+first proposal within ``IMPROVE_EPS`` of the best proposal, and a candidate
+replaces the best only when it exceeds it by more than ``IMPROVE_EPS``.
+Values that differ in the last bits, as batched and single evaluations of one
+point may, thus select the same point.  The returned ``value`` is the
+objective re-scored alone (batch size 1) at the returned point, so
+re-evaluating that point reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -188,7 +197,7 @@ def _ascend(
                         cand[b.name][s] = project_simplex(row)
                         proposals.append(cand)
         values = _eval_points(objective, proposals, blocks)
-        k = int(np.argmax(values))
+        k = int(np.flatnonzero(values >= values.max() - IMPROVE_EPS)[0])
         if values[k] > best + IMPROVE_EPS:
             point = proposals[k]
             best = float(values[k])
@@ -221,7 +230,8 @@ def maximize(
     near_tol: float = 1e-9,
     max_near: int = 16,
 ) -> SearchResult:
-    """Grid scan + multistart refinement; returns the best point found.
+    """Grid scan + multistart refinement; returns the best point found and
+    its value scored alone, which re-evaluation reproduces exactly.
 
     ``extra_candidates`` (for example, witnesses from an earlier lower
     resolution run) are both re-scored and used as ascent starts, so the
@@ -246,7 +256,7 @@ def maximize(
     for idx, batch in iter_grid_batches(eff_blocks, chunk):
         values = np.asarray(objective(batch), dtype=np.float64)
         n_evaluated += idx.size
-        order = np.argsort(-values, kind="stable")
+        order = np.argsort(-np.round(values, 12), kind="stable")
         for k in order[: max_near]:
             if values[k] < best_val - near_tol:
                 break
@@ -279,16 +289,18 @@ def maximize(
         key=lambda nv: -nv[0],
     )
     deduped: list[tuple[float, Point]] = []
+    seen: set[tuple[bytes, ...]] = set()
     for value, point in near_sorted:
         key = tuple(np.round(point[b.name], 12).tobytes() for b in eff_blocks)
-        if key not in {tuple(np.round(p[b.name], 12).tobytes() for b in eff_blocks) for _, p in deduped}:
+        if key not in seen:
+            seen.add(key)
             deduped.append((value, point))
         if len(deduped) >= max_near:
             break
 
     assert best_point is not None
     return SearchResult(
-        value=best_val,
+        value=float(_eval_points(objective, [best_point], eff_blocks)[0]),
         point=best_point,
         grid_value=grid_value,
         n_evaluated=n_evaluated,

@@ -5,6 +5,7 @@ from icrates import (
     DiscreteIC,
     SearchConfig,
     check_strong_at_y2,
+    check_genie_dominance,
     check_strong_both,
     check_very_weak,
     InfoQuery,
@@ -17,6 +18,7 @@ from icrates import (
 from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
 from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
+from icrates.sumcap import evaluate_genie_dominance_margin
 from tests.conftest import product_channel, strong_pair_channel, xor_channel
 
 CFG = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, seed=3)
@@ -101,6 +103,20 @@ class TestStrong:
         report = check_strong_at_y2(ch, CFG)
         again = evaluate_condition_margin(ch, report.condition, report.witness)
         assert again == pytest.approx(report.margin_bits, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_margins_rescore_bit_for_bit(seed):
+    # Four channels each on 2x2, 2x3 and 3x2 inputs; six reports per channel.
+    nx1, nx2 = ((2, 2), (2, 3), (3, 2))[seed % 3]
+    ch = random_channel(100 + seed, (nx1, nx2, 2 + seed % 2, 3 - seed % 2))
+    vc = random_coupling(ch, 2, 2, seed=seed)
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2,
+                       aux_card_u=2, seed=seed)
+    for report in (*check_very_weak(ch, cfg), *check_strong_both(ch, cfg)):
+        assert evaluate_condition_margin(ch, report.condition, report.witness) == report.margin_bits
+    for direction, report in enumerate(check_genie_dominance(ch, vc, cfg), start=1):
+        assert evaluate_genie_dominance_margin(ch, vc, direction, report.witness) == report.margin_bits
 
 
 class TestConfig:

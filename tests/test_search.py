@@ -100,3 +100,38 @@ def test_extra_candidates_are_retested():
 
     res = maximize(spiky, blocks, seed=0, restarts=0, extra_candidates=[witness])
     assert res.value == pytest.approx(5.0)
+
+
+def plateau_objective(ulps):
+    """``min(p0, 1/2)``, raised by ``ulps(p)`` ulps at each point ``p``."""
+    def fn(batch):
+        p = batch["p"][:, 0, :]
+        values = np.minimum(p[:, 0], 0.5)
+        bumps = ulps(p)
+        for n in range(int(bumps.max(initial=0))):
+            values = np.where(bumps > n, np.nextafter(values, np.inf), values)
+        return values
+
+    return fn
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+def test_ulp_perturbed_plateau_keeps_the_first_point(chunk):
+    # Grid points p0 = 1, 7/8, ..., 0; the first five tie at 1/2.
+    blocks = [SimplexBlock("p", 1, 2, 8)]
+    plain = maximize(plateau_objective(lambda p: np.zeros(len(p))), blocks,
+                     restarts=0, chunk=chunk)
+    # Later plateau points a few ulps higher, as another evaluator may round.
+    bumped = maximize(plateau_objective(lambda p: np.rint(8 * (1 - p[:, 0])) % 4), blocks,
+                      restarts=0, chunk=chunk)
+    np.testing.assert_array_equal(plain.point["p"], [[1.0, 0.0]])
+    np.testing.assert_array_equal(bumped.point["p"], plain.point["p"])
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+def test_first_grid_index_wins_over_a_later_one_ulp_larger(chunk):
+    blocks = [SimplexBlock("p", 1, 2, 8)]
+    later = lambda p: (np.abs(p[:, 0] - 0.625) < 1e-12).astype(float)  # noqa: E731
+    res = maximize(plateau_objective(later), blocks, restarts=0, chunk=chunk)
+    np.testing.assert_array_equal(res.point["p"], [[1.0, 0.0]])
+    assert res.value == 0.5
