@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,9 +40,7 @@ from .errors import (
 from .probtensor import (
     MASS_TOL,
     SIZE_LIMIT,
-    KernelCache,
     ProbTensor,
-    marginal_kernel,
     require_valid,
 )
 
@@ -56,8 +54,6 @@ class DiscreteIC:
     """Two-user discrete memoryless interference channel ``p(y1,y2|x1,x2)``."""
 
     law: ProbTensor  # axes (X1, X2, Y1, Y2), conditional on (X1, X2)
-    _kernels: KernelCache = field(default_factory=KernelCache, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self) -> None:
         if self.law.names != (X1, X2, Y1, Y2):
@@ -68,17 +64,6 @@ class DiscreteIC:
             require_valid(self.law, conditioning=(X1, X2))
         except IcError as e:
             raise ValidationError(f"channel law invalid: {e}") from e
-
-    def marginal_kernel(
-        self, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
-    ) -> np.ndarray:
-        """:func:`~icrates.probtensor.marginal_kernel` of this channel's law.
-
-        Kernels are cached on the channel, so they are built once per input
-        layout and subset and are freed with the channel.
-        """
-        return self._kernels.get((names, shape, keep),
-                                 lambda: marginal_kernel(names, shape, keep, self.law))
 
     @classmethod
     def from_array(cls, p: np.ndarray) -> "DiscreteIC":

@@ -17,7 +17,6 @@ to one.  The normalization tolerance is ``MASS_TOL``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
@@ -52,6 +51,34 @@ def _neg_xlog2x_sum(values: np.ndarray) -> float:
     return float(-(v * logs).sum())
 
 
+class KernelCache:
+    """Marginal kernels by key under a byte budget.
+
+    The oldest kernels are evicted first; a single kernel larger than the
+    budget is kept alone.  Kernels are read-only because callers share them.
+    """
+
+    def __init__(self, budget: int = 64 << 20) -> None:
+        self.budget = budget
+        self._kernels: dict[Hashable, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._kernels)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(k.nbytes for k in self._kernels.values())
+
+    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = build()
+            kernel.setflags(write=False)
+            while len(self._kernels) > 1 and self.nbytes > self.budget:
+                del self._kernels[next(iter(self._kernels))]
+        return kernel
+
+
 @dataclass(frozen=True)
 class ProbTensor:
     """Dense nonnegative tensor over named finite variable axes.
@@ -60,11 +87,15 @@ class ProbTensor:
     ``names[i]``.  Construction checks structure only (shapes, unique names,
     size budget); the mass invariants are checked by :func:`validate` /
     :func:`require_valid` so that deliberately invalid tensors can be built
-    and diagnosed.
+    and diagnosed.  A conditional law caches the kernels that fold it into
+    batches of input laws (:meth:`marginal_kernel`), so they are built once
+    per layout and subset and are freed with the law.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
+    _kernels: KernelCache = field(default_factory=KernelCache, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -106,6 +137,24 @@ class ProbTensor:
 
     def axes(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.axis(n) for n in names)
+
+    def marginal_kernel(
+        self, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
+    ) -> np.ndarray:
+        """Matrix ``G`` such that ``q_flat @ G`` is a flattened marginal.
+
+        ``self`` is a conditional law whose conditioning axes are among
+        ``names``, and ``q`` a tensor over ``names`` with ``shape``; the
+        joint is ``q * self`` over ``names`` and the law's other axes (its
+        outputs).  When ``keep`` names an output, ``G`` has the law folded
+        in: entry ``[k, s]`` sums the law weights of the joint cells that
+        input cell ``k`` sends to kept cell ``s``.  When it names none, the
+        law is never read and ``G`` is the 0/1 aggregation of ``q``, so the
+        marginal is an exact sum.  Kept cells are ordered like the joint's
+        axes: ``names``, then outputs.
+        """
+        return self._kernels.get((names, shape, keep),
+                                 lambda: _kernel_matrix(self, names, shape, keep))
 
 
 @dataclass(frozen=True)
@@ -291,38 +340,11 @@ def compose_joint(aux: "AuxInputDist", ch: "DiscreteIC") -> ProbTensor:
     return ProbTensor(("W1", "W2", "X1", "X2", "Y1", "Y2"), joint)
 
 
-@functools.lru_cache(maxsize=256)
-def _einsum_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    return np.einsum_path(expr, *(np.empty(s) for s in shapes), optimize="greedy")[0]
-
-
-def contract(expr: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(expr, *operands, optimize=True)`` with the contraction
-    path computed once per expression and operand shapes."""
-    path = _einsum_path(expr, tuple(np.shape(op) for op in operands))
-    return np.einsum(expr, *operands, optimize=path)
-
-
-def marginal_kernel(
-    names: Sequence[str],
-    shape: Sequence[int],
-    keep: frozenset[str],
-    law: ProbTensor | None = None,
+def _kernel_matrix(
+    law: ProbTensor, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
 ) -> np.ndarray:
-    """Matrix ``G`` such that ``q_flat @ G`` is a flattened marginal.
-
-    ``q`` is a tensor over ``names`` with ``shape``.  Without ``law`` the
-    marginal is that of ``q`` on ``keep`` and ``G`` is 0/1.  A conditional
-    ``law`` whose conditioning axes are among ``names`` extends ``q`` to the
-    joint ``q * law`` over ``names`` and the law's other axes (its outputs).
-    When ``keep`` names an output, ``G`` has the law folded in: entry
-    ``[k, s]`` sums the law weights of the joint cells that input cell ``k``
-    sends to kept cell ``s``.  When it names none, the law is never read and
-    ``G`` is the 0/1 aggregation of ``q``, so the marginal is an exact sum.
-    Kept cells are ordered like the joint's axes: ``names``, then outputs.
-    """
-    names, shape = tuple(names), tuple(shape)
-    outs = () if law is None else tuple(n for n in law.names if n not in names)
+    """Build :meth:`ProbTensor.marginal_kernel` (uncached)."""
+    outs = tuple(n for n in law.names if n not in names)
     if not keep & set(outs):
         outs = ()
     full_names = names + outs
@@ -340,63 +362,31 @@ def marginal_kernel(
     return (weights[:, np.newaxis] * agg).reshape(int(np.prod(shape)), -1, agg.shape[1]).sum(axis=1)
 
 
-class KernelCache:
-    """Marginal kernels by key under a byte budget.
-
-    The oldest kernels are evicted first; a single kernel larger than the
-    budget is kept alone.  Kernels are read-only because callers share them.
-    """
-
-    def __init__(self, budget: int = 64 << 20) -> None:
-        self.budget = budget
-        self._kernels: dict[Hashable, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._kernels)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(k.nbytes for k in self._kernels.values())
-
-    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = build()
-            kernel.setflags(write=False)
-            while len(self._kernels) > 1 and self.nbytes > self.budget:
-                del self._kernels[next(iter(self._kernels))]
-        return kernel
-
-
-#: Aggregation matrices of joints without a channel.  They depend only on
-#: the axis names, the cardinalities and the kept subset, so all instances
-#: share them.
-_AGGREGATIONS = KernelCache()
-
-
 class BatchJoint:
     """A batch of joint distributions sharing one axis layout.
 
     ``values`` has shape ``[B, c1, ..., cn]`` over the axes ``in_names``;
-    row ``b`` is one distribution.  Without a channel that is the joint.
-    With a ``channel``, row ``b`` is an input law over axes that include the
-    channel's inputs, and the joint is that law times ``p(y1,y2|x1,x2)``
-    over ``in_names`` plus the outputs (``names``).  Its marginals are
-    contracted from the input law through kernels the channel caches (see
-    :func:`marginal_kernel`), so the joint itself is never formed.
+    row ``b`` is one distribution.  Without a ``law`` that is the joint.
+    With a conditional ``law`` over the inputs ``(X1, X2)`` (its first two
+    axes) and outputs, such as a channel's ``p(y1,y2|x1,x2)`` or a
+    coupling's joint law, row ``b`` is an input law over axes that include
+    the inputs, and the joint is that law times ``law`` over ``in_names``
+    plus the outputs (``names``).  Its marginals are contracted from the
+    input law through kernels the law caches (see
+    :meth:`ProbTensor.marginal_kernel`), so the joint itself is never formed.
 
     Subset entropies are cached per instance, so evaluating many
     mutual-information terms over the same batch reuses marginals.
     Instances are write-once: callers must not mutate ``values``.
     """
 
-    #: Joints with more cells than this marginalize by axis sums (or, with a
-    #: channel, by one contraction of the input law with the channel law)
-    #: instead of cached kernel matrices, which would get quadratically large.
+    #: Joints with more cells than this marginalize by one contraction of
+    #: the input law with the law instead of cached kernel matrices, which
+    #: would get quadratically large.
     _AGG_LIMIT = 65536
 
     def __init__(
-        self, in_names: Sequence[str], values: np.ndarray, channel: "DiscreteIC | None" = None
+        self, in_names: Sequence[str], values: np.ndarray, law: ProbTensor | None = None
     ) -> None:
         self.in_names = tuple(in_names)
         self.values = values
@@ -406,16 +396,15 @@ class BatchJoint:
                 rank=values.ndim,
                 names=list(self.in_names),
             )
-        self._channel = channel
+        self._law = law
         out_cells = 1
         self._outputs: tuple[str, ...] = ()
-        if channel is not None:
-            law = channel.law  # axes (X1, X2, Y1, Y2), conditional on (X1, X2)
+        if law is not None:
             if any(n not in self.in_names or values.shape[1 + self.in_names.index(n)] != law.card(n)
                    for n in law.names[:2]):
                 raise DimensionMismatchError(
-                    "input law does not match the channel inputs",
-                    names=list(self.in_names), shape=values.shape[1:], channel=law.cards,
+                    "input law does not match the law's inputs",
+                    names=list(self.in_names), shape=values.shape[1:], law=law.cards,
                 )
             self._outputs = law.names[2:]
             out_cells = int(np.prod(law.cards[2:]))
@@ -428,21 +417,13 @@ class BatchJoint:
     def batch_size(self) -> int:
         return self.values.shape[0]
 
-    def _kernel(self, key: frozenset[str]) -> np.ndarray:
-        shape = self.values.shape[1:]
-        if self._channel is not None:
-            return self._channel.marginal_kernel(self.in_names, shape, key)
-        return _AGGREGATIONS.get((self.in_names, shape, key),
-                                 lambda: marginal_kernel(self.in_names, shape, key))
-
     def _contract(self, key: frozenset[str]) -> np.ndarray:
         """Marginal on ``key`` without a kernel matrix, ``[B, kept cells]``."""
         if key & set(self._outputs):
-            law = self._channel.law
             sub = {n: i + 1 for i, n in enumerate(self.names)}
             m = np.einsum(
                 self.values, [0, *(sub[n] for n in self.in_names)],
-                law.values, [sub[n] for n in law.names],
+                self._law.values, [sub[n] for n in self._law.names],
                 [0, *(sub[n] for n in self.names if n in key)],
                 optimize=True,
             )
@@ -459,8 +440,8 @@ class BatchJoint:
         unknown = key - set(self.names)
         if unknown:
             raise UnknownAxisError("no such axis", axis=sorted(unknown), have=list(self.names))
-        if self._cells <= self._AGG_LIMIT:
-            m = self._flat @ self._kernel(key)
+        if self._law is not None and self._cells <= self._AGG_LIMIT:
+            m = self._flat @ self._law.marginal_kernel(self.in_names, self.values.shape[1:], key)
         else:
             m = self._contract(key)
         logs = np.zeros_like(m)

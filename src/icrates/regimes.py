@@ -32,7 +32,7 @@ from .gaussian import (
     noisy_gaussian,
     very_weak_gaussian,
 )
-from .probtensor import BatchJoint, ProbTensor, Term, contract
+from .probtensor import BatchJoint, ProbTensor, Term
 from .probtensor import term as _T  # table shorthand
 from .search import Point, SearchResult, SimplexBlock, maximize
 
@@ -135,20 +135,17 @@ def _report(condition: str, result: SearchResult, cfg: SearchConfig) -> RegimeRe
 # ---------------------------------------------------------------------------
 
 
-_LAW_LETTERS = "ijklmn"  # X1, X2, Y1, Y2, Yt1, Yt2
-
-
 @dataclass(frozen=True)
 class Layout:
-    """Dense joint of a batch of search laws times a conditional law.
+    """A batch of search laws as one input law over ``names``.
 
-    ``expr`` contracts the blocks named by ``operands`` with the law as last
-    operand, whose axes are lettered ``i, j, k, ...`` in order.  The law's
-    subscripts end in ``...``, which stands for its remaining letters, so
-    one layout serves the channel law and a coupling's joint law; the
-    joint's axes are ``names`` followed by those remaining law axes.  Each
-    block ``[B, slices, k]`` is reshaped to its subscripts: law letters
-    take the law's cardinalities, the one other letter the rest.
+    ``expr`` multiplies the blocks named by ``operands`` into the input law;
+    its output subscripts letter ``names`` after the batch letter ``b``.
+    Each block ``[B, slices, k]`` is reshaped to its subscripts: the letters
+    of ``X1`` and ``X2`` take the law's input cardinalities, the one other
+    letter the rest.  The objective's joint is the input law times a
+    conditional law (the channel law or a coupling's joint law), over
+    ``names`` followed by the law's outputs.
     """
 
     blocks: Callable[[DiscreteIC, SearchConfig], list[SimplexBlock]]
@@ -179,50 +176,47 @@ def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
     ]
 
 
-#: ``P(x1) P(x2)`` times the law: joint over ``(X1, X2, <law outputs>)``.
-_PRODUCT = Layout(_product_blocks, "bi,bj,ij...->bij...", ("px1", "px2"), ("X1", "X2"))
-#: ``P(w) P(x1|w) P(x2)`` times the channel, X1 summed out, and its mirror.
-_LAYER_1 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx1, ch.nx2), "bw,bwi,bj,ij...->bwj...",
-                  ("pw", "px_own", "px_other"), ("W1", "X2"))
-_LAYER_2 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx2, ch.nx1), "bw,bwj,bi,ij...->bwi...",
-                  ("pw", "px_own", "px_other"), ("W2", "X1"))
-#: ``P(x1) P(x2) P(u|x1,x2)`` times a coupling, with X1, Y1 summed out, and
-#: its mirror with X2, Y2 summed out.
-_AUX_U_1 = Layout(_dominance_blocks, "bi,bj,biju,ijk...->buj...", ("px1", "px2", "pu"), ("U", "X2"))
-_AUX_U_2 = Layout(_dominance_blocks, "bi,bj,biju,ijkl...->buik...", ("px1", "px2", "pu"),
-                  ("U", "X1", "Y1"))
+#: ``P(x1) P(x2)``.
+_PRODUCT = Layout(_product_blocks, "bi,bj->bij", ("px1", "px2"), ("X1", "X2"))
+#: ``P(w) P(x1|w) P(x2)`` and its mirror.
+_LAYER_1 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx1, ch.nx2), "bw,bwi,bj->bwij",
+                  ("pw", "px_own", "px_other"), ("W1", "X1", "X2"))
+_LAYER_2 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx2, ch.nx1), "bw,bwj,bi->bwij",
+                  ("pw", "px_own", "px_other"), ("W2", "X1", "X2"))
+#: ``P(x1) P(x2) P(u|x1,x2)``.
+_AUX_U = Layout(_dominance_blocks, "bi,bj,biju->biju", ("px1", "px2", "pu"), ("X1", "X2", "U"))
 
-#: Every searched objective: a layout and signed rows, summed in order as
-#: ``sum(sign * I(term))`` over the layout's joint; ``strong_y1`` and the
-#: ``_2`` names are mirrors.  ``genie`` and the ``genie_dominance``
-#: conditions read a coupling's joint law, the others the channel law.
+#: Every searched or scored quantity: a layout and signed rows, summed in
+#: order as ``sum(sign * I(term))`` over the layout's joint; ``strong_y1``
+#: and the ``_2`` names are mirrors.  ``genie``, the ``genie_dominance``
+#: conditions and the ``alignment`` gaps read a coupling's joint law, the
+#: others the channel law.
 OBJECTIVES: dict[str, tuple[Layout, tuple[tuple[int, Term], ...]]] = {
     "tin": (_PRODUCT, ((+1, _T("X1", "Y1")), (+1, _T("X2", "Y2")))),
     "genie": (_PRODUCT, ((+1, _T("X1", ("Y1", "Yt1"))), (+1, _T("X2", ("Y2", "Yt2"))))),
+    "alignment_1": (_PRODUCT, ((+1, _T("X1", "Yt1", "Y1")),)),
+    "alignment_2": (_PRODUCT, ((+1, _T("X2", "Yt2", "Y2")),)),
     "strong_y2": (_PRODUCT, ((+1, _T("X1", "Y1", "X2")), (-1, _T("X1", "Y2", "X2")))),
     "strong_y1": (_PRODUCT, ((+1, _T("X2", "Y2", "X1")), (-1, _T("X2", "Y1", "X1")))),
     "very_weak_1": (_LAYER_1, ((+1, _T("W1", "Y2", "X2")), (-1, _T("W1", "Y1")))),
     "very_weak_2": (_LAYER_2, ((+1, _T("W2", "Y1", "X1")), (-1, _T("W2", "Y2")))),
-    "genie_dominance_1": (_AUX_U_1, ((+1, _T("U", "Y2", ("X2", "Yt2"))),
-                                     (-1, _T("U", "Yt1", ("X2", "Yt2"))))),
-    "genie_dominance_2": (_AUX_U_2, ((+1, _T("U", "Y1", ("X1", "Yt1"))),
-                                     (-1, _T("U", "Yt2", ("X1", "Yt1"))))),
+    "genie_dominance_1": (_AUX_U, ((+1, _T("U", "Y2", ("X2", "Yt2"))),
+                                   (-1, _T("U", "Yt1", ("X2", "Yt2"))))),
+    "genie_dominance_2": (_AUX_U, ((+1, _T("U", "Y1", ("X1", "Yt1"))),
+                                   (-1, _T("U", "Yt2", ("X1", "Yt1"))))),
 }
 
 
 def objective(name: str, law: ProbTensor) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
     """Batched ``OBJECTIVES[name]`` over the search laws times ``law``."""
     layout, rows = OBJECTIVES[name]
-    subs = layout.expr.split("->")[0].split(",")
-    named = len(subs[-1].removesuffix("..."))
-    expr = layout.expr.replace("...", _LAW_LETTERS[named:len(law.cards)])
-    cards = dict(zip(_LAW_LETTERS, law.cards))
-    shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs[:-1]]
-    names = layout.names + law.names[named:]
+    subs, out = layout.expr.split("->")
+    cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names}
+    shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs.split(",")]
 
     def evaluate(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         ops = [batch[op].reshape(len(batch[op]), *s) for op, s in zip(layout.operands, shapes)]
-        bj = BatchJoint(names, contract(expr, *ops, law.values))
+        bj = BatchJoint(layout.names, np.einsum(layout.expr, *ops), law)
         total = 0.0
         for sign, t in rows:
             total = total + bj.mi(*t) if sign > 0 else total - bj.mi(*t)

@@ -509,7 +509,7 @@ def batch_joint(ch: DiscreteIC, batch: DistBatch) -> BatchJoint:
     with the channel law as their kernel (the 6-D joint is never formed)."""
     q = (batch["pw1"][:, :, None, None, None] * batch["pw2"][:, None, :, None, None]
          * batch["px1w1"][:, :, None, :, None] * batch["px2w2"][:, None, :, None, :])
-    return BatchJoint(("W1", "W2", "X1", "X2"), q, ch)
+    return BatchJoint(("W1", "W2", "X1", "X2"), q, ch.law)
 
 
 def batch_bounds(bj: BatchJoint, table: Sequence[Constraint]) -> np.ndarray:

@@ -23,7 +23,7 @@ from icrates.errors import (
     SliceNormalizationError,
     UnknownAxisError,
 )
-from icrates.probtensor import BatchJoint, contract
+from icrates.probtensor import BatchJoint
 
 
 def random_tensor(seed, cards, names=None):
@@ -239,34 +239,30 @@ class TestBatchJoint:
                               rng.dirichlet(np.ones(4), size=9)) for _ in range(2)]
         q = np.stack([np.einsum("w,v,wi,vj->wvij", d.pw1, d.pw2, d.px1_given_w1,
                                 d.px2_given_w2) for d in dists])
-        bj = BatchJoint(("W1", "W2", "X1", "X2"), q, ch)
+        bj = BatchJoint(("W1", "W2", "X1", "X2"), q, ch.law)
         assert bj._cells > BatchJoint._AGG_LIMIT
         for names in (("W1", "X2"), ("X1", "Y1", "W2"), ("Y1", "Y2"), ("W1", "X1", "X2", "Y2")):
             got = bj.entropy(names)
             for row, d in enumerate(dists):
                 want = entropy(compose_joint(d, ch), InfoQuery.of(names))
                 assert got[row] == pytest.approx(want, abs=1e-12)
-        assert len(ch._kernels) == 0
+        assert len(ch.law._kernels) == 0
 
-    def test_layouts_share_read_only_aggregation_matrices(self):
-        t = random_tensor(13, (2, 3, 2), ("A", "B", "C"))
-        first = BatchJoint(("A", "B", "C"), t.values[np.newaxis, ...])
-        second = BatchJoint(("A", "B", "C"), np.stack([t.values, t.values]))
-        key = frozenset(("A", "C"))
-        assert first._kernel(key) is second._kernel(key)
-        assert not first._kernel(key).flags.writeable
+    def test_law_kernels_are_shared_and_read_only(self):
+        ch = random_channel(1, (2, 3, 2, 2))
+        q = random_tensor(13, (2, 2, 3), ("W1", "X1", "X2")).values
+        key = ("W1", "Y1")
+        first = BatchJoint(("W1", "X1", "X2"), q[np.newaxis, ...], ch.law)
+        second = BatchJoint(("W1", "X1", "X2"), np.stack([q, q]), ch.law)
+        np.testing.assert_allclose(second.entropy(key), first.entropy(key)[0], rtol=0, atol=1e-15)
+        kernel = ch.law.marginal_kernel(("W1", "X1", "X2"), q.shape, frozenset(key))
+        assert len(ch.law._kernels) == 1
+        assert not kernel.flags.writeable
 
     def test_channel_must_match_input_law(self):
         ch = random_channel(1, (2, 3, 2, 2))
         with pytest.raises(DimensionMismatchError):
-            BatchJoint(("W1", "X1", "X2"), np.ones((1, 2, 3, 2)) / 12, ch)
+            BatchJoint(("W1", "X1", "X2"), np.ones((1, 2, 3, 2)) / 12, ch.law)
         with pytest.raises(DimensionMismatchError):
-            BatchJoint(("W1", "X1"), np.ones((1, 2, 2)) / 4, ch)
+            BatchJoint(("W1", "X1"), np.ones((1, 2, 2)) / 4, ch.law)
 
-
-def test_contract_matches_optimized_einsum():
-    rng = np.random.default_rng(4)
-    ops = (rng.random((5, 2)), rng.random((5, 3)), rng.random((2, 3, 2, 4)))
-    for _ in range(2):  # second call reuses the cached path
-        got = contract("bi,bj,ijkl->bijkl", *ops)
-        np.testing.assert_array_equal(got, np.einsum("bi,bj,ijkl->bijkl", *ops, optimize=True))

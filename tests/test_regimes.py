@@ -145,10 +145,14 @@ def _reference(name: str, law: np.ndarray, q: np.ndarray, w: dict) -> float:
             "strong_y2": _mi(t, "X1", "Y1", "X2") - _mi(t, "X1", "Y2", "X2"),
             "strong_y1": _mi(t, "X2", "Y2", "X1") - _mi(t, "X2", "Y1", "X1"),
         }[name]
-    if name == "genie":
+    if name in ("genie", "alignment_1", "alignment_2"):
         t = ProbTensor(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"),
                        np.einsum("i,j,ijklmn->ijklmn", w["px1"][0], w["px2"][0], q))
-        return _mi(t, "X1", ("Y1", "Yt1")) + _mi(t, "X2", ("Y2", "Yt2"))
+        return {
+            "genie": _mi(t, "X1", ("Y1", "Yt1")) + _mi(t, "X2", ("Y2", "Yt2")),
+            "alignment_1": _mi(t, "X1", "Yt1", "Y1"),
+            "alignment_2": _mi(t, "X2", "Yt2", "Y2"),
+        }[name]
     if name == "very_weak_1":
         t = ProbTensor(("W1", "X1", "X2", "Y1", "Y2"),
                        np.einsum("w,wi,j,ijkl->wijkl", w["pw"][0], w["px_own"], w["px_other"][0], law))
@@ -191,8 +195,8 @@ def _copy_coupling(sizes, seed: int, side: int) -> VirtualCoupling:
 
 
 class TestObjectiveTable:
-    NAMES = ("tin", "genie", "strong_y2", "strong_y1", "very_weak_1", "very_weak_2",
-             "genie_dominance_1", "genie_dominance_2")
+    NAMES = ("tin", "genie", "alignment_1", "alignment_2", "strong_y2", "strong_y1",
+             "very_weak_1", "very_weak_2", "genie_dominance_1", "genie_dominance_2")
 
     def test_names(self):
         assert set(OBJECTIVES) == set(self.NAMES)
@@ -207,7 +211,7 @@ class TestObjectiveTable:
             vc = _copy_coupling(sizes, sum(sizes), 1 if coupling == "copy_y2" else 2)
         ch = vc.base
         cfg = SearchConfig(aux_card_w=3, aux_card_u=3)
-        law = vc.joint_law if name.startswith("genie") else ch.law
+        law = vc.joint_law if name.startswith(("genie", "alignment")) else ch.law
         rng = np.random.default_rng(len(name))
         batch = {b.name: rng.dirichlet(np.ones(b.k), size=(6, b.n_slices))
                  for b in OBJECTIVES[name][0].blocks(ch, cfg)}

@@ -495,11 +495,11 @@ class TestChannelKernel:
         ch = random_channel(8, (2, 2, 2, 2))
         want = region_scheme(ch, "hk", CFG)
         small = random_channel(8, (2, 2, 2, 2))
-        small._kernels.budget = 2048
+        small.law._kernels.budget = 2048
         got = region_scheme(small, "hk", CFG)
         # over budget only when the newest kernel alone exceeds it
-        assert len(small._kernels) == 1 or small._kernels.nbytes <= 2048
-        assert len(small._kernels) < len(ch._kernels)
+        assert len(small.law._kernels) == 1 or small.law._kernels.nbytes <= 2048
+        assert len(small.law._kernels) < len(ch.law._kernels)
         np.testing.assert_array_equal(got.h_bits, want.h_bits)
         np.testing.assert_array_equal(got.points, want.points)
 
@@ -507,7 +507,7 @@ class TestChannelKernel:
         ch = random_channel(8, (2, 2, 2, 2))
         other = random_channel(9, (2, 2, 2, 2))
         region_scheme(ch, "hk", CFG)
-        assert len(ch._kernels) > 0 and len(other._kernels) == 0
+        assert len(ch.law._kernels) > 0 and len(other.law._kernels) == 0
 
 
 class TestGaussianRegions:

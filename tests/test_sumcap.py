@@ -302,8 +302,9 @@ class TestVerdictTable:
                             lambda ch, vc, cfg: (dominance, _dominance_report(NO_VIOLATION_FOUND)))
         monkeypatch.setattr(sumcap, "_tin_search", lambda ch, cfg, extra_candidates=(): tin)
         monkeypatch.setattr(sumcap, "_genie_search", lambda ch, vc, cfg, extra_candidates=(): genie)
-        monkeypatch.setattr(sumcap, "check_genie_alignment",
-                            lambda ch, vc, opt: (0.0, 0.0 if alignment_ok else bad))
+        gap2 = 0.0 if alignment_ok else bad
+        monkeypatch.setattr(sumcap, "objective", lambda name, law: lambda batch: np.full(
+            len(batch["px1"]), gap2 if name == "alignment_2" else 0.0))
         ch = random_channel(0, (2, 2, 2, 2))
         assert certify_sum_capacity(ch, degenerate_coupling(ch), CFG).verdict == verdict
 

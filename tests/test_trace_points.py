@@ -1,0 +1,41 @@
+"""Every library name the benchmark's tracer wraps must exist under that name.
+
+``icbench/tracing.py`` replaces each ``(owner, attribute)`` of its
+``patch_points`` for a traced round; a refactor that drops or renames one of
+them would otherwise only show up as a failed traced benchmark run.
+"""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import icrates.cli
+import icrates.gaussian
+import icrates.probtensor
+import icrates.regimes
+import icrates.regions
+import icrates.search
+import icrates.sumcap
+import icrates.verify
+
+TRACING = Path(__file__).resolve().parents[1] / "icbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("icbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_resolves():
+    tracing = load_tracing()
+    modules = argparse.Namespace(
+        cli=icrates.cli, gaussian=icrates.gaussian, probtensor=icrates.probtensor,
+        regimes=icrates.regimes, regions=icrates.regions, search=icrates.search,
+        sumcap=icrates.sumcap, verify=icrates.verify)
+    points = tracing.patch_points(modules, tracing.Tracer())
+    assert points
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in points
+               if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))]
+    assert missing == []
