@@ -25,7 +25,7 @@ from .channels import (
     load_coupling,
 )
 from .errors import IcError
-from .gaussian import GaussianNoisyReport, GaussianVeryWeakReport
+from .gaussian import CERTIFICATE_SEARCH_POINTS, GaussianNoisyReport, GaussianVeryWeakReport
 from .regimes import (
     SearchConfig,
     check_noisy_gaussian,
@@ -219,7 +219,7 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
             "channel": _channel_header(g),
             "very_weak_gaussian": _gaussian_vw_dict(check_very_weak_gaussian(g)),
             "noisy_gaussian": _gaussian_noisy_dict(check_noisy_gaussian(g)),
-            "config": {"certificate_search_points": 256},
+            "config": {"certificate_search_points": CERTIFICATE_SEARCH_POINTS},
         }
         _emit(stable_json_dumps(doc), args.out)
         return 0

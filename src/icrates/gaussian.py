@@ -7,10 +7,11 @@ log-determinants:
 
     I(A; B | C) = 0.5 * log2( det S[AC] * det S[BC] / (det S[C] * det S[ABC]) )
 
-Degenerate variable sets (zero vectors, linearly dependent rows, as produced
-by extreme power splits) are handled by reducing each set to an independent
-spanning subset first; mutual information depends only on the generated
-sigma-algebra, so the reduction is exact.
+Each log-determinant comes from one rank-revealing Gram-Schmidt, which skips
+dependent rows (zero vectors and exact combinations, as extreme power splits
+produce); mutual information depends only on the generated sigma-algebra, so
+skipping them is exact.  Coefficient rows may carry leading batch axes
+(``[..., 6]``); a single system is the 0-d case of the same code.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from .channels import GaussianIC, GaussianVirtualParams
 from .errors import UnknownAxisError
 
 _RANK_TOL = 1e-10
+#: Points of the noisy-interference certificate scan over ``rho1``.
+CERTIFICATE_SEARCH_POINTS = 256
 
 
 @dataclass(frozen=True)
 class GaussSystem:
-    """Named scalar Gaussian variables over one independent standard basis."""
+    """Named scalar Gaussian variables over one independent standard basis
+    (coefficient rows ``[..., n_basis]``; leading axes index a batch)."""
 
     coeffs: Mapping[str, np.ndarray]
 
@@ -40,52 +44,41 @@ class GaussSystem:
             raise UnknownAxisError("no such variable", axis=name,
                                    have=sorted(self.coeffs)) from None
 
-    def _logdet(self, names: Iterable[str]) -> float:
-        rows = [self.vector(n) for n in names]
-        if not rows:
-            return 0.0
-        m = np.vstack(rows)
-        keep = _independent_rows(m)
-        if not keep:
-            return 0.0
-        reduced = m[keep]
-        sign, logdet = np.linalg.slogdet(reduced @ reduced.T)
-        if sign <= 0:
-            return -math.inf
-        return float(logdet)
+    def _logdet(self, names: Iterable[str]) -> np.ndarray | float:
+        """Log-det of the Gram matrix of a maximal independent subset: greedy
+        Gram-Schmidt in name order keeps a row whose residual norm exceeds
+        ``_RANK_TOL`` times its own, and adds ``2 log(residual norm)``."""
+        total: np.ndarray | float = 0.0
+        basis: list[np.ndarray] = []
+        for name in names:
+            row = self.vector(name)
+            v = row
+            for q in basis:
+                v = v - _dot(v, q)[..., np.newaxis] * q
+            norm = np.sqrt(_dot(v, v))
+            keep = norm > _RANK_TOL * np.maximum(1.0, np.sqrt(_dot(row, row)))
+            norm = np.where(keep, norm, 1.0)
+            basis.append(np.where(keep[..., np.newaxis], v / norm[..., np.newaxis], 0.0))
+            total = total + 2.0 * np.log(norm)
+        return total
 
     def mi_bits(
         self,
         target: Iterable[str],
         second: Iterable[str],
         given: Iterable[str] = (),
-    ) -> float:
+    ) -> np.ndarray:
         t, s, g = tuple(target), tuple(second), tuple(given)
         value = 0.5 / math.log(2.0) * (
             self._logdet(t + g) + self._logdet(s + g)
             - self._logdet(g) - self._logdet(t + s + g)
         )
-        return max(value, 0.0)
+        return np.maximum(value, 0.0)
 
 
-def _independent_rows(m: np.ndarray, tol: float = _RANK_TOL) -> list[int]:
-    """Indices of a maximal linearly independent subset of the rows.
-
-    Greedy Gram-Schmidt in row order (deterministic).  Dependent rows are
-    deterministic functions of the kept ones, so the generated sigma-algebra
-    -- and hence any mutual information -- is unchanged by dropping them.
-    """
-    basis: list[np.ndarray] = []
-    keep: list[int] = []
-    for i, row in enumerate(m):
-        v = row.astype(np.float64, copy=True)
-        for b in basis:
-            v -= (v @ b) * b
-        norm = float(np.linalg.norm(v))
-        if norm > tol * max(1.0, float(np.linalg.norm(row))):
-            basis.append(v / norm)
-            keep.append(i)
-    return keep
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Last-axis inner product in a fixed order, so batches round like scalars."""
+    return sum(u[..., k] * v[..., k] for k in range(u.shape[-1]))
 
 
 def half_log2(x: float) -> float:
@@ -99,23 +92,27 @@ def tin_rates(g: GaussianIC) -> tuple[float, float]:
     return r1, r2
 
 
-def split_system(g: GaussianIC, lam1: float, lam2: float) -> GaussSystem:
+def split_system(g: GaussianIC, lam1: np.ndarray | float, lam2: np.ndarray | float) -> GaussSystem:
     """Gaussian inputs with a common/private power split.
 
     ``W_i`` carries power ``lam_i * P_i`` (the common layer); the private
-    remainder ``(1 - lam_i) P_i`` rides on top.  Basis order:
-    (S1, V1, S2, V2, Z1, Z2).
+    remainder ``(1 - lam_i) P_i`` rides on top.  ``lam1`` and ``lam2``
+    broadcast against each other, giving one system per element.  Basis
+    order: (S1, V1, S2, V2, Z1, Z2).
     """
-    s1 = math.sqrt(max(0.0, (1.0 - lam1) * g.p1))
-    v1 = math.sqrt(max(0.0, lam1 * g.p1))
-    s2 = math.sqrt(max(0.0, (1.0 - lam2) * g.p2))
-    v2 = math.sqrt(max(0.0, lam2 * g.p2))
-    x1 = np.array([s1, v1, 0.0, 0.0, 0.0, 0.0])
-    w1 = np.array([0.0, v1, 0.0, 0.0, 0.0, 0.0])
-    x2 = np.array([0.0, 0.0, s2, v2, 0.0, 0.0])
-    w2 = np.array([0.0, 0.0, 0.0, v2, 0.0, 0.0])
-    z1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    z2 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    lam1, lam2 = np.broadcast_arrays(lam1, lam2)
+    s1 = np.sqrt(np.maximum(0.0, (1.0 - lam1) * g.p1))
+    v1 = np.sqrt(np.maximum(0.0, lam1 * g.p1))
+    s2 = np.sqrt(np.maximum(0.0, (1.0 - lam2) * g.p2))
+    v2 = np.sqrt(np.maximum(0.0, lam2 * g.p2))
+    o = np.zeros_like(s1)
+    one = np.ones_like(s1)
+    x1 = np.stack([s1, v1, o, o, o, o], axis=-1)
+    w1 = np.stack([o, v1, o, o, o, o], axis=-1)
+    x2 = np.stack([o, o, s2, v2, o, o], axis=-1)
+    w2 = np.stack([o, o, o, v2, o, o], axis=-1)
+    z1 = np.stack([o, o, o, o, one, o], axis=-1)
+    z2 = np.stack([o, o, o, o, o, one], axis=-1)
     y1 = x1 + g.a * x2 + z1
     y2 = g.b * x1 + x2 + z2
     return GaussSystem({"X1": x1, "W1": w1, "X2": x2, "W2": w2, "Y1": y1, "Y2": y2})
@@ -185,7 +182,7 @@ def _noisy_margin(g: GaussianIC) -> float:
     return 1.0 - (abs(g.b) * k1 + abs(g.a) * k2)
 
 
-def noisy_gaussian(g: GaussianIC, search_points: int = 256) -> GaussianNoisyReport:
+def noisy_gaussian(g: GaussianIC, search_points: int = CERTIFICATE_SEARCH_POINTS) -> GaussianNoisyReport:
     k1, k2 = _alignment_targets(g)
     margin = _noisy_margin(g)
     in_regime = margin >= 0.0

@@ -27,6 +27,7 @@ import numpy as np
 from .channels import DiscreteIC, GaussianIC
 from .errors import ConfigError
 from .gaussian import (
+    CERTIFICATE_SEARCH_POINTS,
     GaussianNoisyReport,
     GaussianVeryWeakReport,
     noisy_gaussian,
@@ -302,6 +303,6 @@ def check_very_weak_gaussian(g: GaussianIC) -> GaussianVeryWeakReport:
     return very_weak_gaussian(g)
 
 
-def check_noisy_gaussian(g: GaussianIC, search_points: int = 256) -> GaussianNoisyReport:
+def check_noisy_gaussian(g: GaussianIC, search_points: int = CERTIFICATE_SEARCH_POINTS) -> GaussianNoisyReport:
     """Closed-form Gaussian noisy-interference test plus certificate search."""
     return noisy_gaussian(g, search_points=search_points)

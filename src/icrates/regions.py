@@ -162,9 +162,6 @@ class AuxInputDist:
     def nx2(self) -> int:
         return self.px2_given_w2.shape[1]
 
-    def x_marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.pw1 @ self.px1_given_w1, self.pw2 @ self.px2_given_w2
-
     @classmethod
     def product(cls, px1: np.ndarray, px2: np.ndarray) -> "AuxInputDist":
         """Degenerate layers: W1 and W2 are constants."""
@@ -343,7 +340,9 @@ class SupportAccumulator:
         self._rows = np.empty((0, 2))
 
     def add(self, dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> None:
-        V, feas = _candidate_vertices(dirs, bounds)
+        # The frontier depends only on the set of bound rows, so solve each
+        # distinct row once.
+        V, feas = _candidate_vertices(dirs, np.unique(bounds, axis=0))
         flatV = V.reshape(-1, 2)[feas.reshape(-1)]
         # Snap to 12 decimals so that geometric ties are exact equalities;
         # without this, 1e-16 noise defeats both the lexicographic tie-break
@@ -393,7 +392,7 @@ def _extract_vertices(points: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def union_region(polytopes: Sequence[RatePolytope], angles: int = 91) -> RateRegion:
+def union_region(polytopes: Sequence[RatePolytope], angles: int = SearchConfig.angles) -> RateRegion:
     """Convex hull of a union of polytopes (exact time-sharing closure)."""
     if not polytopes:
         raise EmptyListError("union_region needs at least one polytope")
@@ -783,7 +782,7 @@ GAUSSIAN_SCHEMES = ("tin", "semijoint", "hk_strong_y2", "one_sided")
 
 
 def region_gaussian(
-    g: GaussianIC, scheme: str, splits: int = 17, angles: int = 91
+    g: GaussianIC, scheme: str, splits: int = 17, angles: int = SearchConfig.angles
 ) -> RateRegion:
     """Gaussian-input rate region with a common/private power-split grid.
 
@@ -799,16 +798,15 @@ def region_gaussian(
         raise NotOneSidedError("gaussian one_sided scheme needs b == 0", b=g.b)
     table = table_for_scheme(scheme)
     lam = np.linspace(0.0, 1.0, splits) if splits > 1 else np.array([0.0])
-    acc = SupportAccumulator(angles)
     if scheme == "tin":
-        pairs = [(0.0, 0.0)]
+        lam1 = lam2 = np.zeros(1)
     elif scheme == "semijoint":
-        pairs = [(float(l1), float(l2)) for l1 in lam for l2 in lam]
+        lam1, lam2 = (m.ravel() for m in np.meshgrid(lam, lam, indexing="ij"))
     else:
-        pairs = [(0.0, float(l2)) for l2 in lam]
-    for lam1, lam2 in pairs:
-        bounds = table_bounds(table, split_system(g, lam1, lam2).mi_bits)
-        acc.add(*merged_dirs_bounds(table, bounds))
+        lam1, lam2 = 0.0, lam
+    bounds = table_bounds(table, split_system(g, lam1, lam2).mi_bits)
+    acc = SupportAccumulator(angles)
+    acc.add(*merged_dirs_bounds(table, bounds))
     return acc.finalize({
         "scheme": scheme, "splits": splits, "angles": angles, "gaussian": True,
     })

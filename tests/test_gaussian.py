@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,31 @@ import pytest
 
 from icrates import GaussianIC, check_noisy_gaussian, check_very_weak_gaussian
 from icrates.gaussian import noisy_sum_capacity, split_system, tin_rates
+from icrates.regions import GAUSSIAN_SCHEMES, table_for_scheme
+
+NAMES = ("X1", "W1", "X2", "W2", "Y1", "Y2")
+#: One channel each with a = 0, with b = 0, and with |a|, |b| > 1.
+EDGE_CHANNELS = [GaussianIC(0.0, 0.8, 2.0, 1.5), GaussianIC(0.6, 0.0, 1.0, 3.0),
+                 GaussianIC(-1.5, 2.5, 3.0, 0.5)]
+
+
+def oracle_logdet(rows):
+    """Greedy independent subset of the rows, then ``slogdet`` of its Gram matrix."""
+    basis, kept = [], []
+    for row in rows:
+        v = row.copy()
+        for b in basis:
+            v -= (v @ b) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-10 * max(1.0, np.linalg.norm(row)):
+            basis.append(v / norm)
+            kept.append(row)
+    if not kept:
+        return 0.0
+    m = np.array(kept)
+    sign, logdet = np.linalg.slogdet(m @ m.T)
+    assert sign > 0
+    return logdet
 
 
 class TestMiEngine:
@@ -55,6 +81,27 @@ class TestMiEngine:
         assert sys.mi_bits(("X1", "W2"), ("Y1",)) == pytest.approx(
             sys.mi_bits(("X1",), ("Y1",)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("g", EDGE_CHANNELS)
+    def test_batched_terms_equal_scalar_calls(self, g):
+        lam = np.linspace(0.0, 1.0, 33)
+        lam1, lam2 = np.meshgrid(lam, lam, indexing="ij")
+        batched = split_system(g, lam1, lam2)
+        terms = sorted({t for s in GAUSSIAN_SCHEMES for _, _, ts in table_for_scheme(s) for t in ts})
+        values = {term: batched.mi_bits(*term) for term in terms}
+        for i, j in np.ndindex(lam1.shape):
+            alone = split_system(g, lam[i], lam[j])
+            for term in terms:
+                assert values[term][i, j] == alone.mi_bits(*term), (term, i, j)
+
+    @pytest.mark.parametrize("g", EDGE_CHANNELS)
+    def test_logdet_matches_slogdet_oracle(self, g):
+        for lam1, lam2 in itertools.product((0.0, 1 / 32, 0.5, 1.0), repeat=2):
+            sys = split_system(g, lam1, lam2)
+            for r in range(len(NAMES) + 1):
+                for names in itertools.combinations(NAMES, r):
+                    want = oracle_logdet([sys.vector(n) for n in names])
+                    assert sys._logdet(names) == pytest.approx(want, abs=1e-12), names
 
 
 class TestRegimes:

@@ -17,6 +17,7 @@ import icrates.regions
 import icrates.search
 import icrates.sumcap
 import icrates.verify
+from icrates import GaussianIC
 
 TRACING = Path(__file__).resolve().parents[1] / "icbench" / "tracing.py"
 
@@ -28,14 +29,25 @@ def load_tracing():
     return module
 
 
+MODULES = argparse.Namespace(
+    cli=icrates.cli, gaussian=icrates.gaussian, probtensor=icrates.probtensor,
+    regimes=icrates.regimes, regions=icrates.regions, search=icrates.search,
+    sumcap=icrates.sumcap, verify=icrates.verify)
+
+
 def test_every_patch_point_resolves():
     tracing = load_tracing()
-    modules = argparse.Namespace(
-        cli=icrates.cli, gaussian=icrates.gaussian, probtensor=icrates.probtensor,
-        regimes=icrates.regimes, regions=icrates.regions, search=icrates.search,
-        sumcap=icrates.sumcap, verify=icrates.verify)
-    points = tracing.patch_points(modules, tracing.Tracer())
+    points = tracing.patch_points(MODULES, tracing.Tracer())
     assert points
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in points
                if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))]
     assert missing == []
+
+
+def test_gaussian_region_work_reaches_traced_names():
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        icrates.regions.region_gaussian(GaussianIC(0.5, 0.25, 1.0, 2.0), "semijoint", splits=3)
+    assert tr.counts["gaussian.split_calls"] > 0
+    assert tr.counts["gaussian.mi_calls"] > 0
