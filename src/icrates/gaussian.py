@@ -23,7 +23,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .channels import GaussianIC, GaussianVirtualParams
-from .errors import UnknownAxisError
+from .errors import SizeLimitError, UnknownAxisError
+from .probtensor import SIZE_LIMIT
 
 _RANK_TOL = 1e-10
 #: Points of the noisy-interference certificate scan over ``rho1``.
@@ -101,18 +102,18 @@ def split_system(g: GaussianIC, lam1: np.ndarray | float, lam2: np.ndarray | flo
     order: (S1, V1, S2, V2, Z1, Z2).
     """
     lam1, lam2 = np.broadcast_arrays(lam1, lam2)
+    if 36 * lam1.size > SIZE_LIMIT:  # one dense [systems, 6 variables, 6 basis] tensor
+        raise SizeLimitError("power-split grid too large", systems=lam1.size, limit=SIZE_LIMIT // 36)
     s1 = np.sqrt(np.maximum(0.0, (1.0 - lam1) * g.p1))
     v1 = np.sqrt(np.maximum(0.0, lam1 * g.p1))
     s2 = np.sqrt(np.maximum(0.0, (1.0 - lam2) * g.p2))
     v2 = np.sqrt(np.maximum(0.0, lam2 * g.p2))
     o = np.zeros_like(s1)
-    one = np.ones_like(s1)
     x1 = np.stack([s1, v1, o, o, o, o], axis=-1)
     w1 = np.stack([o, v1, o, o, o, o], axis=-1)
     x2 = np.stack([o, o, s2, v2, o, o], axis=-1)
     w2 = np.stack([o, o, o, v2, o, o], axis=-1)
-    z1 = np.stack([o, o, o, o, one, o], axis=-1)
-    z2 = np.stack([o, o, o, o, o, one], axis=-1)
+    z1, z2 = np.eye(6)[4:]  # the noise rows are the same in every system
     y1 = x1 + g.a * x2 + z1
     y2 = g.b * x1 + x2 + z2
     return GaussSystem({"X1": x1, "W1": w1, "X2": x2, "W2": w2, "Y1": y1, "Y2": y2})

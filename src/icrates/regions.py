@@ -245,8 +245,7 @@ class RatePolytope:
         dirs, bounds = self._dirs_bounds()
         V, feas = _candidate_vertices(dirs, bounds)
         pts = V[0][feas[0]]
-        uniq = np.unique(np.round(pts, 12), axis=0)
-        return uniq
+        return np.unique(np.round(pts, 12), axis=0)
 
     def support(self, theta_deg: float) -> float:
         t = math.radians(theta_deg)
@@ -340,9 +339,7 @@ class SupportAccumulator:
         self._rows = np.empty((0, 2))
 
     def add(self, dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> None:
-        # The frontier depends only on the set of bound rows, so solve each
-        # distinct row once.
-        V, feas = _candidate_vertices(dirs, np.unique(bounds, axis=0))
+        V, feas = _candidate_vertices(dirs, bounds)
         flatV = V.reshape(-1, 2)[feas.reshape(-1)]
         # Snap to 12 decimals so that geometric ties are exact equalities;
         # without this, 1e-16 noise defeats both the lexicographic tie-break
@@ -370,17 +367,19 @@ class SupportAccumulator:
         )
 
 
+def _drop_repeats(rows: np.ndarray) -> np.ndarray:
+    """Rows that differ from the row before them."""
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _extract_vertices(points: np.ndarray) -> np.ndarray:
     """Angle-ordered distinct extreme points from per-angle supporting points."""
-    rounded = np.round(points, 12)
-    keep: list[np.ndarray] = []
-    for row in rounded:
-        if not keep or not np.array_equal(keep[-1], row):
-            keep.append(row)
     # Drop interior exactly-collinear points (coordinates are snapped, so
     # flat edges produce exact zeros; near-extreme points are kept).
     out: list[np.ndarray] = []
-    for row in keep:
+    for row in _drop_repeats(np.round(points, 12)):
         while len(out) >= 2:
             a, b = out[-2], out[-1]
             cross = (b[0] - a[0]) * (row[1] - a[1]) - (b[1] - a[1]) * (row[0] - a[0])
@@ -740,6 +739,8 @@ def union_over_batches(
         bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
         merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
                   for scheme, table in tables.items()}
+        # Law grids repeat bound rows; the frontier depends only on their set.
+        merged = {s: (d, _drop_repeats(b[np.lexsort(b.T)])) for s, (d, b) in merged.items()}
         for name in feeds:
             accs[name].add(*merged[regions[name]])
             laws[name] += bj.batch_size

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from icrates import GaussianIC, check_noisy_gaussian, check_very_weak_gaussian
+from icrates.cli import main
+from icrates.errors import SizeLimitError
 from icrates.gaussian import noisy_sum_capacity, split_system, tin_rates
-from icrates.regions import GAUSSIAN_SCHEMES, table_for_scheme
+from icrates.probtensor import SIZE_LIMIT
+from icrates.regions import GAUSSIAN_SCHEMES, region_gaussian, table_for_scheme
 
 NAMES = ("X1", "W1", "X2", "W2", "Y1", "Y2")
 #: One channel each with a = 0, with b = 0, and with |a|, |b| > 1.
@@ -102,6 +105,16 @@ class TestMiEngine:
                 for names in itertools.combinations(NAMES, r):
                     want = oracle_logdet([sys.vector(n) for n in names])
                     assert sys._logdet(names) == pytest.approx(want, abs=1e-12), names
+
+    def test_split_grid_past_the_size_budget_is_rejected(self):
+        # 528**2 systems of 6 x 6 coefficients exceed the 1e7-cell budget.
+        g = GaussianIC(0.5, 0.25, 1.0, 2.0)
+        with pytest.raises(SizeLimitError):
+            region_gaussian(g, "semijoint", splits=528)
+        with pytest.raises(SizeLimitError):
+            split_system(g, np.zeros(SIZE_LIMIT // 36 + 1), 0.0)
+        assert main(["gaussian", "region", "--a", "0.5", "--b", "0.25", "--p1", "1", "--p2", "2",
+                     "--scheme", "semijoint", "--splits", "2000"]) == 3
 
 
 class TestRegimes:
