@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=None)
     _add_search_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)

@@ -56,6 +56,7 @@ from .probtensor import (
 from .probtensor import term as _T  # table shorthand
 from .regimes import SearchConfig, _product_blocks
 from .search import SimplexBlock, iter_grid_batches, shrink_to_budget
+from .sumcap import tin_sumrate
 
 SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
 
@@ -650,10 +651,9 @@ def layered_family(
 
 
 def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    from .sumcap import tin_sumrate
-
+    """The TIN-optimal product input as ``[1, |X1|]`` and ``[1, |X2|]`` anchors."""
     opt, _ = tin_sumrate(ch, cfg)
-    return opt.px1, opt.px2
+    return opt.px1[np.newaxis, :], opt.px2[np.newaxis, :]
 
 
 def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, int] | None:
@@ -672,9 +672,7 @@ def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, i
 def scheme_family(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> Iterator[DistBatch]:
     """Enumerated input-law family for one scheme (see module docstring)."""
     tag = SCHEMES.index(scheme)
-    ax1, ax2 = _tin_anchor(ch, cfg)
-    anchors1 = ax1[np.newaxis, :]
-    anchors2 = ax2[np.newaxis, :]
+    anchors1, anchors2 = _tin_anchor(ch, cfg)
 
     if scheme == "tin":
         for px1, px2 in _product_grid(ch, cfg):

@@ -38,6 +38,17 @@ CHUNK = 4096
 #: Improvement below this is treated as a tie (keeps earlier candidate).
 IMPROVE_EPS = 1e-13
 
+#: Coordinate ascent: at most ``ASCENT_ITERS`` iterations; the step starts at
+#: ``ASCENT_STEP`` and halves after each iteration without improvement, the
+#: ascent stopping once it falls below ``ASCENT_MIN_STEP``.
+ASCENT_ITERS = 50
+ASCENT_STEP = 0.5
+ASCENT_MIN_STEP = 1e-7
+
+#: Near optima: up to ``MAX_NEAR`` distinct points within ``NEAR_TOL`` of the best.
+NEAR_TOL = 1e-9
+MAX_NEAR = 16
+
 Objective = Callable[[Mapping[str, np.ndarray]], np.ndarray]
 Point = dict[str, np.ndarray]
 
@@ -154,56 +165,52 @@ def iter_grid_batches(
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
+    """Euclidean projection of each row of ``v`` (shape ``[..., k]``) onto
+    the probability simplex; a 1-D vector is the single-row case."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / float(rho + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    k = v.shape[-1]
+    rho = k - 1 - np.argmax((u * np.arange(1, k + 1) > css)[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
-def _stack_points(points: Sequence[Point], blocks: Sequence[SimplexBlock]) -> Point:
-    return {
-        b.name: np.stack([p[b.name].reshape(b.shape) for p in points]) for b in blocks
-    }
+def _score(objective: Objective, blocks: Sequence[SimplexBlock], point: Point) -> float:
+    """The objective at one point, scored alone (batch size 1)."""
+    batch = {b.name: np.array(point[b.name], dtype=np.float64).reshape(1, *b.shape) for b in blocks}
+    return float(np.asarray(objective(batch), dtype=np.float64)[0])
 
 
-def _eval_points(objective: Objective, points: Sequence[Point], blocks: Sequence[SimplexBlock]) -> np.ndarray:
-    return np.asarray(objective(_stack_points(points, blocks)), dtype=np.float64)
+def _ascend(objective: Objective, blocks: Sequence[SimplexBlock], start: Point) -> tuple[float, Point]:
+    """Projected coordinate ascent with step halving from one start point.
 
-
-def _ascend(
-    objective: Objective,
-    blocks: Sequence[SimplexBlock],
-    start: Point,
-    max_iters: int = 50,
-    init_step: float = 0.5,
-    min_step: float = 1e-7,
-) -> tuple[float, Point]:
-    """Projected coordinate ascent with step halving from one start point."""
+    Each iteration scores every move as one batch: per block, slice and
+    coordinate, ``+step`` then ``-step`` at that coordinate, the moved row
+    projected back onto its simplex.
+    """
     point = {b.name: start[b.name].reshape(b.shape).copy() for b in blocks}
-    best = float(_eval_points(objective, [point], blocks)[0])
-    step = init_step
-    for _ in range(max_iters):
-        proposals: list[Point] = []
-        for b in blocks:
-            for s in range(b.n_slices):
-                for j in range(b.k):
-                    for sign in (1.0, -1.0):
-                        cand = {n: a.copy() for n, a in point.items()}
-                        row = cand[b.name][s].copy()
-                        row[j] += sign * step
-                        cand[b.name][s] = project_simplex(row)
-                        proposals.append(cand)
-        values = _eval_points(objective, proposals, blocks)
+    best = _score(objective, blocks, point)
+    sizes = [2 * b.n_slices * b.k for b in blocks]
+    total = sum(sizes)
+    step = ASCENT_STEP
+    for _ in range(ASCENT_ITERS):
+        batch = {b.name: np.repeat(point[b.name][None], total, axis=0) for b in blocks}
+        offset = 0
+        for b, size in zip(blocks, sizes):
+            moves = np.arange(size)
+            rows = np.repeat(point[b.name], 2 * b.k, axis=0)
+            rows[moves, moves // 2 % b.k] += np.where(moves % 2 == 0, step, -step)
+            batch[b.name][offset + moves, moves // (2 * b.k)] = project_simplex(rows)
+            offset += size
+        values = np.asarray(objective(batch), dtype=np.float64)
         k = int(np.flatnonzero(values >= values.max() - IMPROVE_EPS)[0])
         if values[k] > best + IMPROVE_EPS:
-            point = proposals[k]
+            point = {b.name: batch[b.name][k].copy() for b in blocks}
             best = float(values[k])
         else:
             step *= 0.5
-            if step < min_step:
+            if step < ASCENT_MIN_STEP:
                 break
     return best, point
 
@@ -227,8 +234,6 @@ def maximize(
     budget: int = 200_000,
     chunk: int = CHUNK,
     extra_candidates: Iterable[Point] = (),
-    near_tol: float = 1e-9,
-    max_near: int = 16,
 ) -> SearchResult:
     """Grid scan + multistart refinement; returns the best point found and
     its value scored alone, which re-evaluation reproduces exactly.
@@ -245,25 +250,22 @@ def maximize(
     near: list[tuple[float, Point]] = []
 
     def consider(value: float, point: Point) -> None:
-        nonlocal best_val, best_point, near
+        nonlocal best_val, best_point
         if value > best_val + IMPROVE_EPS:
             best_val = value
             best_point = point
-        if value >= best_val - near_tol:
+        if value >= best_val - NEAR_TOL:
             near.append((value, point))
-            near[:] = [nv for nv in near if nv[0] >= best_val - near_tol][-max_near:]
+            near[:] = [nv for nv in near if nv[0] >= best_val - NEAR_TOL][-MAX_NEAR:]
 
     for idx, batch in iter_grid_batches(eff_blocks, chunk):
         values = np.asarray(objective(batch), dtype=np.float64)
         n_evaluated += idx.size
         order = np.argsort(-np.round(values, 12), kind="stable")
-        for k in order[: max_near]:
-            if values[k] < best_val - near_tol:
+        for k in order[:MAX_NEAR]:
+            if values[k] < best_val - NEAR_TOL:
                 break
-            consider(
-                float(values[k]),
-                {b.name: batch[b.name][k].copy() for b in eff_blocks},
-            )
+            consider(float(values[k]), {b.name: batch[b.name][k].copy() for b in eff_blocks})
 
     assert best_point is not None, "grid is never empty"
     grid_value = best_val
@@ -271,21 +273,19 @@ def maximize(
     starts: list[Point] = [best_point]
     for cand in extra_candidates:
         point = {b.name: np.asarray(cand[b.name], dtype=np.float64) for b in eff_blocks}
-        consider(float(_eval_points(objective, [point], eff_blocks)[0]), point)
+        consider(_score(objective, eff_blocks, point), point)
         n_evaluated += 1
         starts.append(point)
     rng = np.random.default_rng(np.random.SeedSequence([0x5EA2C4, seed]))
     for _ in range(restarts):
-        starts.append(
-            {b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in eff_blocks}
-        )
+        starts.append({b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in eff_blocks})
 
     for start in starts:
         value, point = _ascend(objective, eff_blocks, start)
         consider(value, point)
 
     near_sorted = sorted(
-        (nv for nv in near if nv[0] >= best_val - near_tol),
+        (nv for nv in near if nv[0] >= best_val - NEAR_TOL),
         key=lambda nv: -nv[0],
     )
     deduped: list[tuple[float, Point]] = []
@@ -295,12 +295,12 @@ def maximize(
         if key not in seen:
             seen.add(key)
             deduped.append((value, point))
-        if len(deduped) >= max_near:
+        if len(deduped) >= MAX_NEAR:
             break
 
     assert best_point is not None
     return SearchResult(
-        value=float(_eval_points(objective, [best_point], eff_blocks)[0]),
+        value=_score(objective, eff_blocks, best_point),
         point=best_point,
         grid_value=grid_value,
         n_evaluated=n_evaluated,

@@ -43,6 +43,7 @@ from .regimes import (
 from .regions import (  # noqa: F401
     Constraint,
     DistBatch,
+    _tin_anchor,
     batch_bounds,
     batch_joint,
     collapse_w1,
@@ -326,11 +327,6 @@ class RegionSuite:
     probes: Mapping[str, tuple[Constraint, ...]] = field(default_factory=dict)
 
 
-def _anchor_batch(ch: DiscreteIC, cfg: SearchConfig) -> DistBatch:
-    opt, _ = tin_sumrate(ch, cfg)
-    return lift_wx(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :], side1=False, side2=False)
-
-
 def _very_weak_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
     for batch in scheme_family(ch, "hk", cfg):
         yield batch, ("hk", "semijoint")
@@ -350,7 +346,7 @@ def _strong_y2_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
     def laws() -> Iterator[DistBatch]:
         yield from layered_family(ch, cfg, cfg.card_w(ch.nx1), nw2, tag=31)
         yield from layered_family(ch, cfg, 1, nw2, tag=32)
-        yield _anchor_batch(ch, cfg)
+        yield lift_wx(*_tin_anchor(ch, cfg), side1=False, side2=False)
 
     both = ("hk", "hk_strong_y2")
     for batch in laws():
@@ -369,7 +365,7 @@ def _one_sided_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
         yield collapse_w1(batch), every
     for batch in layered_family(ch, cfg, 1, nw2, tag=42):
         yield batch, every
-    yield _anchor_batch(ch, cfg), every
+    yield lift_wx(*_tin_anchor(ch, cfg), side1=False, side2=False), every
 
 
 _REGION_SUITES: dict[str, RegionSuite] = {
@@ -589,12 +585,13 @@ def verify_gaussian_regimes(
     gains = 10.0 ** rng.uniform(-2.0, 0.5, size=(samples, 2))
     powers = 10.0 ** rng.uniform(-1.0, 1.5, size=(samples, 2))
     records = []
-    failures = 0
-    containment_violations = 0
-    search_disagreements = 0
-    sumcap_mismatches = 0
     witness = None
     n_noisy = 0
+
+    def fail(i: int, g: GaussianIC, kind: str, **extra: float) -> None:
+        records.append({"sample": i, "a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
+                        "kind": kind, **extra, "failed": True})
+
     for i in range(samples):
         g = GaussianIC(a=float(gains[i, 0]), b=float(gains[i, 1]),
                        p1=float(powers[i, 0]), p2=float(powers[i, 1]))
@@ -603,38 +600,24 @@ def verify_gaussian_regimes(
         if noisy.in_regime:
             n_noisy += 1
             if not vw.in_regime:
-                containment_violations += 1
-                records.append({
-                    "sample": i, "a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
-                    "kind": "containment_violation", "failed": True,
-                })
+                fail(i, g, "containment_violation")
             cap = noisy_sum_capacity(g)
             r1, r2 = tin_rates(g)
             if cap is None or abs(cap - (r1 + r2)) > 1e-12:
-                sumcap_mismatches += 1
-                records.append({
-                    "sample": i, "a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
-                    "kind": "sumcap_mismatch", "failed": True,
-                })
+                fail(i, g, "sumcap_mismatch")
         if vw.in_regime and not noisy.in_regime and witness is None:
             witness = {"a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
                        "noisy_margin": noisy.margin}
         if abs(noisy.margin) > guard and noisy.in_regime != noisy.search_feasible:
-            search_disagreements += 1
-            records.append({
-                "sample": i, "a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
-                "kind": "search_disagreement", "margin": noisy.margin, "failed": True,
-            })
+            fail(i, g, "search_disagreement", margin=noisy.margin)
     if witness is None:
-        failures += 1
         records.append({"kind": "no_strictness_witness", "failed": True})
     else:
         records.append({"kind": "strictness_witness", "failed": False, **witness})
-    failures += containment_violations + search_disagreements + sumcap_mismatches
     return VerifyOutcome(
         name="gaussian_regimes",
         trials=samples,
-        failures=failures,
+        failures=sum(r["failed"] for r in records),
         worst_gap=0.0,
         tolerance=0.0,
         records=tuple(records),
@@ -660,10 +643,12 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int, cfg: SearchConfig, tol: float | None) -> VerifyOutcome:
-    """Run one :data:`SUITES` entry; ``tol=None`` keeps the suite's own tolerance."""
+def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: float | None) -> VerifyOutcome:
+    """Run one :data:`SUITES` entry; ``trials=None`` and ``tol=None`` keep the
+    suite's own trial count and tolerance."""
     if name not in SUITES:
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
     if name == "gaussian_regimes":
-        return verify_gaussian_regimes(samples=trials, seed=seed)
-    return SUITES[name](trials=trials, seed=seed, cfg=cfg, **({} if tol is None else {"tol": tol}))
+        return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
+    given = {"trials": trials, "tol": tol}
+    return SUITES[name](seed=seed, cfg=cfg, **{k: v for k, v in given.items() if v is not None})

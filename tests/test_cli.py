@@ -133,6 +133,17 @@ class TestDefaults:
         library = verify_one_sided_reduction(trials=1).to_json_dict()
         assert out == stable_json_dumps({"command": "verify", **library})
 
+    def test_flagless_verify_runs_the_suite_trials(self, capsys):
+        from icrates.serialize import stable_json_dumps
+        from icrates.verify import verify_telescoping
+
+        code, out = run(capsys, "verify", "lemma1")
+        assert code == 0
+        assert out == stable_json_dumps({"command": "verify", **verify_telescoping().to_json_dict()})
+        code, out = run(capsys, "verify", "gaussian_regimes")
+        assert code == 0
+        assert json.loads(out)["trials"] == 1000
+
     def test_flag_overrides_suite_config(self, capsys):
         code, out = run(capsys, "verify", "one_sided_regions", "--trials", "0", "--aux-w", "3",
                         "--grid", "4")

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from icrates import SearchConfig, random_channel, random_coupling
+from icrates import search
 from icrates.errors import SizeLimitError
+from icrates.regimes import OBJECTIVES, objective
 from icrates.search import (
+    IMPROVE_EPS,
     SimplexBlock,
     grid_size,
     iter_grid_batches,
@@ -36,6 +40,31 @@ def test_project_simplex():
     assert p.min() >= 0.0
     q = project_simplex(np.array([0.2, 0.3, 0.5]))
     np.testing.assert_allclose(q, [0.2, 0.3, 0.5], atol=1e-12)
+
+
+def scalar_projection(v):
+    """One row's projection, as the batched ``project_simplex`` must give it."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    theta = css[rho] / float(rho + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_batched_projection_equals_scalar_rows(k):
+    rng = np.random.default_rng(k)
+    on_simplex = rng.dirichlet(np.ones(k), size=4)
+    negative = rng.normal(size=(5, k))
+    tied = np.array([np.full(k, 0.3), np.full(k, 1.0 / k), np.where(np.arange(k) % 2 == 0, -0.25, 0.6)])
+    # The ascent's own moves: +step then -step at each coordinate of a point.
+    moves = np.concatenate([np.concatenate([p + step * np.eye(k), p - step * np.eye(k)])
+                            for p in on_simplex for step in (0.5, 0.125, 2.0**-23)])
+    rows = np.concatenate([on_simplex, negative, tied, moves])
+    want = np.stack([scalar_projection(r) for r in rows])
+    assert (project_simplex(rows) == want).all()
+    assert (project_simplex(rows.reshape(2, -1, k)) == want.reshape(2, -1, k)).all()
+    assert (project_simplex(rows[5]) == want[5]).all()
 
 
 def test_shrink_to_budget_reduces_largest_block():
@@ -135,3 +164,72 @@ def test_first_grid_index_wins_over_a_later_one_ulp_larger(chunk):
     res = maximize(plateau_objective(later), blocks, restarts=0, chunk=chunk)
     np.testing.assert_array_equal(res.point["p"], [[1.0, 0.0]])
     assert res.value == 0.5
+
+
+def per_proposal_ascend(objective, blocks, start):
+    """Coordinate ascent with one point dict and one scalar projection per
+    proposal: the reference the batched ``search._ascend`` must reproduce."""
+    def score(points):
+        batch = {b.name: np.stack([p[b.name].reshape(b.shape) for p in points]) for b in blocks}
+        return np.asarray(objective(batch), dtype=np.float64)
+
+    point = {b.name: start[b.name].reshape(b.shape).copy() for b in blocks}
+    best = float(score([point])[0])
+    step = search.ASCENT_STEP
+    for _ in range(search.ASCENT_ITERS):
+        proposals = []
+        for b in blocks:
+            for s in range(b.n_slices):
+                for j in range(b.k):
+                    for sign in (1.0, -1.0):
+                        cand = {n: a.copy() for n, a in point.items()}
+                        row = cand[b.name][s].copy()
+                        row[j] += sign * step
+                        cand[b.name][s] = scalar_projection(row)
+                        proposals.append(cand)
+        values = score(proposals)
+        k = int(np.flatnonzero(values >= values.max() - IMPROVE_EPS)[0])
+        if values[k] > best + IMPROVE_EPS:
+            point = proposals[k]
+            best = float(values[k])
+        else:
+            step *= 0.5
+            if step < search.ASCENT_MIN_STEP:
+                break
+    return best, point
+
+
+@pytest.mark.parametrize("name", ["tin", "strong_y2", "very_weak_1", "genie_dominance_1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, aux_card_u=2)
+    ch = random_channel(40 + seed, [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 2)][seed])
+    law = random_coupling(ch, 2, 2, seed=seed).joint_law if name.startswith("genie") else ch.law
+    blocks = OBJECTIVES[name][0].blocks(ch, cfg)
+    rng = np.random.default_rng(seed)
+    prior = {b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in blocks}
+
+    def run():
+        """The search's result and every batch it scored, in order."""
+        batches = []
+        score = objective(name, law)
+
+        def recorded(batch):
+            batches.append({n: np.array(a) for n, a in batch.items()})
+            return score(batch)
+
+        res = maximize(recorded, blocks, seed=seed, restarts=cfg.restarts, extra_candidates=[prior])
+        return res, batches
+
+    got, got_batches = run()
+    monkeypatch.setattr(search, "_ascend", per_proposal_ascend)
+    want, want_batches = run()
+    assert len(got_batches) == len(want_batches)
+    for g, w in zip(got_batches, want_batches):
+        assert all(g[b.name].shape == w[b.name].shape and (g[b.name] == w[b.name]).all()
+                   for b in blocks)
+    assert got.value == want.value
+    assert all((got.point[b.name] == want.point[b.name]).all() for b in blocks)
+    assert [v for v, _ in got.near_optima] == [v for v, _ in want.near_optima]
+    for (_, p), (_, q) in zip(got.near_optima, want.near_optima):
+        assert all((p[b.name] == q[b.name]).all() for b in blocks)

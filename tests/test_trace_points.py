@@ -17,7 +17,7 @@ import icrates.regions
 import icrates.search
 import icrates.sumcap
 import icrates.verify
-from icrates import GaussianIC
+from icrates import GaussianIC, SearchConfig, random_channel
 
 TRACING = Path(__file__).resolve().parents[1] / "icbench" / "tracing.py"
 
@@ -51,3 +51,16 @@ def test_gaussian_region_work_reaches_traced_names():
         icrates.regions.region_gaussian(GaussianIC(0.5, 0.25, 1.0, 2.0), "semijoint", splits=3)
     assert tr.counts["gaussian.split_calls"] > 0
     assert tr.counts["gaussian.mi_calls"] > 0
+
+
+def test_traced_ascent_counts_and_keeps_reports():
+    ch = random_channel(7, (2, 2, 2, 2))
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
+    plain = icrates.regimes.check_very_weak(ch, cfg)
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        traced = icrates.regimes.check_very_weak(ch, cfg)
+    assert tr.counts["search.project_calls"] > 0
+    assert tr.counts["search.ascent_evals"] > 0
+    assert [r.to_json_dict() for r in traced] == [r.to_json_dict() for r in plain]
