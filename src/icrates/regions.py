@@ -56,7 +56,7 @@ from .probtensor import (
 from .probtensor import term as _T  # table shorthand
 from .regimes import SearchConfig, _product_blocks
 from .search import SimplexBlock, iter_grid_batches, shrink_to_budget
-from .sumcap import tin_sumrate
+from .sumcap import ProductInput, tin_sumrate
 
 SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
 
@@ -368,11 +368,16 @@ class SupportAccumulator:
         )
 
 
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return new
+
+
 def _drop_repeats(rows: np.ndarray) -> np.ndarray:
     """Rows that differ from the row before them."""
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    return rows[_row_starts(rows)]
 
 
 def _extract_vertices(points: np.ndarray) -> np.ndarray:
@@ -650,9 +655,16 @@ def layered_family(
         }
 
 
-def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The TIN-optimal product input as ``[1, |X1|]`` and ``[1, |X2|]`` anchors."""
-    opt, _ = tin_sumrate(ch, cfg)
+def _tin_anchor(
+    ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The TIN-optimal product input as ``[1, |X1|]`` and ``[1, |X2|]`` anchors.
+
+    ``opt`` is that input when the caller already has it from
+    ``tin_sumrate(ch, cfg)``; otherwise it is searched here.
+    """
+    if opt is None:
+        opt, _ = tin_sumrate(ch, cfg)
     return opt.px1[np.newaxis, :], opt.px2[np.newaxis, :]
 
 
@@ -669,10 +681,16 @@ def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, i
     return None
 
 
-def scheme_family(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> Iterator[DistBatch]:
-    """Enumerated input-law family for one scheme (see module docstring)."""
+def scheme_family(
+    ch: DiscreteIC, scheme: str, cfg: SearchConfig, anchor: ProductInput | None = None
+) -> Iterator[DistBatch]:
+    """Enumerated input-law family for one scheme (see module docstring).
+
+    ``anchor`` is the TIN optimum of ``(ch, cfg)`` if the caller has it
+    (see :func:`_tin_anchor`).
+    """
     tag = SCHEMES.index(scheme)
-    anchors1, anchors2 = _tin_anchor(ch, cfg)
+    anchors1, anchors2 = _tin_anchor(ch, cfg, anchor)
 
     if scheme == "tin":
         for px1, px2 in _product_grid(ch, cfg):
@@ -713,37 +731,72 @@ def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
     return SCHEME_TABLES["semijoint" if scheme == "strong_capacity" else scheme]
 
 
+def _key_vector(cells: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers that key a row of ``cells`` float64 bit patterns."""
+    return np.random.default_rng(0xD15711C7).integers(0, 2**64, cells, dtype=np.uint64) | 1
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one representative per distinct row of ``rows [B, cells]``,
+    and how many rows it stands for.
+
+    Rows merge only when every entry is equal under ``==``.  Each row is
+    keyed by the wrapping integer product of its bit patterns with
+    :func:`_key_vector`, so rows equal bit for bit share a key, and rows
+    sorted stably by key are compared exactly with their neighbour.  Should
+    two different rows share a key, the rows are sorted by their entries
+    instead.  Rows equal only through ``-0.0 == 0.0``, which law grids never
+    produce, may stay apart; that costs a repeated score, never a result.
+    """
+    key = np.ascontiguousarray(rows).view(np.uint64) @ _key_vector(rows.shape[1])
+    order = np.argsort(key, kind="stable")
+    new = _row_starts(rows[order])
+    if (new[1:] & (key[order[1:]] == key[order[:-1]])).any():
+        order = np.lexsort(rows.T[::-1])
+        new = _row_starts(rows[order])
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(starts, append=len(rows))
+
+
 def union_over_batches(
     ch: DiscreteIC,
     regions: Mapping[str, str],
     batches: Iterable[tuple[DistBatch, Collection[str]]],
     angles: int,
-    per_batch_hook: Callable[[BatchJoint, Mapping[str, np.ndarray]], None] | None = None,
+    per_batch_hook: (
+        Callable[[BatchJoint, Mapping[str, np.ndarray], np.ndarray], None] | None
+    ) = None,
 ) -> dict[str, RateRegion]:
     """Accumulate named regions over one stream of law batches.
 
     ``regions`` maps each region name to its scheme; several regions may
     share one.  Each batch comes with the names of the regions it feeds.
-    Every scheme's bounds are computed once per batch, and
-    ``per_batch_hook`` receives the batch's joint and the bound matrices
-    keyed by scheme, enabling zero-tolerance per-law checks on exactly the
-    laws the regions were built from.
+    Law grids repeat input laws, and a law's bounds depend on nothing else,
+    so each distinct law of a batch (:func:`distinct_rows`) is scored once;
+    ``laws_enumerated`` still counts every law.  Every scheme's bounds are
+    computed once per batch, and ``per_batch_hook(bj, bounds, counts)``
+    receives the joint of the batch's distinct laws, their bound matrices
+    keyed by scheme, and each distinct law's multiplicity in the batch,
+    enabling zero-tolerance per-law checks on exactly the laws the regions
+    were built from.
     """
     tables = {scheme: table_for_scheme(scheme) for scheme in regions.values()}
     accs = {name: SupportAccumulator(angles) for name in regions}
     laws = dict.fromkeys(regions, 0)
     for batch, feeds in batches:
-        bj = batch_joint(ch, batch)
+        full = batch_joint(ch, batch)
+        idx, counts = distinct_rows(full.values.reshape(full.batch_size, -1))
+        bj = BatchJoint(full.in_names, full.values[idx], ch.law)
         bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
         merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
                   for scheme, table in tables.items()}
-        # Law grids repeat bound rows; the frontier depends only on their set.
+        # Distinct laws can still share bound rows; the frontier depends only on their set.
         merged = {s: (d, _drop_repeats(b[np.lexsort(b.T)])) for s, (d, b) in merged.items()}
         for name in feeds:
             accs[name].add(*merged[regions[name]])
-            laws[name] += bj.batch_size
+            laws[name] += full.batch_size
         if per_batch_hook is not None:
-            per_batch_hook(bj, bounds)
+            per_batch_hook(bj, bounds, counts)
     return {
         name: acc.finalize(
             {"scheme": regions[name], "laws_enumerated": laws[name], "angles": angles}
@@ -752,13 +805,21 @@ def union_over_batches(
     }
 
 
-def region_scheme(ch: DiscreteIC, scheme: str, cfg: SearchConfig = SearchConfig()) -> RateRegion:
-    """Grid-resolution rate region of one scheme (union + convex hull)."""
+def region_scheme(
+    ch: DiscreteIC,
+    scheme: str,
+    cfg: SearchConfig = SearchConfig(),
+    anchor: ProductInput | None = None,
+) -> RateRegion:
+    """Grid-resolution rate region of one scheme (union + convex hull).
+
+    ``anchor`` is passed to :func:`scheme_family`.
+    """
     if scheme not in SCHEMES:
         raise ConfigError("unknown scheme", scheme=scheme, allowed=SCHEMES)
     if scheme == "one_sided" and is_one_sided(ch) != OneSided.SIDE_A:
         raise NotOneSidedError("one_sided scheme needs a channel with a clean receiver 2")
-    batches = ((batch, (scheme,)) for batch in scheme_family(ch, scheme, cfg))
+    batches = ((batch, (scheme,)) for batch in scheme_family(ch, scheme, cfg, anchor))
     region = union_over_batches(ch, {scheme: scheme}, batches, cfg.angles)[scheme]
     region.meta.update({
         "grid_steps": cfg.grid_steps,

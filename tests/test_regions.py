@@ -306,6 +306,51 @@ class TestUnionEngine:
         np.testing.assert_array_equal(shared.vertices, single.vertices)
         assert shared.meta["laws_enumerated"] == single.meta["laws_enumerated"]
 
+    def test_distinct_rows_is_exact(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        pool = np.round(rng.random((6, 5)), 1)
+        pool[1] = pool[0]
+        pool[1, 4] = np.nextafter(pool[0, 4], 1.0)  # one ulp from row 0
+        rows = pool[rng.integers(0, len(pool), 200)]
+
+        def check() -> np.ndarray:
+            """Representatives, after checking that they partition the rows exactly."""
+            idx, counts = regions.distinct_rows(rows)
+            reps = rows[idx]
+            equal = (rows[:, None, :] == reps[None, :, :]).all(axis=2)  # [B, reps]
+            assert counts.sum() == len(rows)
+            assert (equal.sum(axis=1) == 1).all()  # each row has exactly one equal representative
+            np.testing.assert_array_equal(equal.sum(axis=0), counts)
+            return reps
+
+        distinct = np.unique(rows, axis=0)
+        np.testing.assert_array_equal(np.unique(check(), axis=0), distinct)
+        # Every key collides: the rows that come back are still all distinct.
+        monkeypatch.setattr(regions, "_key_vector", lambda cells: np.zeros(cells, dtype=np.uint64))
+        reps = check()
+        assert len(reps) == len(distinct)
+        np.testing.assert_array_equal(np.unique(reps, axis=0), distinct)
+
+    def test_duplicated_laws_change_nothing(self):
+        ch = random_channel(5, (2, 2, 2, 2))
+        rng = np.random.default_rng(0)
+        plain = list(scheme_family(ch, "hk", CFG))
+
+        def doubled(batch):
+            perm = rng.permutation(2 * len(batch["pw1"]))
+            return {k: np.concatenate([v, v])[perm] for k, v in batch.items()}
+
+        seen = []
+        a = union_over_batches(ch, {"hk": "hk"}, ((b, ("hk",)) for b in plain), CFG.angles)["hk"]
+        b = union_over_batches(ch, {"hk": "hk"}, ((doubled(b), ("hk",)) for b in plain), CFG.angles,
+                               per_batch_hook=lambda bj, bounds, counts: seen.append(counts))["hk"]
+        np.testing.assert_array_equal(b.h_bits, a.h_bits)
+        np.testing.assert_array_equal(b.points, a.points)
+        np.testing.assert_array_equal(b.vertices, a.vertices)
+        assert b.meta["laws_enumerated"] == 2 * a.meta["laws_enumerated"]
+        assert sum(int(c.sum()) for c in seen) == b.meta["laws_enumerated"]
+        assert all((c % 2 == 0).all() for c in seen)
+
     def test_regions_sharing_a_scheme_see_only_their_batches(self):
         ch = random_channel(6, (2, 2, 2, 2))
         batches = list(scheme_family(ch, "semijoint", CFG))

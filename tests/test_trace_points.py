@@ -53,6 +53,17 @@ def test_gaussian_region_work_reaches_traced_names():
     assert tr.counts["gaussian.mi_calls"] > 0
 
 
+def test_traced_region_counts_every_law():
+    # The engine scores each distinct law once; the tracer still sees them all.
+    ch = random_channel(3, (2, 2, 2, 2))
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        region = icrates.regions.region_scheme(ch, "hk", cfg)
+    assert tr.counts["regions.laws"] == region.meta["laws_enumerated"] > 0
+
+
 def test_traced_ascent_counts_and_keeps_reports():
     ch = random_channel(7, (2, 2, 2, 2))
     cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icrates import sumcap, verify
 from icrates import (
     OneSided,
     SearchConfig,
@@ -115,6 +116,31 @@ class TestSuites:
         out = verify_one_sided_reduction(trials=2, seed=7, cfg=CFG)
         assert out.ok
         assert all(r["w1_crossoutput_mi_worst_bits"] <= 1e-9 for r in out.records)
+
+    @pytest.mark.parametrize(
+        "suite", ["very_weak_regions", "strong_y2_regions", "one_sided_regions"])
+    def test_region_suites_count_every_law(self, suite, monkeypatch):
+        spec = verify._REGION_SUITES[suite]
+        ch = generate_regime_channel(spec.regime, 7 * 1000, CFG)
+        enumerated = sum(len(batch["pw1"]) for batch, _ in spec.family(ch, CFG))
+        clean = run_suite(suite, trials=1, seed=7, cfg=CFG, tol=5e-3).records[0]
+        # Every relation fails at every law: each law counts once as a violation.
+        monkeypatch.setattr(verify, "_excess", lambda bounds, rel: np.ones(len(bounds[rel[0]])))
+        broken = run_suite(suite, trials=1, seed=7, cfg=CFG, tol=5e-3).records[0]
+        assert clean["laws_checked"] == broken["laws_checked"] == enumerated
+        assert broken["per_law_violations"] == enumerated * len(spec.relations)
+
+    def test_sumrate_collapse_searches_tin_once_per_trial(self, monkeypatch):
+        calls = []
+        search = sumcap._tin_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(sumcap, "_tin_search", counted)
+        verify_sumrate_collapse(trials=2, seed=2026)
+        assert len(calls) == 2
 
     def test_gaussian_suite_seed_114(self):
         # Its sample 305 sits just outside the guard band (margin 0.0054).
