@@ -225,8 +225,13 @@ class OneSided(enum.Enum):
     SIDE_B = "side_b"
 
 
-def _factorizes(law: np.ndarray, free_output: int, tol: float) -> bool:
-    """True when the law equals p(own|x1,x2) * p(other|x_own-input) within tol.
+#: Total-variation slack of the one-sidedness test.
+ONE_SIDED_TOL = 1e-9
+
+
+def _factorizes(law: np.ndarray, free_output: int) -> bool:
+    """True when the law equals p(own|x1,x2) * p(other|x_own-input) within
+    :data:`ONE_SIDED_TOL`.
 
     ``free_output = 1`` tests ``p(y1,y2|x1,x2) == p(y1|x1,x2) p(y2|x2)`` (the
     Y2 side sees no cross input); ``free_output = 0`` tests the mirror.
@@ -242,19 +247,19 @@ def _factorizes(law: np.ndarray, free_output: int, tol: float) -> bool:
         cross_dev = 0.5 * np.abs(m2 - m2[:1, :, :]).sum(axis=2).max()
     else:
         cross_dev = 0.5 * np.abs(m1 - m1[:, :1, :]).sum(axis=2).max()
-    return bool(ci_dev <= tol and cross_dev <= tol)
+    return bool(ci_dev <= ONE_SIDED_TOL and cross_dev <= ONE_SIDED_TOL)
 
 
-def is_one_sided(ch: DiscreteIC, tol: float = 1e-9) -> OneSided:
+def is_one_sided(ch: DiscreteIC) -> OneSided:
     """Structural one-sidedness test (exact factorization, not a search).
 
     ``SIDE_A`` means receiver 2 is interference-free
     (``p = p(y1|x1,x2) p(y2|x2)``); ``SIDE_B`` is the mirror.  When both hold
     (fully product channels) ``SIDE_A`` is reported.
     """
-    if _factorizes(ch.law.values, free_output=1, tol=tol):
+    if _factorizes(ch.law.values, free_output=1):
         return OneSided.SIDE_A
-    if _factorizes(ch.law.values, free_output=0, tol=tol):
+    if _factorizes(ch.law.values, free_output=0):
         return OneSided.SIDE_B
     return OneSided.NONE
 

@@ -15,10 +15,11 @@ of the union.
 
 Family enumeration is a coverage/cost compromise: a composition grid over
 every simplex factor, plus seeded random draws, plus derived members that
-are always legal points of the same family (collapsed auxiliary layers,
-identity ``W = X`` lifts, and the interference-as-noise maximizer).  The
-derived members cost little and make finite-resolution comparisons between
-equivalent schemes sharp.
+are always legal points of the same family: :func:`relayer` replaces one
+user's W layer by a constant or by ``W = X`` at the same X marginal, and
+:func:`product_laws` builds the product laws, among them the
+interference-as-noise maximizer.  The derived members cost little and make
+finite-resolution comparisons between equivalent schemes sharp.
 
 The reduced families used by ``hk_strong_y2`` and ``one_sided`` carry no W1
 layer at all: the union runs over ``P(X1) P(W2) P(X2|W2)``, with X1 entering
@@ -27,6 +28,7 @@ directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -44,18 +46,10 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import split_system
-from .probtensor import (
-    BatchJoint,
-    InfoQuery,
-    ProbTensor,
-    Term,
-    compose_joint,
-    mutual_information,
-    require_valid,
-)
+from .probtensor import BatchJoint, ProbTensor, Term, require_valid
 from .probtensor import term as _T  # table shorthand
 from .regimes import SearchConfig, _product_blocks
-from .search import SimplexBlock, iter_grid_batches, shrink_to_budget
+from .search import CHUNK, SimplexBlock, iter_grid_batches, shrink_to_budget
 from .sumcap import ProductInput, tin_sumrate
 
 SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
@@ -63,7 +57,6 @@ SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capaci
 ALLOWED_DIRS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
 _FEAS_TOL = 1e-12
-_CHUNK = 4096
 
 # Constraint: (c1, c2, terms); bound = sum of the terms' MI values.
 Constraint = tuple[int, int, tuple[Term, ...]]
@@ -466,8 +459,7 @@ def table_bounds(table: Sequence[Constraint], mi: Callable[..., object]) -> np.n
 
 
 def _polytope_from_table(ch: DiscreteIC, d: AuxInputDist, table: Sequence[Constraint]) -> RatePolytope:
-    joint = compose_joint(d, ch)
-    bounds = table_bounds(table, lambda *term: mutual_information(joint, InfoQuery.of(*term)))
+    bounds = table_bounds(table, batch_joint(ch, dist_batch_from_aux([d])).mi)
     return RatePolytope(tuple((c1, c2, b) for (c1, c2, _), b in zip(table, bounds[0])))
 
 
@@ -550,64 +542,37 @@ def dist_batch_from_aux(dists: Sequence[AuxInputDist]) -> DistBatch:
     }
 
 
-def collapse_w1(batch: DistBatch) -> DistBatch:
-    """Replace the W1 layer by its X1 marginal (a legal family member)."""
-    px1 = np.einsum("bw,bwi->bi", batch["pw1"], batch["px1w1"])
-    B = px1.shape[0]
-    return {
-        "pw1": np.ones((B, 1)),
-        "px1w1": px1[:, np.newaxis, :],
-        "pw2": batch["pw2"],
-        "px2w2": batch["px2w2"],
-    }
+def product_laws(px1: np.ndarray, px2: np.ndarray) -> DistBatch:
+    """Product input laws ``[B, |X1|]`` x ``[B, |X2|]`` with constant W layers."""
+    ones = np.ones((px1.shape[0], 1))
+    return {"pw1": ones, "px1w1": px1[:, np.newaxis, :], "pw2": ones, "px2w2": px2[:, np.newaxis, :]}
 
 
-def collapse_w2(batch: DistBatch) -> DistBatch:
-    px2 = np.einsum("bw,bwj->bj", batch["pw2"], batch["px2w2"])
-    B = px2.shape[0]
-    return {
-        "pw1": batch["pw1"],
-        "px1w1": batch["px1w1"],
-        "pw2": np.ones((B, 1)),
-        "px2w2": px2[:, np.newaxis, :],
-    }
+def relayer(batch: DistBatch, side: int, identity: bool = False) -> DistBatch:
+    """User ``side``'s W layer replaced at the same X marginal: by a constant
+    layer, or by ``W = X`` when ``identity`` is set.
 
-
-def lift_w1_from_marginal(batch: DistBatch) -> DistBatch:
-    """Replace the W1 layer by the identity layer ``W1 = X1`` at the same
-    X1 marginal (a legal family member for any batch)."""
-    px1 = np.einsum("bw,bwi->bi", batch["pw1"], batch["px1w1"])
-    B, nx1 = px1.shape
-    return {
-        "pw1": px1,
-        "px1w1": np.broadcast_to(np.eye(nx1), (B, nx1, nx1)).copy(),
-        "pw2": batch["pw2"],
-        "px2w2": batch["px2w2"],
-    }
-
-
-def lift_wx(px1: np.ndarray, px2: np.ndarray, side1: bool = True, side2: bool = True) -> DistBatch:
-    """Identity lifts ``W_i = X_i`` of a batch of product input laws."""
-    B, nx1 = px1.shape
-    nx2 = px2.shape[1]
-    if side1:
-        pw1 = px1
-        px1w1 = np.broadcast_to(np.eye(nx1), (B, nx1, nx1)).copy()
+    Both are legal members of any family that holds the batch; the other
+    user's layer is kept as it is.
+    """
+    pw, pxw = f"pw{side}", f"px{side}w{side}"
+    px = np.einsum("bw,bwi->bi", batch[pw], batch[pxw])
+    B, nx = px.shape
+    if identity:
+        layer = {pw: px, pxw: np.broadcast_to(np.eye(nx), (B, nx, nx)).copy()}
     else:
-        pw1 = np.ones((B, 1))
-        px1w1 = px1[:, np.newaxis, :]
-    if side2:
-        pw2 = px2
-        px2w2 = np.broadcast_to(np.eye(nx2), (B, nx2, nx2)).copy()
-    else:
-        pw2 = np.ones((B, 1))
-        px2w2 = px2[:, np.newaxis, :]
-    return {"pw1": pw1, "px1w1": px1w1, "pw2": pw2, "px2w2": px2w2}
+        layer = {pw: np.ones((B, 1)), pxw: px[:, np.newaxis, :]}
+    return {**batch, **layer}
 
 
-def _product_grid(ch: DiscreteIC, cfg: SearchConfig, chunk: int = _CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    for _, batch in iter_grid_batches(_product_blocks(ch, cfg), chunk):
-        yield batch["px1"][:, 0, :], batch["px2"][:, 0, :]
+def common_layers(batch: DistBatch) -> DistBatch:
+    """Full common layers ``W1 = X1`` and ``W2 = X2`` at the batch's X marginals."""
+    return relayer(relayer(batch, 1, identity=True), 2, identity=True)
+
+
+def _product_grid(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[DistBatch]:
+    for _, batch in iter_grid_batches(_product_blocks(ch, cfg), CHUNK):
+        yield product_laws(batch["px1"][:, 0, :], batch["px2"][:, 0, :])
 
 
 def _layered_blocks(ch: DiscreteIC, cfg: SearchConfig, nw1: int, nw2: int) -> list[SimplexBlock]:
@@ -633,12 +598,11 @@ def layered_family(
     nw1: int,
     nw2: int,
     *,
-    chunk: int = _CHUNK,
     tag: int = 0,
 ) -> Iterator[DistBatch]:
     """Grid (over ``_layered_blocks``) + seeded random draws over
     ``P(w1) P(w2) P(x1|w1) P(x2|w2)``."""
-    for _, raw in iter_grid_batches(_layered_blocks(ch, cfg, nw1, nw2), chunk):
+    for _, raw in iter_grid_batches(_layered_blocks(ch, cfg, nw1, nw2), CHUNK):
         yield {
             "pw1": raw["pw1"][:, 0, :],
             "px1w1": raw["px1w1"],
@@ -655,17 +619,15 @@ def layered_family(
         }
 
 
-def _tin_anchor(
-    ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The TIN-optimal product input as ``[1, |X1|]`` and ``[1, |X2|]`` anchors.
+def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None) -> DistBatch:
+    """The TIN-optimal product input as a one-law batch.
 
     ``opt`` is that input when the caller already has it from
     ``tin_sumrate(ch, cfg)``; otherwise it is searched here.
     """
     if opt is None:
         opt, _ = tin_sumrate(ch, cfg)
-    return opt.px1[np.newaxis, :], opt.px2[np.newaxis, :]
+    return product_laws(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :])
 
 
 def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, int] | None:
@@ -690,38 +652,34 @@ def scheme_family(
     (see :func:`_tin_anchor`).
     """
     tag = SCHEMES.index(scheme)
-    anchors1, anchors2 = _tin_anchor(ch, cfg, anchor)
-
-    if scheme == "tin":
-        for px1, px2 in _product_grid(ch, cfg):
-            yield lift_wx(px1, px2, side1=False, side2=False)
-        yield lift_wx(anchors1, anchors2, side1=False, side2=False)
-        return
-
-    if scheme == "strong_capacity":
-        for px1, px2 in _product_grid(ch, cfg):
-            yield lift_wx(px1, px2)
-        yield lift_wx(anchors1, anchors2)
-        return
-
-    if scheme in ("hk", "semijoint"):
-        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
-            yield batch
-            yield collapse_w1(batch)
-            yield collapse_w2(batch)
-            yield collapse_w2(collapse_w1(batch))
-        for px1, px2 in _product_grid(ch, cfg):
-            yield lift_wx(px1, px2, side1=False, side2=False)  # interference-as-noise laws
-            yield lift_wx(px1, px2)  # full common layers
-        yield lift_wx(anchors1, anchors2, side1=False, side2=False)
-        yield lift_wx(anchors1, anchors2)
-        return
+    tin_law = _tin_anchor(ch, cfg, anchor)
 
     if scheme in ("hk_strong_y2", "one_sided"):
         for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
             yield batch
-            yield collapse_w2(batch)
-        yield lift_wx(anchors1, anchors2, side1=False, side2=False)
+            yield relayer(batch, 2)
+        yield tin_law
+        return
+
+    products = itertools.chain(_product_grid(ch, cfg), [tin_law])
+    if scheme == "tin":
+        yield from products
+        return
+
+    if scheme == "strong_capacity":
+        yield from map(common_layers, products)
+        return
+
+    if scheme in ("hk", "semijoint"):
+        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
+            no_w1 = relayer(batch, 1)
+            yield batch
+            yield no_w1
+            yield relayer(batch, 2)
+            yield relayer(no_w1, 2)
+        for batch in products:
+            yield batch  # interference-as-noise laws
+            yield common_layers(batch)  # full common layers
         return
 
     raise ConfigError("unknown scheme", scheme=scheme)

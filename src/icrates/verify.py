@@ -46,14 +46,11 @@ from .regions import (  # noqa: F401
     _tin_anchor,
     batch_bounds,
     batch_joint,
-    collapse_w1,
-    collapse_w2,
     hausdorff_support_gap,
     layered_family,
-    lift_w1_from_marginal,
-    lift_wx,
     max_sumrate,
     region_scheme,
+    relayer,
     scheme_family,
     table_bounds,
     union_over_batches,
@@ -66,6 +63,12 @@ GENERATOR_CAVEAT = (
 )
 
 _REGIME_TAGS = {"very_weak": 101, "strong_y2": 102, "strong_both": 103, "one_sided": 104}
+
+#: Candidates :func:`generate_regime_channel` draws before it gives up.
+MAX_REJECTS = 1000
+
+#: Noisy-regime margin (bits) outside which closed form and search must agree.
+GAUSSIAN_REGIME_GUARD = 5e-3
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,6 @@ def generate_regime_channel(
     seed: int,
     cfg: SearchConfig = SearchConfig(),
     sizes: Sequence[int] | None = None,
-    max_rejects: int = 1000,
 ) -> DiscreteIC:
     """Seeded rejection sampler for channels inside one regime.
 
@@ -281,7 +283,7 @@ def generate_regime_channel(
     if regime not in _REGIME_TAGS:
         raise DimensionMismatchError("unknown regime", regime=regime)
     sizes = tuple(sizes) if sizes is not None else default_sizes(regime)
-    for attempt in range(max_rejects):
+    for attempt in range(MAX_REJECTS):
         rng = np.random.default_rng(
             np.random.SeedSequence([_REGIME_TAGS[regime], int(seed), attempt])
         )
@@ -289,7 +291,7 @@ def generate_regime_channel(
         if _accept(regime, ch, cfg):
             return ch
     raise GenerationExhaustedError(
-        "no acceptable channel found", regime=regime, seed=seed, attempts=max_rejects
+        "no acceptable channel found", regime=regime, seed=seed, attempts=MAX_REJECTS
     )
 
 
@@ -346,13 +348,13 @@ def _strong_y2_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
     def laws() -> Iterator[DistBatch]:
         yield from layered_family(ch, cfg, cfg.card_w(ch.nx1), nw2, tag=31)
         yield from layered_family(ch, cfg, 1, nw2, tag=32)
-        yield lift_wx(*_tin_anchor(ch, cfg), side1=False, side2=False)
+        yield _tin_anchor(ch, cfg)
 
     both = ("hk", "hk_strong_y2")
     for batch in laws():
         yield batch, both
-        yield lift_w1_from_marginal(batch), both
-        yield lift_w1_from_marginal(collapse_w2(batch)), both
+        yield relayer(batch, 1, identity=True), both
+        yield relayer(relayer(batch, 2), 1, identity=True), both
 
 
 def _one_sided_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
@@ -362,10 +364,10 @@ def _one_sided_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
     every = ("full", "forced", "reduced")
     for batch in layered_family(ch, cfg, cfg.card_w(ch.nx1), nw2, tag=41):
         yield batch, ("full", "reduced")
-        yield collapse_w1(batch), every
+        yield relayer(batch, 1), every
     for batch in layered_family(ch, cfg, 1, nw2, tag=42):
         yield batch, every
-    yield lift_wx(*_tin_anchor(ch, cfg), side1=False, side2=False), every
+    yield _tin_anchor(ch, cfg), every
 
 
 _REGION_SUITES: dict[str, RegionSuite] = {
@@ -570,19 +572,16 @@ def verify_one_sided_reduction(
     return _run_region_suite("one_sided_regions", trials, seed, cfg, tol)
 
 
-def verify_gaussian_regimes(
-    samples: int = 1000,
-    seed: int = 0,
-    guard: float = 5e-3,
-) -> VerifyOutcome:
+def verify_gaussian_regimes(samples: int = 1000, seed: int = 0) -> VerifyOutcome:
     """Noisy-interference regime is strictly inside the very-weak regime.
 
     Over log-uniform draws of ``(a, b, P1, P2)``: every noisy-regime point
     must satisfy the very-weak conditions; at least one sampled point must
     witness strictness (very weak but not noisy); the closed-form noisy
     test must agree with the independent certificate search (outside a
-    ``guard`` band around the boundary); and the closed-form sum capacity
-    must equal the Gaussian TIN value on in-regime points.
+    :data:`GAUSSIAN_REGIME_GUARD` band around the boundary); and the
+    closed-form sum capacity must equal the Gaussian TIN value on in-regime
+    points.
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x6A55, seed]))
     gains = 10.0 ** rng.uniform(-2.0, 0.5, size=(samples, 2))
@@ -611,7 +610,7 @@ def verify_gaussian_regimes(
         if vw.in_regime and not noisy.in_regime and witness is None:
             witness = {"a": g.a, "b": g.b, "p1": g.p1, "p2": g.p2,
                        "noisy_margin": noisy.margin}
-        if abs(noisy.margin) > guard and noisy.in_regime != noisy.search_feasible:
+        if abs(noisy.margin) > GAUSSIAN_REGIME_GUARD and noisy.in_regime != noisy.search_feasible:
             fail(i, g, "search_disagreement", margin=noisy.margin)
     if witness is None:
         records.append({"kind": "no_strictness_witness", "failed": True})
@@ -625,7 +624,7 @@ def verify_gaussian_regimes(
         tolerance=0.0,
         records=tuple(records),
         config={"seed": seed, "samples": samples, "noisy_in_regime_count": n_noisy,
-                "guard": guard},
+                "guard": GAUSSIAN_REGIME_GUARD},
         caveat="",
     )
 

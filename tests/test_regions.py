@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icrates import regions
+from icrates import regions, sumcap
 from icrates import (
     AuxInputDist,
     DiscreteIC,
@@ -41,10 +41,11 @@ from icrates.regions import (
     SupportAccumulator,
     batch_bounds,
     batch_joint,
-    collapse_w1,
-    collapse_w2,
+    common_layers,
     dist_batch_from_aux,
     merged_dirs_bounds,
+    product_laws,
+    relayer,
     scheme_family,
     table_bounds,
     table_for_scheme,
@@ -409,13 +410,6 @@ class TestStrongBothInclusion:
         # polytope is contained in the identity-layer polytope at the same
         # input marginals, so the W=X union covers the semijoint union when
         # built over the collapsed marginals of the same family.
-        from icrates.regions import (
-            SupportAccumulator,
-            lift_wx,
-            merged_dirs_bounds,
-            scheme_family,
-        )
-
         cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2, seed=2)
         ch = generate_regime_channel("strong_both", 0, cfg)
         table = table_for_scheme("semijoint")
@@ -426,15 +420,20 @@ class TestStrongBothInclusion:
             bounds = batch_bounds(bj, table)
             dirs, merged = merged_dirs_bounds(table, bounds)
             acc_sj.add(dirs, merged)
-            px1 = np.einsum("bw,bwi->bi", batch["pw1"], batch["px1w1"])
-            px2 = np.einsum("bw,bwj->bj", batch["pw2"], batch["px2w2"])
-            bj_wx = batch_joint(ch, lift_wx(px1, px2))
+            bj_wx = batch_joint(ch, common_layers(batch))
             bounds_wx = batch_bounds(bj_wx, table)
             dirs, merged = merged_dirs_bounds(table, bounds_wx)
             acc_wx.add(dirs, merged)
         region_sj = acc_sj.finalize()
         region_wx = acc_wx.finalize()
         assert includes(region_wx, region_sj, tol=1e-9)
+
+
+def oracle_bounds(ch, d, table):
+    """Clamped bounds of one law from its dense joint and the scalar MI."""
+    joint = compose_joint(d, ch)
+    return [max(sum(mutual_information(joint, InfoQuery.of(*term)) for term in terms), 0.0)
+            for _, _, terms in table]
 
 
 class TestBatchConsistency:
@@ -446,10 +445,94 @@ class TestBatchConsistency:
             ("hk", polytope_hk),
             ("semijoint", polytope_semijoint),
         ):
-            bounds = batch_bounds(bj, table_for_scheme(scheme))
+            table = table_for_scheme(scheme)
+            bounds = batch_bounds(bj, table)
             for row, d in enumerate(dists):
+                want = oracle_bounds(ch, d, table)
+                np.testing.assert_allclose(bounds[row], want, rtol=0, atol=1e-12)
                 single = [b for _, _, b in builder(ch, d).constraints]
-                np.testing.assert_allclose(bounds[row], single, atol=1e-12)
+                np.testing.assert_allclose(single, want, rtol=0, atol=1e-12)
+
+    def test_reduced_polytopes_match_dense_oracle(self):
+        rng = np.random.default_rng(4)
+        one_sided = DiscreteIC.from_array(np.einsum(
+            "abi,bj->abij", rng.dirichlet(np.ones(2), size=(2, 2)), rng.dirichlet(np.ones(3), size=2)))
+        cases = (
+            (random_channel(3, (2, 2, 2, 2)), "hk_strong_y2", polytope_hk_strong_y2),
+            (one_sided, "one_sided", polytope_one_sided),
+        )
+        for ch, scheme, builder in cases:
+            for seed in range(3):
+                d = random_aux(seed, nw1=1, nx2=ch.nx2)
+                single = [b for _, _, b in builder(ch, d).constraints]
+                want = oracle_bounds(ch, d, table_for_scheme(scheme))
+                np.testing.assert_allclose(single, want, rtol=0, atol=1e-12)
+
+    def test_polytope_size_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            polytope_hk(random_channel(3, (2, 3, 2, 2)), random_aux(0))
+
+
+class TestDerivedMembers:
+    @staticmethod
+    def layered_batch():
+        rng = np.random.default_rng(9)
+        return {
+            "pw1": rng.dirichlet(np.ones(2), size=5),
+            "px1w1": rng.dirichlet(np.ones(2), size=(5, 2)),
+            "pw2": rng.dirichlet(np.ones(3), size=5),
+            "px2w2": rng.dirichlet(np.ones(3), size=(5, 3)),
+        }
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_relayer_writes_one_layer(self, side, identity):
+        batch = self.layered_batch()
+        out = relayer(batch, side, identity)
+        other = 3 - side
+        for key in (f"pw{other}", f"px{other}w{other}"):
+            assert (out[key] == batch[key]).all()
+        px = np.einsum("bw,bwi->bi", batch[f"pw{side}"], batch[f"px{side}w{side}"])
+        B, nx = px.shape
+        pw, pxw = out[f"pw{side}"], out[f"px{side}w{side}"]
+        if identity:
+            assert (pw == px).all()
+            assert (pxw == np.broadcast_to(np.eye(nx), (B, nx, nx))).all()
+        else:
+            assert (pw == np.ones((B, 1))).all()
+            assert (pxw == px[:, np.newaxis, :]).all()
+
+    def test_common_layers_of_product_laws_keep_marginals_exactly(self):
+        rng = np.random.default_rng(2)
+        px1, px2 = rng.dirichlet(np.ones(3), size=7), rng.dirichlet(np.ones(2), size=7)
+        out = common_layers(product_laws(px1, px2))
+        assert (out["pw1"] == px1).all() and (out["pw2"] == px2).all()
+        assert (out["px1w1"] == np.eye(3)).all() and (out["px2w2"] == np.eye(2)).all()
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_relayer_keeps_entropies_without_its_layer(self, side, identity):
+        ch = random_channel(4, (2, 3, 2, 3))
+        batch = self.layered_batch()
+        before = batch_joint(ch, batch)
+        after = batch_joint(ch, relayer(batch, side, identity))
+        subsets = [s for s in table_subsets() if f"W{side}" not in s]
+        assert subsets
+        for s in subsets:
+            np.testing.assert_allclose(after.entropy(s), before.entropy(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", regions.SCHEMES)
+    def test_one_tin_search_per_family(self, scheme, monkeypatch):
+        calls = []
+        search = sumcap._tin_search
+        monkeypatch.setattr(sumcap, "_tin_search", lambda *a, **k: calls.append(1) or search(*a, **k))
+        ch = random_channel(3, (2, 2, 2, 2))
+        list(scheme_family(ch, scheme, CFG))
+        assert len(calls) == 1
+        opt, _ = sumcap.tin_sumrate(ch, CFG)
+        calls.clear()
+        list(scheme_family(ch, scheme, CFG, anchor=opt))
+        assert calls == []
 
 
 def dense_batch_joint(ch, batch):
@@ -512,7 +595,7 @@ class TestChannelKernel:
         subsets = table_subsets()
         family = list(scheme_family(ch, "hk", CFG))  # |W| = 1, 2 and W = X lifts
         family.append(zero_entry_batch(ch.nx1, ch.nx2))
-        for batch in [*family, collapse_w1(family[-1]), collapse_w2(family[-1])]:
+        for batch in [*family, relayer(family[-1], 1), relayer(family[-1], 2)]:
             bj = batch_joint(ch, batch)
             dense = dense_batch_joint(ch, batch)
             for s in subsets:

@@ -75,3 +75,16 @@ def test_traced_ascent_counts_and_keeps_reports():
     assert tr.counts["search.project_calls"] > 0
     assert tr.counts["search.ascent_evals"] > 0
     assert [r.to_json_dict() for r in traced] == [r.to_json_dict() for r in plain]
+
+
+def test_traced_suite_family_counts_every_law():
+    # The suite families build their derived members through regions.relayer;
+    # tracing them must change no document and still count every law.
+    cfg = SearchConfig(grid_steps=2, cond_grid_steps=1, restarts=1, aux_card_w=2)
+    plain = icrates.verify.verify_strong_y2_equivalence(trials=1, seed=3, cfg=cfg)
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        traced = icrates.verify.verify_strong_y2_equivalence(trials=1, seed=3, cfg=cfg)
+    assert traced.to_json_dict() == plain.to_json_dict()
+    assert tr.counts["regions.laws"] == traced.records[0]["laws_checked"] > 0
