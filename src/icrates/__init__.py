@@ -35,7 +35,6 @@ from .regimes import (
     NO_VIOLATION_FOUND,
     VIOLATED,
     RegimeReport,
-    SearchConfig,
     check_noisy_gaussian,
     check_strong_at_y2,
     check_strong_both,
@@ -59,6 +58,7 @@ from .regions import (
     region_scheme,
     union_region,
 )
+from .search import SearchConfig
 from .sumcap import (
     ProductInput,
     SumCapacityCertificate,

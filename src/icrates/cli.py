@@ -27,13 +27,13 @@ from .channels import (
 from .errors import IcError
 from .gaussian import CERTIFICATE_SEARCH_POINTS, GaussianNoisyReport, GaussianVeryWeakReport
 from .regimes import (
-    SearchConfig,
     check_noisy_gaussian,
     check_strong_both,
     check_very_weak,
     check_very_weak_gaussian,
 )
 from .regions import GAUSSIAN_SCHEMES, SCHEMES, RateRegion, region_gaussian, region_scheme
+from .search import SearchConfig
 from .serialize import frontier_csv, stable_json_dumps
 from .sumcap import certify_sum_capacity, gaussian_noisy_sumcap, outer_bound, tin_sumrate
 from .verify import SUITE_CONFIG, SUITES, run_suite
@@ -203,7 +203,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args, SUITE_CONFIG)
+    # --tol is the suite tolerance; the channel generator keeps its own.
+    cfg = dataclasses.replace(_config(args, SUITE_CONFIG), violation_tol=SUITE_CONFIG.violation_tol)
     outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,
                         tol=args.violation_tol)
     doc = {"command": "verify", **outcome.to_json_dict()}

@@ -19,13 +19,12 @@ resolution increases monotone: the old witness is always re-tested.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .channels import DiscreteIC, GaussianIC
-from .errors import ConfigError
 from .gaussian import (
     CERTIFICATE_SEARCH_POINTS,
     GaussianNoisyReport,
@@ -35,58 +34,10 @@ from .gaussian import (
 )
 from .probtensor import BatchJoint, ProbTensor, Term
 from .probtensor import term as _T  # table shorthand
-from .search import Point, SearchResult, SimplexBlock, maximize
+from .search import SearchConfig, SearchResult, SimplexBlock, maximize
 
 VIOLATED = "VIOLATED"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Resolution and determinism knobs shared by all searches.
-
-    ``grid_steps`` controls marginal simplices, ``cond_grid_steps``
-    conditional ones.  ``aux_card_w`` / ``aux_card_u`` default to
-    ``|X_i| + 1`` and ``|X1|*|X2|`` when left unset.  ``max_candidates``
-    bounds full grid enumeration; blocks are coarsened (largest first) to
-    fit, and the effective resolution is reported alongside every result.
-    """
-
-    grid_steps: int = 8
-    cond_grid_steps: int = 4
-    restarts: int = 4
-    aux_card_w: int | None = None
-    aux_card_u: int | None = None
-    seed: int = 0
-    violation_tol: float = 1e-6
-    angles: int = 91
-    max_candidates: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.grid_steps < 2:
-            raise ConfigError("grid_steps must be >= 2", grid_steps=self.grid_steps)
-        if self.cond_grid_steps < 1:
-            raise ConfigError("cond_grid_steps must be >= 1",
-                              cond_grid_steps=self.cond_grid_steps)
-        if self.restarts < 0:
-            raise ConfigError("restarts must be >= 0", restarts=self.restarts)
-        if self.aux_card_w is not None and self.aux_card_w < 1:
-            raise ConfigError("aux_card_w must be >= 1", aux_card_w=self.aux_card_w)
-        if self.aux_card_u is not None and self.aux_card_u < 1:
-            raise ConfigError("aux_card_u must be >= 1", aux_card_u=self.aux_card_u)
-        if self.violation_tol <= 0:
-            raise ConfigError("violation_tol must be > 0", violation_tol=self.violation_tol)
-        if self.angles < 2:
-            raise ConfigError("angles must be >= 2", angles=self.angles)
-
-    def card_w(self, nx: int) -> int:
-        return self.aux_card_w if self.aux_card_w is not None else nx + 1
-
-    def card_u(self, nx1: int, nx2: int) -> int:
-        return self.aux_card_u if self.aux_card_u is not None else nx1 * nx2
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -237,24 +188,26 @@ def evaluate_condition_margin(ch: DiscreteIC, condition: str, witness: Mapping[s
     return evaluate_objective(condition, ch.law, witness)
 
 
+def search_objective(
+    name: str,
+    ch: DiscreteIC,
+    law: ProbTensor,
+    cfg: SearchConfig,
+    extra_candidates: Iterable[Mapping[str, np.ndarray]] = (),
+) -> SearchResult:
+    """Maximize ``OBJECTIVES[name]`` over the search laws times ``law`` at the
+    resolution of ``cfg``; every regime, TIN and genie search runs here."""
+    blocks = OBJECTIVES[name][0].blocks(ch, cfg)
+    return maximize(objective(name, law), blocks, cfg, extra_candidates=extra_candidates)
+
+
 def _run_condition(
     ch: DiscreteIC,
     cfg: SearchConfig,
     condition: str,
     prior_witnesses: Iterable[Mapping[str, np.ndarray]] = (),
 ) -> RegimeReport:
-    extra: list[Point] = [
-        {k: np.asarray(v, dtype=np.float64) for k, v in w.items()} for w in prior_witnesses
-    ]
-    result = maximize(
-        objective(condition, ch.law),
-        OBJECTIVES[condition][0].blocks(ch, cfg),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-        budget=cfg.max_candidates,
-        extra_candidates=extra,
-    )
-    return _report(condition, result, cfg)
+    return _report(condition, search_objective(condition, ch, ch.law, cfg, prior_witnesses), cfg)
 
 
 def check_very_weak(

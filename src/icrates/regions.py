@@ -48,8 +48,8 @@ from .errors import (
 from .gaussian import split_system
 from .probtensor import BatchJoint, ProbTensor, Term, require_valid
 from .probtensor import term as _T  # table shorthand
-from .regimes import SearchConfig, _product_blocks
-from .search import CHUNK, SimplexBlock, iter_grid_batches, shrink_to_budget
+from .regimes import _product_blocks
+from .search import CHUNK, SearchConfig, SimplexBlock, iter_grid_batches, shrink_to_budget
 from .sumcap import ProductInput, tin_sumrate
 
 SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
@@ -155,20 +155,6 @@ class AuxInputDist:
     @property
     def nx2(self) -> int:
         return self.px2_given_w2.shape[1]
-
-    @classmethod
-    def product(cls, px1: np.ndarray, px2: np.ndarray) -> "AuxInputDist":
-        """Degenerate layers: W1 and W2 are constants."""
-        return cls(np.ones(1), np.ones(1),
-                   np.asarray(px1, dtype=np.float64)[np.newaxis, :],
-                   np.asarray(px2, dtype=np.float64)[np.newaxis, :])
-
-    @classmethod
-    def identity_w(cls, px1: np.ndarray, px2: np.ndarray) -> "AuxInputDist":
-        """Full common layers: W1 = X1 and W2 = X2."""
-        px1 = np.asarray(px1, dtype=np.float64)
-        px2 = np.asarray(px2, dtype=np.float64)
-        return cls(px1, px2, np.eye(px1.size), np.eye(px2.size))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +298,8 @@ def _pareto_prune(rows: np.ndarray) -> np.ndarray:
 
 
 def _angle_grid(angles: int) -> tuple[np.ndarray, np.ndarray]:
+    if angles < 2:
+        raise ConfigError("angles must be >= 2", angles=angles)
     theta = np.linspace(0.0, 90.0, angles)
     rad = np.radians(theta)
     u = np.stack([np.cos(rad), np.sin(rad)], axis=1)
@@ -570,8 +558,13 @@ def common_layers(batch: DistBatch) -> DistBatch:
     return relayer(relayer(batch, 1, identity=True), 2, identity=True)
 
 
+def _product_grid_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
+    """Grid blocks of ``_product_grid``, coarsened to ``cfg.max_candidates``."""
+    return shrink_to_budget(_product_blocks(ch, cfg), cfg.max_candidates)
+
+
 def _product_grid(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[DistBatch]:
-    for _, batch in iter_grid_batches(_product_blocks(ch, cfg), CHUNK):
+    for _, batch in iter_grid_batches(_product_grid_blocks(ch, cfg), CHUNK):
         yield product_laws(batch["px1"][:, 0, :], batch["px2"][:, 0, :])
 
 
@@ -641,6 +634,17 @@ def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, i
     if scheme in ("hk_strong_y2", "one_sided"):
         return 1, cfg.card_w(ch.nx2)
     return None
+
+
+def _family_grids(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> list[list[SimplexBlock]]:
+    """The blocks of every grid ``scheme_family`` scans for ``scheme``: the
+    layered grid of the layered schemes, and the product grid of all but the
+    reduced ones."""
+    cards = _layer_cards(ch, scheme, cfg)
+    grids = [] if cards is None else [_layered_blocks(ch, cfg, *cards)]
+    if scheme not in ("hk_strong_y2", "one_sided"):
+        grids.append(_product_grid_blocks(ch, cfg))
+    return grids
 
 
 def scheme_family(
@@ -785,10 +789,9 @@ def region_scheme(
         "restarts": cfg.restarts,
         "seed": cfg.seed,
     })
-    cards = _layer_cards(ch, scheme, cfg)
-    if cards is not None:
-        blocks = _layered_blocks(ch, cfg, *cards)
-        region.meta["effective_steps"] = dict(sorted((b.name, b.steps) for b in blocks))
+    region.meta["effective_steps"] = dict(sorted(
+        (b.name, b.steps) for grid in _family_grids(ch, scheme, cfg) for b in grid
+    ))
     return region
 
 

@@ -24,7 +24,7 @@ re-evaluating that point reproduces it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -51,6 +51,57 @@ MAX_NEAR = 16
 
 Objective = Callable[[Mapping[str, np.ndarray]], np.ndarray]
 Point = dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Resolution and determinism knobs shared by all searches.
+
+    ``grid_steps`` controls marginal simplices, ``cond_grid_steps``
+    conditional ones.  ``aux_card_w`` / ``aux_card_u`` default to
+    ``|X_i| + 1`` and ``|X1|*|X2|`` when left unset.  ``max_candidates``
+    bounds every full grid enumeration, searches and region product grids
+    alike; blocks are coarsened (largest first) to fit, and the effective
+    resolution is reported alongside every result.
+    """
+
+    grid_steps: int = 8
+    cond_grid_steps: int = 4
+    restarts: int = 4
+    aux_card_w: int | None = None
+    aux_card_u: int | None = None
+    seed: int = 0
+    violation_tol: float = 1e-6
+    angles: int = 91
+    max_candidates: int = 200_000
+
+    def __post_init__(self) -> None:
+        if self.grid_steps < 2:
+            raise ConfigError("grid_steps must be >= 2", grid_steps=self.grid_steps)
+        if self.cond_grid_steps < 1:
+            raise ConfigError("cond_grid_steps must be >= 1",
+                              cond_grid_steps=self.cond_grid_steps)
+        if self.restarts < 0:
+            raise ConfigError("restarts must be >= 0", restarts=self.restarts)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", seed=self.seed)
+        if self.aux_card_w is not None and self.aux_card_w < 1:
+            raise ConfigError("aux_card_w must be >= 1", aux_card_w=self.aux_card_w)
+        if self.aux_card_u is not None and self.aux_card_u < 1:
+            raise ConfigError("aux_card_u must be >= 1", aux_card_u=self.aux_card_u)
+        if self.violation_tol <= 0:
+            raise ConfigError("violation_tol must be > 0", violation_tol=self.violation_tol)
+        if self.angles < 2:
+            raise ConfigError("angles must be >= 2", angles=self.angles)
+
+    def card_w(self, nx: int) -> int:
+        return self.aux_card_w if self.aux_card_w is not None else nx + 1
+
+    def card_u(self, nx1: int, nx2: int) -> int:
+        return self.aux_card_u if self.aux_card_u is not None else nx1 * nx2
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -228,21 +279,21 @@ class SearchResult:
 def maximize(
     objective: Objective,
     blocks: Sequence[SimplexBlock],
+    cfg: SearchConfig,
     *,
-    seed: int = 0,
-    restarts: int = 4,
-    budget: int = 200_000,
-    chunk: int = CHUNK,
     extra_candidates: Iterable[Point] = (),
+    chunk: int = CHUNK,
 ) -> SearchResult:
     """Grid scan + multistart refinement; returns the best point found and
     its value scored alone, which re-evaluation reproduces exactly.
 
-    ``extra_candidates`` (for example, witnesses from an earlier lower
-    resolution run) are both re-scored and used as ascent starts, so the
-    returned value never falls below a re-tested prior witness.
+    The grid is coarsened to ``cfg.max_candidates``, and ``cfg.restarts``
+    random starts are drawn from ``cfg.seed``.  ``extra_candidates`` (for
+    example, witnesses from an earlier lower resolution run) are both
+    re-scored and used as ascent starts, so the returned value never falls
+    below a re-tested prior witness.
     """
-    eff_blocks = shrink_to_budget(blocks, budget)
+    eff_blocks = shrink_to_budget(blocks, cfg.max_candidates)
     n_evaluated = 0
 
     best_val = -math.inf
@@ -276,8 +327,8 @@ def maximize(
         consider(_score(objective, eff_blocks, point), point)
         n_evaluated += 1
         starts.append(point)
-    rng = np.random.default_rng(np.random.SeedSequence([0x5EA2C4, seed]))
-    for _ in range(restarts):
+    rng = np.random.default_rng(np.random.SeedSequence([0x5EA2C4, cfg.seed]))
+    for _ in range(cfg.restarts):
         starts.append({b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in eff_blocks})
 
     for start in starts:

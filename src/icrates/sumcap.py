@@ -27,14 +27,14 @@ from .gaussian import noisy_sum_capacity
 from .probtensor import MASS_TOL, ProbTensor, require_valid
 from .regimes import (
     NO_VIOLATION_FOUND,
-    OBJECTIVES,
     RegimeReport,
-    SearchConfig,
     _report,
     evaluate_objective,
     objective,
+    search_objective,
 )
-from .search import Point, SearchResult, maximize
+# maximize is unused here; icbench/tracing.py patches it.
+from .search import Point, SearchConfig, SearchResult, maximize  # noqa: F401
 
 CERTIFIED = "CERTIFIED"
 OUTER_ONLY = "OUTER_ONLY"
@@ -81,24 +81,6 @@ def _coupled_law(ch: DiscreteIC, vc: VirtualCoupling) -> ProbTensor:
     return vc.joint_law
 
 
-def _search(
-    name: str,
-    ch: DiscreteIC,
-    law: ProbTensor,
-    cfg: SearchConfig,
-    extra_candidates: Iterable[ProductInput] = (),
-) -> SearchResult:
-    """Maximize ``OBJECTIVES[name]`` over ``law`` at the resolution of ``cfg``."""
-    return maximize(
-        objective(name, law),
-        OBJECTIVES[name][0].blocks(ch, cfg),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-        budget=cfg.max_candidates,
-        extra_candidates=[_point_of(p) for p in extra_candidates],
-    )
-
-
 def tin_sumrate(
     ch: DiscreteIC,
     cfg: SearchConfig = SearchConfig(),
@@ -118,7 +100,7 @@ def _tin_search(
     cfg: SearchConfig,
     extra_candidates: Iterable[ProductInput] = (),
 ) -> SearchResult:
-    return _search("tin", ch, ch.law, cfg, extra_candidates)
+    return search_objective("tin", ch, ch.law, cfg, map(_point_of, extra_candidates))
 
 
 def maximize_genie_rate(
@@ -138,7 +120,7 @@ def _genie_search(
     cfg: SearchConfig,
     extra_candidates: Iterable[ProductInput] = (),
 ) -> SearchResult:
-    return _search("genie", ch, _coupled_law(ch, vc), cfg, extra_candidates)
+    return search_objective("genie", ch, _coupled_law(ch, vc), cfg, map(_point_of, extra_candidates))
 
 
 def outer_bound(ch: DiscreteIC, vc: VirtualCoupling, cfg: SearchConfig = SearchConfig()) -> float:
@@ -168,7 +150,7 @@ def check_genie_dominance(
     """
     law = _coupled_law(ch, vc)
     return tuple(
-        _report(name, _search(name, ch, law, cfg), cfg)
+        _report(name, search_objective(name, ch, law, cfg), cfg)
         for name in ("genie_dominance_1", "genie_dominance_2")
     )
 

@@ -27,12 +27,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .channels import DiscreteIC, GaussianIC, OneSided, channel_digest, is_one_sided
-from .errors import DimensionMismatchError, GenerationExhaustedError
+from .errors import ConfigError, DimensionMismatchError, GenerationExhaustedError
 from .gaussian import noisy_sum_capacity, tin_rates
 from .probtensor import BatchJoint, InfoQuery, ProbTensor, entropy
 from .regimes import (
     NO_VIOLATION_FOUND,
-    SearchConfig,
     check_noisy_gaussian,
     check_strong_at_y2,
     check_strong_both,
@@ -55,6 +54,7 @@ from .regions import (  # noqa: F401
     table_bounds,
     union_over_batches,
 )
+from .search import SearchConfig
 from .sumcap import tin_sumrate
 
 GENERATOR_CAVEAT = (
@@ -650,6 +650,8 @@ def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: 
     suite's own trial count and tolerance."""
     if name not in SUITES:
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
+    if trials is not None and trials < 1:
+        raise ConfigError("trials must be >= 1", trials=trials)
     if name == "gaussian_regimes":
         return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
     given = {"trials": trials, "tol": tol}

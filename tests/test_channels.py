@@ -91,7 +91,7 @@ class TestOneSided:
     def test_side_a_kills_cross_information(self):
         ch = product_channel(1)
         for px1 in ([0.5, 0.5], [0.2, 0.8]):
-            d = AuxInputDist.product(np.array(px1), np.array([0.4, 0.6]))
+            d = AuxInputDist(np.ones(1), np.ones(1), [px1], [[0.4, 0.6]])
             joint = compose_joint(d, ch)
             gap = mutual_information(joint, InfoQuery.of("X1", "Y2", "X2"))
             assert gap <= 1e-9

@@ -145,11 +145,25 @@ class TestDefaults:
         assert json.loads(out)["trials"] == 1000
 
     def test_flag_overrides_suite_config(self, capsys):
-        code, out = run(capsys, "verify", "one_sided_regions", "--trials", "0", "--aux-w", "3",
+        code, out = run(capsys, "verify", "one_sided_regions", "--trials", "1", "--aux-w", "3",
                         "--grid", "4")
         assert code == 0
         cfg = json.loads(out)["config"]["cfg"]
         assert (cfg["aux_card_w"], cfg["grid_steps"], cfg["cond_grid_steps"]) == (3, 4, 4)
+
+    def test_verify_tol_sets_only_the_suite_tolerance(self, capsys):
+        import dataclasses
+
+        from icrates.serialize import stable_json_dumps
+        from icrates.verify import SUITE_CONFIG, run_suite
+
+        code, out = run(capsys, "verify", "very_weak_regions", "--trials", "1", "--tol", "1e-2",
+                        *FAST)
+        assert code == 0
+        assert json.loads(out)["config"]["cfg"]["violation_tol"] == 1e-06
+        cfg = dataclasses.replace(SUITE_CONFIG, grid_steps=4, cond_grid_steps=2, restarts=1)
+        library = run_suite("very_weak_regions", 1, cfg.seed, cfg, tol=1e-2).to_json_dict()
+        assert out == stable_json_dumps({"command": "verify", **library})
 
     def test_flagless_gaussian_region_equals_library_call(self, capsys):
         from icrates.channels import GaussianIC
@@ -192,6 +206,25 @@ class TestExitCodes:
         save_coupling(random_coupling(ch, 2, 2, seed=4), vc_path)
         assert main(["certify", str(ch_path), "--virtual", str(vc_path)]) == 3
         assert "--aux-u" in capsys.readouterr().err
+
+
+class TestOutOfRange:
+    """Out-of-range resolution input exits 3 instead of a traceback or a
+    vacuous pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "CH", "--seed", "-1"],
+        ["region", "CH", "--scheme", "tin", "--seed", "-1"],
+        ["verify", "lemma1", "--seed", "-1"],
+        ["verify", "lemma1", "--trials", "-1"],
+        ["verify", "very_weak_regions", "--trials", "-1"],
+        ["verify", "gaussian_regimes", "--trials", "-1"],
+        ["gaussian", "region", "--a", "0.4", "--b", "0.3", "--p1", "1", "--p2", "1",
+         "--angles", "1"],
+    ])
+    def test_exits_three(self, capsys, channel_file, argv):
+        assert main([channel_file if a == "CH" else a for a in argv]) == 3
+        assert "[INVALID_CONFIG]" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -140,13 +140,13 @@ class TestComposeJoint:
         from icrates import DiscreteIC
 
         ch = DiscreteIC.from_array(law)
-        d = AuxInputDist.identity_w(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        d = AuxInputDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.eye(2), np.eye(2))
         joint = compose_joint(d, ch)
         assert mutual_information(joint, InfoQuery.of("X1", "Y1")) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_layers_carry_nothing(self):
         ch = random_channel(5, (2, 2, 2, 2))
-        d = AuxInputDist.product(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.3, 0.7]], [[0.5, 0.5]])
         joint = compose_joint(d, ch)
         for other in ("X1", "X2", "Y1", "Y2"):
             assert mutual_information(joint, InfoQuery.of("W1", other)) == pytest.approx(0.0, abs=1e-12)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from icrates import regimes, search
 from icrates import (
     DiscreteIC,
     SearchConfig,
@@ -8,12 +11,14 @@ from icrates import (
     check_genie_dominance,
     check_strong_both,
     check_very_weak,
+    certify_sum_capacity,
     InfoQuery,
     ProbTensor,
     evaluate_condition_margin,
     mutual_information,
     random_channel,
     random_coupling,
+    region_scheme,
 )
 from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
@@ -117,6 +122,41 @@ def test_margins_rescore_bit_for_bit(seed):
         assert evaluate_condition_margin(ch, report.condition, report.witness) == report.margin_bits
     for direction, report in enumerate(check_genie_dominance(ch, vc, cfg), start=1):
         assert evaluate_genie_dominance_margin(ch, vc, direction, report.witness) == report.margin_bits
+
+
+class TestSingleDriver:
+    def test_every_search_runs_through_search_objective(self, monkeypatch):
+        """``regimes.search_objective`` is the only caller of ``maximize``:
+        every other module's name for it fails when called."""
+        original, calls = search.maximize, []
+
+        def elsewhere(*args, **kwargs):
+            raise AssertionError("search.maximize called outside regimes.search_objective")
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "icrates" or name.startswith("icrates."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, elsewhere)
+        monkeypatch.setattr(regimes, "maximize", counted)
+
+        ch = random_channel(7, (2, 2, 2, 2))
+        vc = random_coupling(ch, 2, 2, seed=7)
+        cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2,
+                           aux_card_u=2)
+        for run, want in (
+            (lambda: check_very_weak(ch, cfg), 2),
+            (lambda: check_strong_both(ch, cfg), 2),
+            (lambda: certify_sum_capacity(ch, vc, cfg), 5),
+            (lambda: region_scheme(ch, "tin", cfg), 1),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == want
 
 
 class TestConfig:

@@ -30,6 +30,7 @@ from icrates import (
 from icrates.channels import GaussianIC
 from icrates.errors import (
     AngleGridMismatchError,
+    ConfigError,
     DimensionMismatchError,
     EmptyListError,
     NotOneSidedError,
@@ -77,21 +78,21 @@ class TestPolytopes:
         # Y1 = X1, Y2 = X2: full common layers force each receiver to decode
         # the other's whole message, collapsing the sum bounds to 1 bit.
         ch = orthogonal_channel()
-        d = AuxInputDist.identity_w(np.full(2, 0.5), np.full(2, 0.5))
+        d = AuxInputDist(np.full(2, 0.5), np.full(2, 0.5), np.eye(2), np.eye(2))
         poly = polytope_semijoint(ch, d)
         bounds = [b for _, _, b in poly.constraints]
         assert bounds == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-12)
 
     def test_semijoint_degenerate_layers_rectangle(self):
         ch = orthogonal_channel()
-        d = AuxInputDist.product(np.full(2, 0.5), np.full(2, 0.5))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
         poly = polytope_semijoint(ch, d)
         bounds = [b for _, _, b in poly.constraints]
         assert bounds == pytest.approx([1.0, 1.0, 2.0, 2.0], abs=1e-12)
 
     def test_semijoint_identity_reduces_to_strong_form(self):
         ch = random_channel(21, (2, 2, 2, 2))
-        d = AuxInputDist.identity_w(np.array([0.4, 0.6]), np.array([0.7, 0.3]))
+        d = AuxInputDist(np.array([0.4, 0.6]), np.array([0.7, 0.3]), np.eye(2), np.eye(2))
         poly = polytope_semijoint(ch, d)
         joint = compose_joint(d, ch)
         want_r1 = mutual_information(joint, InfoQuery.of("X1", "Y1", "X2"))
@@ -104,7 +105,7 @@ class TestPolytopes:
 
     def test_hk_degenerate_layers_rectangle(self):
         ch = random_channel(2, (2, 2, 2, 2))
-        d = AuxInputDist.product(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
         hk = polytope_hk(ch, d)
         joint = compose_joint(d, ch)
         i1 = mutual_information(joint, InfoQuery.of("X1", "Y1"))
@@ -119,7 +120,7 @@ class TestPolytopes:
         # the polytope collapses to the origin; the degenerate-layer member
         # of the union still supplies the square.
         ch = orthogonal_channel()
-        d = AuxInputDist.identity_w(np.full(2, 0.5), np.full(2, 0.5))
+        d = AuxInputDist(np.full(2, 0.5), np.full(2, 0.5), np.eye(2), np.eye(2))
         assert polytope_hk(ch, d).max_sum() == pytest.approx(0.0, abs=1e-12)
         # Joint-output channel: full common layers achieve the square.
         ch2 = strong_pair_channel()
@@ -142,7 +143,7 @@ class TestPolytopes:
 
     def test_strong_y2_canonical(self):
         ch = strong_pair_channel()
-        d = AuxInputDist.product(np.full(2, 0.5), np.full(2, 0.5))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
         poly = polytope_hk_strong_y2(ch, d)
         assert poly.support(0.0) == pytest.approx(1.0, abs=1e-12)
         assert poly.support(90.0) == pytest.approx(1.0, abs=1e-12)
@@ -158,13 +159,13 @@ class TestPolytopes:
 
     def test_one_sided_guard(self):
         ch = strong_pair_channel()
-        d = AuxInputDist.product(np.full(2, 0.5), np.full(2, 0.5))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
         with pytest.raises(NotOneSidedError):
             polytope_one_sided(ch, d)
 
     def test_one_sided_rectangle_when_w2_degenerate(self):
         ch = product_channel(7)
-        d = AuxInputDist.product(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
         poly = polytope_one_sided(ch, d)
         joint = compose_joint(d, ch)
         i1 = mutual_information(joint, InfoQuery.of("X1", "Y1"))
@@ -205,6 +206,13 @@ class TestUnionRegion:
     def test_empty_list(self):
         with pytest.raises(EmptyListError):
             union_region([], angles=91)
+
+    def test_angle_grid_needs_two_angles(self):
+        poly = RatePolytope(((1, 0, 1.0), (0, 1, 0.5)))
+        for build in (lambda: SupportAccumulator(1), lambda: union_region([poly], angles=1),
+                      lambda: region_gaussian(GaussianIC(0.4, 0.3, 1.0, 1.0), "tin", angles=1)):
+            with pytest.raises(ConfigError, match="angles"):
+                build()
 
     def test_support_idempotent_under_resampling(self):
         polys = [
@@ -280,12 +288,23 @@ class TestRegionScheme:
     def test_meta_reports_effective_steps(self):
         # 3x3 inputs at |W| = 4 overshoot the default candidate budget, so
         # every layered block runs at one step; the 2x2 |W| = 2 grid fits.
+        # The product grid of these families fits in both cases.
         ch3, ch2 = random_channel(1, (3, 3, 3, 3)), random_channel(1, (2, 2, 2, 2))
         shrunk = region_scheme(ch3, "hk", SearchConfig(aux_card_w=4))
-        assert shrunk.meta["effective_steps"] == {"pw1": 1, "pw2": 1, "px1w1": 1, "px2w2": 1}
+        assert shrunk.meta["effective_steps"] == {
+            "pw1": 1, "pw2": 1, "px1": 8, "px1w1": 1, "px2": 8, "px2w2": 1}
         full = region_scheme(ch2, "semijoint", SearchConfig(aux_card_w=2))
-        assert full.meta["effective_steps"] == {"pw1": 8, "pw2": 8, "px1w1": 4, "px2w2": 4}
-        assert "effective_steps" not in region_scheme(ch2, "tin", CFG).meta
+        assert full.meta["effective_steps"] == {
+            "pw1": 8, "pw2": 8, "px1": 8, "px1w1": 4, "px2": 8, "px2w2": 4}
+        assert region_scheme(ch2, "tin", CFG).meta["effective_steps"] == {"px1": 4, "px2": 4}
+
+    def test_product_grid_obeys_the_candidate_budget(self):
+        # 6x6 inputs at 8 steps: 1,287 points per marginal, 1,656,369 product laws.
+        cfg = SearchConfig()
+        region = region_scheme(random_channel(6, (6, 6, 2, 2)), "tin", cfg)
+        assert region.meta["laws_enumerated"] <= cfg.max_candidates + 1  # + the TIN anchor
+        assert region.meta["effective_steps"] == {"px1": 4, "px2": 8}
+        assert region.meta["laws_enumerated"] == math.comb(4 + 5, 5) * math.comb(8 + 5, 5) + 1
 
     def test_deterministic(self):
         ch = random_channel(12, (2, 2, 2, 2))

@@ -105,7 +105,8 @@ def quadratic_objective(target):
 
 def test_maximize_finds_interior_point():
     target = np.array([0.35, 0.65])
-    res = maximize(quadratic_objective(target), [SimplexBlock("p", 1, 2, 4)], seed=1, restarts=2)
+    res = maximize(quadratic_objective(target), [SimplexBlock("p", 1, 2, 4)],
+                   SearchConfig(seed=1, restarts=2))
     np.testing.assert_allclose(res.point["p"][0], target, atol=1e-4)
     assert res.value >= res.grid_value
 
@@ -113,10 +114,37 @@ def test_maximize_finds_interior_point():
 def test_maximize_deterministic():
     blocks = [SimplexBlock("p", 1, 3, 4)]
     target = np.array([0.2, 0.5, 0.3])
-    r1 = maximize(quadratic_objective(target), blocks, seed=7, restarts=3)
-    r2 = maximize(quadratic_objective(target), blocks, seed=7, restarts=3)
+    r1 = maximize(quadratic_objective(target), blocks, SearchConfig(seed=7, restarts=3))
+    r2 = maximize(quadratic_objective(target), blocks, SearchConfig(seed=7, restarts=3))
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.point["p"], r2.point["p"])
+
+
+def test_maximize_takes_budget_seed_and_restarts_from_cfg(monkeypatch):
+    blocks = [SimplexBlock("p", 1, 3, 8)]  # 45 grid points
+    score = quadratic_objective(np.array([0.2, 0.5, 0.3]))
+    res = maximize(score, blocks, SearchConfig(max_candidates=20, restarts=0))
+    assert res.effective_steps == {"p": 4}
+    assert res.n_evaluated == grid_size([SimplexBlock("p", 1, 3, 4)]) == 15
+
+    starts = []
+    ascend = search._ascend
+
+    def recorded(objective, blocks, start):
+        starts.append(start["p"].copy())
+        return ascend(objective, blocks, start)
+
+    monkeypatch.setattr(search, "_ascend", recorded)
+
+    def restart_points(seed):
+        starts.clear()
+        maximize(score, blocks, SearchConfig(seed=seed, restarts=3))
+        return starts[1:]  # the first start is the grid best
+
+    again, same, other = restart_points(5), restart_points(5), restart_points(6)
+    assert len(again) == 3
+    assert all((a == b).all() for a, b in zip(again, same))
+    assert not any((a == b).all() for a, b in zip(again, other))
 
 
 def test_extra_candidates_are_retested():
@@ -127,7 +155,7 @@ def test_extra_candidates_are_retested():
         p = batch["p"][:, 0, :]
         return np.where(np.abs(p[:, 0] - 0.123) < 1e-9, 5.0, p[:, 0])
 
-    res = maximize(spiky, blocks, seed=0, restarts=0, extra_candidates=[witness])
+    res = maximize(spiky, blocks, SearchConfig(seed=0, restarts=0), extra_candidates=[witness])
     assert res.value == pytest.approx(5.0)
 
 
@@ -149,10 +177,10 @@ def test_ulp_perturbed_plateau_keeps_the_first_point(chunk):
     # Grid points p0 = 1, 7/8, ..., 0; the first five tie at 1/2.
     blocks = [SimplexBlock("p", 1, 2, 8)]
     plain = maximize(plateau_objective(lambda p: np.zeros(len(p))), blocks,
-                     restarts=0, chunk=chunk)
+                     SearchConfig(restarts=0), chunk=chunk)
     # Later plateau points a few ulps higher, as another evaluator may round.
     bumped = maximize(plateau_objective(lambda p: np.rint(8 * (1 - p[:, 0])) % 4), blocks,
-                      restarts=0, chunk=chunk)
+                      SearchConfig(restarts=0), chunk=chunk)
     np.testing.assert_array_equal(plain.point["p"], [[1.0, 0.0]])
     np.testing.assert_array_equal(bumped.point["p"], plain.point["p"])
 
@@ -161,7 +189,7 @@ def test_ulp_perturbed_plateau_keeps_the_first_point(chunk):
 def test_first_grid_index_wins_over_a_later_one_ulp_larger(chunk):
     blocks = [SimplexBlock("p", 1, 2, 8)]
     later = lambda p: (np.abs(p[:, 0] - 0.625) < 1e-12).astype(float)  # noqa: E731
-    res = maximize(plateau_objective(later), blocks, restarts=0, chunk=chunk)
+    res = maximize(plateau_objective(later), blocks, SearchConfig(restarts=0), chunk=chunk)
     np.testing.assert_array_equal(res.point["p"], [[1.0, 0.0]])
     assert res.value == 0.5
 
@@ -202,7 +230,8 @@ def per_proposal_ascend(objective, blocks, start):
 @pytest.mark.parametrize("name", ["tin", "strong_y2", "very_weak_1", "genie_dominance_1"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
-    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, aux_card_u=2)
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, aux_card_u=2,
+                       seed=seed)
     ch = random_channel(40 + seed, [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 2)][seed])
     law = random_coupling(ch, 2, 2, seed=seed).joint_law if name.startswith("genie") else ch.law
     blocks = OBJECTIVES[name][0].blocks(ch, cfg)
@@ -218,7 +247,7 @@ def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
             batches.append({n: np.array(a) for n, a in batch.items()})
             return score(batch)
 
-        res = maximize(recorded, blocks, seed=seed, restarts=cfg.restarts, extra_candidates=[prior])
+        res = maximize(recorded, blocks, cfg, extra_candidates=[prior])
         return res, batches
 
     got, got_batches = run()
