@@ -24,7 +24,7 @@ from .channels import (
     load_channel,
     load_coupling,
 )
-from .errors import IcError
+from .errors import ConfigError, IcError
 from .gaussian import CERTIFICATE_SEARCH_POINTS, GaussianNoisyReport, GaussianVeryWeakReport
 from .regimes import (
     check_noisy_gaussian,
@@ -53,6 +53,10 @@ _SEARCH_FLAGS = {
 }
 
 
+#: ``SearchConfig`` fields of the search flags each non-region suite reads.
+_SUITE_READS = {"lemma1": ("seed", "violation_tol"), "gaussian_regimes": ("seed",)}
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     for flag, (dest, kind, text) in _SEARCH_FLAGS.items():
         p.add_argument(flag, dest=dest, type=kind, help=text)
@@ -64,11 +68,22 @@ def _config(args: argparse.Namespace, base: SearchConfig = SearchConfig()) -> Se
     return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
-def _gaussian_region(g: GaussianIC, scheme: str, splits: int | None, angles: int | None) -> RateRegion:
+def _refuse_unread(args: argparse.Namespace, reads: Sequence[str], command: str) -> None:
+    """``INVALID_CONFIG`` for any search flag given that ``command`` does not read."""
+    unread = [flag for flag, (dest, _, _) in _SEARCH_FLAGS.items()
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}", flags=unread)
+
+
+def _gaussian_region(
+    g: GaussianIC, scheme: str, splits: int | None, angles: int | None
+) -> tuple[RateRegion, dict]:
     """``region_gaussian`` with only the given resolution flags, so its own
-    defaults fill the rest; the resolved values are in the region's meta."""
+    defaults fill the rest, and the document config of the resolved values."""
     given = {"splits": splits, "angles": angles}
-    return region_gaussian(g, scheme, **{k: v for k, v in given.items() if v is not None})
+    region = region_gaussian(g, scheme, **{k: v for k, v in given.items() if v is not None})
+    return region, {"splits": region.meta["splits"], "angles": region.meta["angles"]}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,12 +155,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_region(args: argparse.Namespace) -> int:
     ch = load_channel(args.channel)
-    cfg = _config(args)
     if isinstance(ch, GaussianIC):
-        region = _gaussian_region(ch, args.scheme, args.splits, cfg.angles)
+        _refuse_unread(args, ("angles",), "region on a gaussian channel")
+        region, cfg_doc = _gaussian_region(ch, args.scheme, args.splits, args.angles)
+    elif args.splits is not None:
+        raise ConfigError("--splits applies to gaussian channels only", splits=args.splits)
     else:
-        region = region_scheme(ch, args.scheme, cfg)
-    doc = _region_doc(region, args.scheme, _channel_header(ch), cfg.to_json_dict())
+        cfg = _config(args)
+        region, cfg_doc = region_scheme(ch, args.scheme, cfg), cfg.to_json_dict()
+    doc = _region_doc(region, args.scheme, _channel_header(ch), cfg_doc)
     _emit(stable_json_dumps(doc), args.out)
     if args.csv:
         _emit(frontier_csv(region.theta_deg, region.h_bits, region.points), args.csv)
@@ -203,6 +221,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite in _SUITE_READS:
+        _refuse_unread(args, _SUITE_READS[args.suite], f"verify {args.suite}")
     # --tol is the suite tolerance; the channel generator keeps its own.
     cfg = dataclasses.replace(_config(args, SUITE_CONFIG), violation_tol=SUITE_CONFIG.violation_tol)
     outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,
@@ -235,9 +255,8 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
         }
         _emit(stable_json_dumps(doc), args.out)
         return 0
-    region = _gaussian_region(g, args.scheme, args.splits, args.angles)
-    doc = _region_doc(region, args.scheme, _channel_header(g),
-                      {"splits": region.meta["splits"], "angles": region.meta["angles"]})
+    region, cfg_doc = _gaussian_region(g, args.scheme, args.splits, args.angles)
+    doc = _region_doc(region, args.scheme, _channel_header(g), cfg_doc)
     doc["command"] = "gaussian region"
     _emit(stable_json_dumps(doc), args.out)
     if args.csv:

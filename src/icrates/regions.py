@@ -13,13 +13,14 @@ points of fixed laws is a convex combination, and the pointwise maximum of
 the per-law support functions *is* the support function of the convex hull
 of the union.
 
-Family enumeration is a coverage/cost compromise: a composition grid over
-every simplex factor, plus seeded random draws, plus derived members that
-are always legal points of the same family: :func:`relayer` replaces one
-user's W layer by a constant or by ``W = X`` at the same X marginal, and
-:func:`product_laws` builds the product laws, among them the
-interference-as-noise maximizer.  The derived members cost little and make
-finite-resolution comparisons between equivalent schemes sharp.
+Family enumeration is a coverage/cost compromise, declared as data in
+:data:`FAMILIES`: composition grids over every simplex factor with seeded
+random draws, the product grid and the interference-as-noise maximizer,
+plus members derived from each of their laws that are always legal points
+of the same family: :func:`relayer` replaces one user's W layer by a
+constant or by ``W = X`` at the same X marginal.  The derived members cost
+little and make finite-resolution comparisons between equivalent schemes
+sharp.
 
 The reduced families used by ``hk_strong_y2`` and ``one_sided`` carry no W1
 layer at all: the union runs over ``P(X1) P(W2) P(X2|W2)``, with X1 entering
@@ -28,7 +29,7 @@ directly.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -51,8 +52,6 @@ from .probtensor import term as _T  # table shorthand
 from .regimes import _product_blocks
 from .search import CHUNK, SearchConfig, SimplexBlock, iter_grid_batches, shrink_to_budget
 from .sumcap import ProductInput, tin_sumrate
-
-SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided", "strong_capacity")
 
 ALLOWED_DIRS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
@@ -98,6 +97,57 @@ SCHEME_TABLES: dict[str, tuple[Constraint, ...]] = {
         (1, 1, (_T(("X1", "W2"), "Y1"), _T("X2", "Y2", "W2"))),
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# Input-law families as data
+# ---------------------------------------------------------------------------
+
+#: One derived member: the steps ``(side, identity)`` of :func:`relayer`
+#: applied in order to a law, and the regions it feeds (``None``: every one).
+Member = tuple[tuple[tuple[int, bool], ...], tuple[str, ...] | None]
+
+
+@dataclass(frozen=True)
+class Source:
+    """A stream of input laws and the members derived from each of them:
+    ``"layered"`` (|W1|, |W2| from the config), ``"reduced"`` (|W1| = 1),
+    ``"products"`` (the product grid) or ``"anchor"`` (the TIN-optimal
+    input).  ``tag`` keys the random draws of the first two."""
+
+    kind: str
+    members: tuple[Member, ...]
+    tag: int = 0
+
+
+def source(kind: str, *chains: tuple[tuple[int, bool], ...], tag: int = 0) -> Source:
+    """A source with one member per chain, each feeding every region."""
+    return Source(kind, tuple((chain, None) for chain in chains), tag)
+
+
+#: A user's W layer made constant; both users' layers made ``W = X``.
+_NO_W1, _NO_W2 = ((1, False),), ((2, False),)
+_COMMON = ((1, True), (2, True))
+
+#: A layered law and its W collapses; a product law as it is
+#: (interference as noise) and with full common layers.
+_COLLAPSES = ((), _NO_W1, _NO_W2, _NO_W1 + _NO_W2)
+_PRODUCTS = ((), _COMMON)
+
+#: Every scheme's family, in enumeration order.  The random draws of a
+#: scheme are tagged with its position in :data:`SCHEMES`.
+FAMILIES: dict[str, tuple[Source, ...]] = {
+    "tin": (source("products", ()), source("anchor", ())),
+    "semijoint": (source("layered", *_COLLAPSES, tag=1),
+                  source("products", *_PRODUCTS), source("anchor", *_PRODUCTS)),
+    "hk": (source("layered", *_COLLAPSES, tag=2),
+           source("products", *_PRODUCTS), source("anchor", *_PRODUCTS)),
+    "hk_strong_y2": (source("reduced", (), _NO_W2, tag=3), source("anchor", ())),
+    "one_sided": (source("reduced", (), _NO_W2, tag=4), source("anchor", ())),
+    "strong_capacity": (source("products", _COMMON), source("anchor", _COMMON)),
+}
+
+SCHEMES = tuple(FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -558,58 +608,53 @@ def common_layers(batch: DistBatch) -> DistBatch:
     return relayer(relayer(batch, 1, identity=True), 2, identity=True)
 
 
-def _product_grid_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
-    """Grid blocks of ``_product_grid``, coarsened to ``cfg.max_candidates``."""
-    return shrink_to_budget(_product_blocks(ch, cfg), cfg.max_candidates)
-
-
-def _product_grid(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[DistBatch]:
-    for _, batch in iter_grid_batches(_product_grid_blocks(ch, cfg), CHUNK):
-        yield product_laws(batch["px1"][:, 0, :], batch["px2"][:, 0, :])
-
-
-def _layered_blocks(ch: DiscreteIC, cfg: SearchConfig, nw1: int, nw2: int) -> list[SimplexBlock]:
-    """Grid blocks of ``layered_family``, coarsened to ``cfg.max_candidates``.
+def _layer_blocks(ch: DiscreteIC, cfg: SearchConfig, nw1: int) -> list[SimplexBlock]:
+    """Grid blocks over ``P(w1) P(w2) P(x1|w1) P(x2|w2)`` at ``|W2| = cfg.card_w(nx2)``.
 
     Side layers of cardinality one use the marginal resolution (that factor
     *is* a marginal); wider layers use the conditional resolution.
     """
+    nw2 = cfg.card_w(ch.nx2)
+
     def steps_for(n_slices: int) -> int:
         return cfg.grid_steps if n_slices == 1 else cfg.cond_grid_steps
 
-    return shrink_to_budget([
+    return [
         SimplexBlock("pw1", 1, nw1, cfg.grid_steps),
         SimplexBlock("px1w1", nw1, ch.nx1, steps_for(nw1)),
         SimplexBlock("pw2", 1, nw2, cfg.grid_steps),
         SimplexBlock("px2w2", nw2, ch.nx2, steps_for(nw2)),
-    ], cfg.max_candidates)
+    ]
+
+
+#: Grid blocks of each source kind; the anchor is one searched law.
+_SOURCE_BLOCKS = {
+    "layered": lambda ch, cfg: _layer_blocks(ch, cfg, cfg.card_w(ch.nx1)),
+    "reduced": lambda ch, cfg: _layer_blocks(ch, cfg, 1),
+    "products": _product_blocks,
+    "anchor": lambda ch, cfg: [],
+}
+
+
+def _source_blocks(ch: DiscreteIC, src: Source, cfg: SearchConfig) -> list[SimplexBlock]:
+    """The grid blocks ``src`` scans, coarsened to ``cfg.max_candidates``."""
+    return shrink_to_budget(_SOURCE_BLOCKS[src.kind](ch, cfg), cfg.max_candidates)
 
 
 def layered_family(
-    ch: DiscreteIC,
-    cfg: SearchConfig,
-    nw1: int,
-    nw2: int,
-    *,
-    tag: int = 0,
+    blocks: Sequence[SimplexBlock], cfg: SearchConfig, tag: int
 ) -> Iterator[DistBatch]:
-    """Grid (over ``_layered_blocks``) + seeded random draws over
+    """Grid over the layered ``blocks`` + seeded random draws over
     ``P(w1) P(w2) P(x1|w1) P(x2|w2)``."""
-    for _, raw in iter_grid_batches(_layered_blocks(ch, cfg, nw1, nw2), CHUNK):
-        yield {
-            "pw1": raw["pw1"][:, 0, :],
-            "px1w1": raw["px1w1"],
-            "pw2": raw["pw2"][:, 0, :],
-            "px2w2": raw["px2w2"],
-        }
+    def laws(raw: Mapping[str, np.ndarray]) -> DistBatch:
+        return {name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+
+    for _, raw in iter_grid_batches(blocks, CHUNK):
+        yield laws(raw)
     if cfg.restarts > 0:
         rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, tag]))
-        yield {
-            "pw1": rng.dirichlet(np.ones(nw1), size=cfg.restarts),
-            "px1w1": rng.dirichlet(np.ones(ch.nx1), size=(cfg.restarts, nw1)),
-            "pw2": rng.dirichlet(np.ones(nw2), size=cfg.restarts),
-            "px2w2": rng.dirichlet(np.ones(ch.nx2), size=(cfg.restarts, nw2)),
-        }
+        yield laws({b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices))
+                    for b in blocks})
 
 
 def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None) -> DistBatch:
@@ -623,70 +668,30 @@ def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = No
     return product_laws(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :])
 
 
-def _layer_cards(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> tuple[int, int] | None:
-    """``(|W1|, |W2|)`` of a layered scheme's family, ``None`` for the others.
-
-    The reduced families of ``hk_strong_y2`` and ``one_sided`` have no W1
-    layer.
-    """
-    if scheme in ("hk", "semijoint"):
-        return cfg.card_w(ch.nx1), cfg.card_w(ch.nx2)
-    if scheme in ("hk_strong_y2", "one_sided"):
-        return 1, cfg.card_w(ch.nx2)
-    return None
-
-
-def _family_grids(ch: DiscreteIC, scheme: str, cfg: SearchConfig) -> list[list[SimplexBlock]]:
-    """The blocks of every grid ``scheme_family`` scans for ``scheme``: the
-    layered grid of the layered schemes, and the product grid of all but the
-    reduced ones."""
-    cards = _layer_cards(ch, scheme, cfg)
-    grids = [] if cards is None else [_layered_blocks(ch, cfg, *cards)]
-    if scheme not in ("hk_strong_y2", "one_sided"):
-        grids.append(_product_grid_blocks(ch, cfg))
-    return grids
-
-
 def scheme_family(
-    ch: DiscreteIC, scheme: str, cfg: SearchConfig, anchor: ProductInput | None = None
-) -> Iterator[DistBatch]:
-    """Enumerated input-law family for one scheme (see module docstring).
+    ch: DiscreteIC,
+    family: Sequence[Source],
+    cfg: SearchConfig,
+    anchor: ProductInput | None = None,
+) -> Iterator[tuple[DistBatch, tuple[str, ...] | None]]:
+    """``(batch, feeds)`` for every member of every law of ``family`` (a
+    :data:`FAMILIES` row or a suite's), in order.
 
     ``anchor`` is the TIN optimum of ``(ch, cfg)`` if the caller has it
     (see :func:`_tin_anchor`).
     """
-    tag = SCHEMES.index(scheme)
-    tin_law = _tin_anchor(ch, cfg, anchor)
-
-    if scheme in ("hk_strong_y2", "one_sided"):
-        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
-            yield batch
-            yield relayer(batch, 2)
-        yield tin_law
-        return
-
-    products = itertools.chain(_product_grid(ch, cfg), [tin_law])
-    if scheme == "tin":
-        yield from products
-        return
-
-    if scheme == "strong_capacity":
-        yield from map(common_layers, products)
-        return
-
-    if scheme in ("hk", "semijoint"):
-        for batch in layered_family(ch, cfg, *_layer_cards(ch, scheme, cfg), tag=tag):
-            no_w1 = relayer(batch, 1)
-            yield batch
-            yield no_w1
-            yield relayer(batch, 2)
-            yield relayer(no_w1, 2)
-        for batch in products:
-            yield batch  # interference-as-noise laws
-            yield common_layers(batch)  # full common layers
-        return
-
-    raise ConfigError("unknown scheme", scheme=scheme)
+    for src in family:
+        blocks = _source_blocks(ch, src, cfg)
+        if src.kind == "anchor":
+            laws = [_tin_anchor(ch, cfg, anchor)]
+        elif src.kind == "products":
+            laws = (product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
+                    for _, raw in iter_grid_batches(blocks, CHUNK))
+        else:
+            laws = layered_family(blocks, cfg, src.tag)
+        for batch in laws:
+            for chain, feeds in src.members:
+                yield functools.reduce(lambda b, step: relayer(b, *step), chain, batch), feeds
 
 
 def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
@@ -723,7 +728,7 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def union_over_batches(
     ch: DiscreteIC,
     regions: Mapping[str, str],
-    batches: Iterable[tuple[DistBatch, Collection[str]]],
+    batches: Iterable[tuple[DistBatch, Collection[str] | None]],
     angles: int,
     per_batch_hook: (
         Callable[[BatchJoint, Mapping[str, np.ndarray], np.ndarray], None] | None
@@ -732,7 +737,8 @@ def union_over_batches(
     """Accumulate named regions over one stream of law batches.
 
     ``regions`` maps each region name to its scheme; several regions may
-    share one.  Each batch comes with the names of the regions it feeds.
+    share one.  Each batch comes with the names of the regions it feeds,
+    ``None`` for every region.
     Law grids repeat input laws, and a law's bounds depend on nothing else,
     so each distinct law of a batch (:func:`distinct_rows`) is scored once;
     ``laws_enumerated`` still counts every law.  Every scheme's bounds are
@@ -754,7 +760,7 @@ def union_over_batches(
                   for scheme, table in tables.items()}
         # Distinct laws can still share bound rows; the frontier depends only on their set.
         merged = {s: (d, _drop_repeats(b[np.lexsort(b.T)])) for s, (d, b) in merged.items()}
-        for name in feeds:
+        for name in regions if feeds is None else feeds:
             accs[name].add(*merged[regions[name]])
             laws[name] += full.batch_size
         if per_batch_hook is not None:
@@ -781,7 +787,7 @@ def region_scheme(
         raise ConfigError("unknown scheme", scheme=scheme, allowed=SCHEMES)
     if scheme == "one_sided" and is_one_sided(ch) != OneSided.SIDE_A:
         raise NotOneSidedError("one_sided scheme needs a channel with a clean receiver 2")
-    batches = ((batch, (scheme,)) for batch in scheme_family(ch, scheme, cfg, anchor))
+    batches = scheme_family(ch, FAMILIES[scheme], cfg, anchor)
     region = union_over_batches(ch, {scheme: scheme}, batches, cfg.angles)[scheme]
     region.meta.update({
         "grid_steps": cfg.grid_steps,
@@ -790,7 +796,7 @@ def region_scheme(
         "seed": cfg.seed,
     })
     region.meta["effective_steps"] = dict(sorted(
-        (b.name, b.steps) for grid in _family_grids(ch, scheme, cfg) for b in grid
+        (b.name, b.steps) for src in FAMILIES[scheme] for b in _source_blocks(ch, src, cfg)
     ))
     return region
 

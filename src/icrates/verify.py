@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,19 +38,20 @@ from .regimes import (
     check_very_weak,
     check_very_weak_gaussian,
 )
-# batch_bounds and batch_joint are unused here; icbench/tracing.py patches them.
+# batch_bounds, batch_joint and layered_family are unused here; icbench/tracing.py
+# patches them, and the suites' scheme_family, under this module's names.
 from .regions import (  # noqa: F401
+    FAMILIES,
     Constraint,
-    DistBatch,
-    _tin_anchor,
+    Source,
     batch_bounds,
     batch_joint,
     hausdorff_support_gap,
     layered_family,
     max_sumrate,
     region_scheme,
-    relayer,
     scheme_family,
+    source,
     table_bounds,
     union_over_batches,
 )
@@ -154,7 +155,6 @@ def random_identity_joint(n: int, ny: int, na: int, seed: int) -> ProbTensor:
 def verify_telescoping(
     trials: int = 200,
     seed: int = 0,
-    cfg: SearchConfig = SearchConfig(),
     tol: float = 1e-9,
     n: int = 3,
     ny: int = 2,
@@ -307,74 +307,37 @@ SUITE_CONFIG = SearchConfig(aux_card_w=2)
 #: ``|lhs - rhs|`` in bits.
 Relation = tuple[str, int, str, str | None, int]
 
-#: One batch of laws with the names of the regions it feeds.
-Feed = tuple[DistBatch, tuple[str, ...]]
-
 
 @dataclass(frozen=True)
 class RegionSuite:
     """A region-equivalence claim as data.
 
-    ``regions`` maps region names to schemes; ``relations`` groups per-law
-    relations under the record key that reports their worst excess;
+    ``regions`` maps region names to schemes, fed by the members of the
+    ``family`` sources (as in :data:`regions.FAMILIES`); ``relations`` groups
+    per-law relations under the record key that reports their worst excess;
     ``probes`` are extra constraint tables that relations may name; the
     suite's gap is the largest support gap over the ``compare`` pairs.
     """
 
     regime: str
     regions: Mapping[str, str]
-    family: Callable[[DiscreteIC, SearchConfig], Iterator[Feed]]
+    family: tuple[Source, ...]
     relations: Mapping[str, tuple[Relation, ...]]
     compare: tuple[tuple[str, str], ...]
     probes: Mapping[str, tuple[Constraint, ...]] = field(default_factory=dict)
 
 
-def _very_weak_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
-    for batch in scheme_family(ch, "hk", cfg):
-        yield batch, ("hk", "semijoint")
-
-
-def _strong_y2_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
-    """Raw laws plus the two identity lifts of each law's collapse.
-
-    The lifts are the laws the equivalence proof's converse maps points
-    into; including them closes the region comparison exactly.  Every law
-    feeds both regions (the reduced table has no W1 terms, so its bounds at
-    any law equal those at the law's W1 collapse, a legal reduced-family
-    member).
-    """
-    nw2 = cfg.card_w(ch.nx2)
-
-    def laws() -> Iterator[DistBatch]:
-        yield from layered_family(ch, cfg, cfg.card_w(ch.nx1), nw2, tag=31)
-        yield from layered_family(ch, cfg, 1, nw2, tag=32)
-        yield _tin_anchor(ch, cfg)
-
-    both = ("hk", "hk_strong_y2")
-    for batch in laws():
-        yield batch, both
-        yield relayer(batch, 1, identity=True), both
-        yield relayer(relayer(batch, 2), 1, identity=True), both
-
-
-def _one_sided_family(ch: DiscreteIC, cfg: SearchConfig) -> Iterator[Feed]:
-    """Full laws feed the full and reduced regions; laws without a W1 layer
-    also feed the forced-degenerate one."""
-    nw2 = cfg.card_w(ch.nx2)
-    every = ("full", "forced", "reduced")
-    for batch in layered_family(ch, cfg, cfg.card_w(ch.nx1), nw2, tag=41):
-        yield batch, ("full", "reduced")
-        yield relayer(batch, 1), every
-    for batch in layered_family(ch, cfg, 1, nw2, tag=42):
-        yield batch, every
-    yield _tin_anchor(ch, cfg), every
-
+#: Raw laws plus the two identity lifts ``W1 = X1`` of each law and of its
+#: W2 collapse.  The lifts are the laws the strong-at-Y2 equivalence proof's
+#: converse maps points into; including them closes the region comparison
+#: exactly.
+_LIFTS = ((), ((1, True),), ((2, False), (1, True)))
 
 _REGION_SUITES: dict[str, RegionSuite] = {
     "very_weak_regions": RegionSuite(
         regime="very_weak",
         regions={"hk": "hk", "semijoint": "semijoint"},
-        family=_very_weak_family,
+        family=FAMILIES["hk"],  # every member feeds both regions
         relations={"per_law_worst_excess_bits": (
             ("hk", 4, "<=", "semijoint", 2),  # cross-conditioned sum vs both
             ("hk", 4, "<=", "semijoint", 3),  # two-step sum bounds
@@ -386,7 +349,11 @@ _REGION_SUITES: dict[str, RegionSuite] = {
     "strong_y2_regions": RegionSuite(
         regime="strong_y2",
         regions={"hk": "hk", "hk_strong_y2": "hk_strong_y2"},
-        family=_strong_y2_family,
+        # Every law feeds both regions (the reduced table has no W1 terms, so
+        # its bounds at any law equal those at the law's W1 collapse, a legal
+        # reduced-family member).
+        family=(source("layered", *_LIFTS, tag=31), source("reduced", *_LIFTS, tag=32),
+                source("anchor", *_LIFTS)),
         relations={"per_law_worst_excess_bits": (
             ("hk", 0, "==", "hk_strong_y2", 0),  # own-rate bounds coincide
             ("hk", 1, "<=", "hk_strong_y2", 1),  # R2 bound dominance
@@ -399,7 +366,10 @@ _REGION_SUITES: dict[str, RegionSuite] = {
     "one_sided_regions": RegionSuite(
         regime="one_sided",
         regions={"full": "hk", "forced": "hk", "reduced": "one_sided"},
-        family=_one_sided_family,
+        # Full laws feed the full and reduced regions; laws without a W1
+        # layer also feed the forced-degenerate one.
+        family=(Source("layered", (((), ("full", "reduced")), (((1, False),), None)), tag=41),
+                source("reduced", (), tag=42), source("anchor", ())),
         relations={
             "per_law_worst_excess_bits": (
                 ("hk", 0, "==", "one_sided", 0),
@@ -470,7 +440,7 @@ def _run_region_suite(
             tally["laws"] += int(counts.sum())
 
         regions = union_over_batches(
-            ch, suite.regions, suite.family(ch, cfg), cfg.angles, per_batch_hook=hook
+            ch, suite.regions, scheme_family(ch, suite.family, cfg), cfg.angles, per_batch_hook=hook
         )
         gap = max(hausdorff_support_gap(regions[a], regions[b]) for a, b in suite.compare)
         failed = gap > tol or tally["violations"] > 0
@@ -647,12 +617,13 @@ SUITES: dict[str, Suite] = {
 
 def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: float | None) -> VerifyOutcome:
     """Run one :data:`SUITES` entry; ``trials=None`` and ``tol=None`` keep the
-    suite's own trial count and tolerance."""
+    suite's own trial count and tolerance.  ``lemma1`` reads no ``cfg``, and
+    ``gaussian_regimes`` neither ``cfg`` nor ``tol``."""
     if name not in SUITES:
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
     if trials is not None and trials < 1:
         raise ConfigError("trials must be >= 1", trials=trials)
     if name == "gaussian_regimes":
         return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
-    given = {"trials": trials, "tol": tol}
-    return SUITES[name](seed=seed, cfg=cfg, **{k: v for k, v in given.items() if v is not None})
+    given = {"trials": trials, "tol": tol, "cfg": None if name == "lemma1" else cfg}
+    return SUITES[name](seed=seed, **{k: v for k, v in given.items() if v is not None})

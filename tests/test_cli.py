@@ -227,6 +227,41 @@ class TestOutOfRange:
         assert "[INVALID_CONFIG]" in capsys.readouterr().err
 
 
+class TestUnreadFlags:
+    """A flag the command would ignore exits 3 instead of running without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gaussian_regimes", "--trials", "3", "--tol", "5"],
+        ["verify", "gaussian_regimes", "--trials", "3", "--grid", "4"],
+        ["verify", "lemma1", "--grid", "4"],
+        ["verify", "lemma1", "--angles", "3"],
+        ["region", "CH", "--scheme", "tin", "--splits", "5"],
+        ["region", "G", "--scheme", "tin", "--grid", "3"],
+        ["region", "G", "--scheme", "tin", "--restarts", "9"],
+        ["region", "G", "--scheme", "tin", "--seed", "1"],
+    ])
+    def test_exits_three(self, capsys, channel_file, gaussian_file, argv):
+        files = {"CH": channel_file, "G": gaussian_file}
+        assert main([files.get(a, a) for a in argv]) == 3
+        assert "[INVALID_CONFIG]" in capsys.readouterr().err
+
+    def test_read_flags_still_run(self, capsys):
+        code, out = run(capsys, "verify", "lemma1", "--trials", "3", "--seed", "1", "--tol", "1e-9")
+        assert code == 0 and json.loads(out)["tolerance_bits"] == 1e-9
+        code, out = run(capsys, "verify", "gaussian_regimes", "--trials", "3", "--seed", "2026")
+        assert code in (0, 1) and json.loads(out)["config"]["seed"] == 2026
+
+    def test_gaussian_region_file_reports_splits_and_angles(self, capsys, gaussian_file):
+        code, out = run(capsys, "region", gaussian_file, "--scheme", "semijoint",
+                        "--splits", "3", "--angles", "5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"splits": 3, "angles": 5}
+        code, out = run(capsys, "gaussian", "region", "--a", "0.5", "--b", "0.4", "--p1", "1",
+                        "--p2", "1", "--scheme", "semijoint", "--splits", "3", "--angles", "5")
+        assert json.loads(out)["region"] == doc["region"]
+
+
 class TestDeterminism:
     def test_stdout_byte_identical(self, capsys, channel_file):
         _, out1 = run(capsys, "classify", channel_file, *FAST)

@@ -38,6 +38,7 @@ from icrates.errors import (
 from icrates.gaussian import split_system, tin_rates
 from icrates.probtensor import BatchJoint
 from icrates.regions import (
+    FAMILIES,
     SCHEME_TABLES,
     SupportAccumulator,
     batch_bounds,
@@ -298,6 +299,27 @@ class TestRegionScheme:
             "pw1": 8, "pw2": 8, "px1": 8, "px1w1": 4, "px2": 8, "px2w2": 4}
         assert region_scheme(ch2, "tin", CFG).meta["effective_steps"] == {"px1": 4, "px2": 4}
 
+    @pytest.mark.parametrize("scheme, case", [
+        *((s, "2x2") for s in regions.SCHEMES), ("hk", "3x3-shrunk")])
+    def test_reported_steps_are_the_scanned_steps(self, scheme, case, monkeypatch):
+        # Every block the family's grids run through iter_grid_batches, and
+        # no block name at two resolutions, so the report names each once.
+        if case == "2x2":  # one-sided, so every scheme applies
+            ch, cfg = generate_regime_channel("one_sided", 0, CFG), CFG
+        else:
+            ch, cfg = random_channel(1, (3, 3, 3, 3)), SearchConfig(aux_card_w=4)
+        scanned = set()
+        grid = regions.iter_grid_batches
+
+        def record(blocks, *args):
+            scanned.update((b.name, b.steps) for b in blocks)
+            return grid(blocks, *args)
+
+        monkeypatch.setattr(regions, "iter_grid_batches", record)
+        steps = region_scheme(ch, scheme, cfg).meta["effective_steps"]
+        assert len(steps) == len(scanned) > 0
+        assert steps == dict(sorted(scanned))
+
     def test_product_grid_obeys_the_candidate_budget(self):
         # 6x6 inputs at 8 steps: 1,287 points per marginal, 1,656,369 product laws.
         cfg = SearchConfig()
@@ -318,7 +340,7 @@ class TestUnionEngine:
     def test_shared_run_matches_region_scheme(self):
         ch = random_channel(5, (2, 2, 2, 2))
         regions = {"hk": "hk", "semijoint": "semijoint"}
-        batches = ((b, tuple(regions)) for b in scheme_family(ch, "hk", CFG))
+        batches = scheme_family(ch, FAMILIES["hk"], CFG)
         shared = union_over_batches(ch, regions, batches, CFG.angles)["hk"]
         single = region_scheme(ch, "hk", CFG)
         np.testing.assert_array_equal(shared.h_bits, single.h_bits)
@@ -354,7 +376,7 @@ class TestUnionEngine:
     def test_duplicated_laws_change_nothing(self):
         ch = random_channel(5, (2, 2, 2, 2))
         rng = np.random.default_rng(0)
-        plain = list(scheme_family(ch, "hk", CFG))
+        plain = [b for b, _ in scheme_family(ch, FAMILIES["hk"], CFG)]
 
         def doubled(batch):
             perm = rng.permutation(2 * len(batch["pw1"]))
@@ -373,7 +395,7 @@ class TestUnionEngine:
 
     def test_regions_sharing_a_scheme_see_only_their_batches(self):
         ch = random_channel(6, (2, 2, 2, 2))
-        batches = list(scheme_family(ch, "semijoint", CFG))
+        batches = [b for b, _ in scheme_family(ch, FAMILIES["semijoint"], CFG)]
         feeds = [(b, ("all", "first") if i == 0 else ("all",)) for i, b in enumerate(batches)]
         out = union_over_batches(ch, {"all": "semijoint", "first": "semijoint"}, feeds, CFG.angles)
         assert out["first"].meta["laws_enumerated"] == batches[0]["pw1"].shape[0]
@@ -434,7 +456,7 @@ class TestStrongBothInclusion:
         table = table_for_scheme("semijoint")
         acc_sj = SupportAccumulator(cfg.angles)
         acc_wx = SupportAccumulator(cfg.angles)
-        for batch in scheme_family(ch, "semijoint", cfg):
+        for batch, _ in scheme_family(ch, FAMILIES["semijoint"], cfg):
             bj = batch_joint(ch, batch)
             bounds = batch_bounds(bj, table)
             dirs, merged = merged_dirs_bounds(table, bounds)
@@ -546,11 +568,11 @@ class TestDerivedMembers:
         search = sumcap._tin_search
         monkeypatch.setattr(sumcap, "_tin_search", lambda *a, **k: calls.append(1) or search(*a, **k))
         ch = random_channel(3, (2, 2, 2, 2))
-        list(scheme_family(ch, scheme, CFG))
+        list(scheme_family(ch, FAMILIES[scheme], CFG))
         assert len(calls) == 1
         opt, _ = sumcap.tin_sumrate(ch, CFG)
         calls.clear()
-        list(scheme_family(ch, scheme, CFG, anchor=opt))
+        list(scheme_family(ch, FAMILIES[scheme], CFG, anchor=opt))
         assert calls == []
 
 
@@ -612,7 +634,7 @@ class TestChannelKernel:
     ], ids=["3x3", "2x3-2x3", "3x2-2x3", "zeros", "xor", "strong-pair"])
     def test_entropies_match_dense_joint(self, ch):
         subsets = table_subsets()
-        family = list(scheme_family(ch, "hk", CFG))  # |W| = 1, 2 and W = X lifts
+        family = [b for b, _ in scheme_family(ch, FAMILIES["hk"], CFG)]  # |W| = 1, 2 and W = X lifts
         family.append(zero_entry_batch(ch.nx1, ch.nx2))
         for batch in [*family, relayer(family[-1], 1), relayer(family[-1], 2)]:
             bj = batch_joint(ch, batch)

@@ -88,3 +88,5 @@ def test_traced_suite_family_counts_every_law():
         traced = icrates.verify.verify_strong_y2_equivalence(trials=1, seed=3, cfg=cfg)
     assert traced.to_json_dict() == plain.to_json_dict()
     assert tr.counts["regions.laws"] == traced.records[0]["laws_checked"] > 0
+    # The suite enumerates its family through a traced name.
+    assert any(name == "regions.family" for _, _, name, *_ in tr.spans)
