@@ -29,7 +29,6 @@ directly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -377,6 +376,15 @@ class SupportAccumulator:
         # without this, 1e-16 noise defeats both the lexicographic tie-break
         # and the dominance prune.
         flatV = np.maximum(np.round(flatV, 12), 0.0)
+        if len(self._rows) > 2:
+            # Drop candidates the frontier strictly dominates; the prune
+            # would drop them too.  A pruned frontier of more than two rows
+            # runs r1 descending with r2 non-decreasing, so the ``i`` rows
+            # with a larger r1 come first and the best r2 among them is
+            # ``r2[i - 1]`` (``i == 0``: no such row).
+            r1, r2 = self._rows[:, 0], self._rows[:, 1]
+            i = np.searchsorted(-r1, -flatV[:, 0], "left")
+            flatV = flatV[(i == 0) | (flatV[:, 1] >= r2[i - 1])]
         self._rows = _pareto_prune(np.concatenate([self._rows, flatV]))
 
     def finalize(self, meta: dict | None = None) -> RateRegion:
@@ -690,8 +698,12 @@ def scheme_family(
         else:
             laws = layered_family(blocks, cfg, src.tag)
         for batch in laws:
+            derived = {(): batch}  # each chain prefix is re-layered once per batch
             for chain, feeds in src.members:
-                yield functools.reduce(lambda b, step: relayer(b, *step), chain, batch), feeds
+                for n in range(1, len(chain) + 1):
+                    if chain[:n] not in derived:
+                        derived[chain[:n]] = relayer(derived[chain[:n - 1]], *chain[n - 1])
+                yield derived[chain], feeds
 
 
 def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:

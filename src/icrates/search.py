@@ -7,8 +7,10 @@ a block with one slice, a conditional has one slice per conditioning index).
 Strategy: exhaustively score a composition grid (step ``1/steps`` per block),
 then refine with projected coordinate ascent (step halving, bounded
 iterations) from the best grid point, from caller-supplied prior candidates,
-and from seeded random restarts.  Everything is deterministic for a fixed
-seed.
+and from seeded random restarts.  The starts ascend in lockstep: each
+iteration scores the moves of every start still ascending in one objective
+call (in groups that fit the chunk), and each start takes the same steps it
+would take alone.  Everything is deterministic for a fixed seed.
 
 Ties go to the first candidate in enumeration order, whatever evaluator
 computed the values: the grid scan visits each chunk by its values snapped to
@@ -233,37 +235,53 @@ def _score(objective: Objective, blocks: Sequence[SimplexBlock], point: Point) -
     return float(np.asarray(objective(batch), dtype=np.float64)[0])
 
 
-def _ascend(objective: Objective, blocks: Sequence[SimplexBlock], start: Point) -> tuple[float, Point]:
-    """Projected coordinate ascent with step halving from one start point.
+def _ascend(
+    objective: Objective, blocks: Sequence[SimplexBlock], starts: Sequence[Point], chunk: int = CHUNK
+) -> list[tuple[float, Point]]:
+    """Projected coordinate ascent with step halving from every start at once.
 
-    Each iteration scores every move as one batch: per block, slice and
-    coordinate, ``+step`` then ``-step`` at that coordinate, the moved row
-    projected back onto its simplex.
+    Each start keeps its own point, best value and step; all of them share
+    the ``ASCENT_ITERS`` counter, and a start drops out once its step falls
+    below ``ASCENT_MIN_STEP``.  An iteration builds every move of every
+    active start: per block, slice and coordinate, ``+step`` then ``-step``
+    at that coordinate, the moved row projected back onto its simplex (one
+    projection call per block).  The active starts' moves are scored in one
+    objective call, in start order, or in groups of starts that fit ``chunk``
+    rows (at least one start per call).  Returns ``(value, point)`` per start,
+    in start order; each start takes exactly the steps it would take alone.
     """
-    point = {b.name: start[b.name].reshape(b.shape).copy() for b in blocks}
-    best = _score(objective, blocks, point)
+    points = {b.name: np.stack([s[b.name].reshape(b.shape) for s in starts]) for b in blocks}
+    best = np.array([_score(objective, blocks, {n: a[i] for n, a in points.items()})
+                     for i in range(len(starts))])
+    step = np.full(len(starts), ASCENT_STEP)
     sizes = [2 * b.n_slices * b.k for b in blocks]
     total = sum(sizes)
-    step = ASCENT_STEP
+    per_call = max(1, chunk // total)
+    active = np.arange(len(starts))
     for _ in range(ASCENT_ITERS):
-        batch = {b.name: np.repeat(point[b.name][None], total, axis=0) for b in blocks}
-        offset = 0
-        for b, size in zip(blocks, sizes):
-            moves = np.arange(size)
-            rows = np.repeat(point[b.name], 2 * b.k, axis=0)
-            rows[moves, moves // 2 % b.k] += np.where(moves % 2 == 0, step, -step)
-            batch[b.name][offset + moves, moves // (2 * b.k)] = project_simplex(rows)
-            offset += size
-        values = np.asarray(objective(batch), dtype=np.float64)
-        k = int(np.flatnonzero(values >= values.max() - IMPROVE_EPS)[0])
-        if values[k] > best + IMPROVE_EPS:
-            point = {b.name: batch[b.name][k].copy() for b in blocks}
-            best = float(values[k])
-        else:
-            step *= 0.5
-            if step < ASCENT_MIN_STEP:
-                break
-    return best, point
+        for group in np.split(active, range(per_call, active.size, per_call)):
+            moved = {b.name: np.repeat(points[b.name][group, None], total, axis=1) for b in blocks}
+            offset = 0
+            for b, size in zip(blocks, sizes):
+                moves = np.arange(size)
+                sign = np.where(moves % 2 == 0, 1.0, -1.0)
+                rows = np.repeat(points[b.name][group], 2 * b.k, axis=1)
+                rows[:, moves, moves // 2 % b.k] += sign * step[group, None]
+                moved[b.name][:, offset + moves, moves // (2 * b.k)] = project_simplex(rows)
+                offset += size
+            batch = {n: a.reshape(-1, *a.shape[2:]) for n, a in moved.items()}
+            values = np.asarray(objective(batch), dtype=np.float64).reshape(group.size, total)
+            k = np.argmax(values >= values.max(axis=1, keepdims=True) - IMPROVE_EPS, axis=1)
+            top = values[np.arange(group.size), k]
+            up = top > best[group] + IMPROVE_EPS
+            for n, a in moved.items():
+                points[n][group[up]] = a[up, k[up]]
+            best[group[up]] = top[up]
+            step[group[~up]] *= 0.5
+        active = active[step[active] >= ASCENT_MIN_STEP]
+        if active.size == 0:
+            break
+    return [(float(best[i]), {n: a[i].copy() for n, a in points.items()}) for i in range(len(starts))]
 
 
 @dataclass
@@ -331,8 +349,7 @@ def maximize(
     for _ in range(cfg.restarts):
         starts.append({b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in eff_blocks})
 
-    for start in starts:
-        value, point = _ascend(objective, eff_blocks, start)
+    for value, point in _ascend(objective, eff_blocks, starts, chunk):
         consider(value, point)
 
     near_sorted = sorted(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -443,6 +444,61 @@ def test_accumulator_invariant_under_chunking_and_order(data, rows):
     got = acc.finalize()
     np.testing.assert_array_equal(got.h_bits, expected.h_bits)
     np.testing.assert_array_equal(got.points, expected.points)
+
+
+#: Candidate rates on a coarse lattice (ties and duplicates are common),
+#: negatives that snap to zero, and arbitrary floats.
+_RATE = st.one_of(st.integers(-2, 8).map(lambda k: k / 4), st.floats(-0.5, 3.0))
+_CANDIDATES = st.lists(st.tuples(_RATE, _RATE), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adds=st.lists(_CANDIDATES, min_size=1, max_size=6))
+def test_frontier_prefilter_keeps_the_unfiltered_prune(adds):
+    acc = SupportAccumulator(91)
+    frontier = np.empty((0, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        for cands in adds:
+            V = np.array(cands, dtype=np.float64).reshape(-1, 2)
+            mp.setattr(regions, "_candidate_vertices", lambda dirs, bounds, V=V: (V, np.ones(len(V), bool)))
+            acc.add(_DIRS, np.empty((0, len(_DIRS))))
+            snapped = np.maximum(np.round(V, 12), 0.0)
+            frontier = regions._pareto_prune(np.concatenate([frontier, snapped]))
+            assert acc._rows.shape == frontier.shape
+            np.testing.assert_array_equal(acc._rows, frontier)
+
+
+def _family_from_scratch(ch, family, cfg):
+    """``scheme_family`` with every member's chain applied to its source law
+    from the start."""
+    for src in family:
+        blocks = regions._source_blocks(ch, src, cfg)
+        if src.kind == "anchor":
+            laws = [regions._tin_anchor(ch, cfg)]
+        elif src.kind == "products":
+            laws = (product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
+                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK))
+        else:
+            laws = regions.layered_family(blocks, cfg, src.tag)
+        for batch in laws:
+            for chain, feeds in src.members:
+                yield functools.reduce(lambda b, step: relayer(b, *step), chain, batch), feeds
+
+
+@pytest.mark.parametrize("family", [*(f"scheme:{k}" for k in FAMILIES),
+                                    *(f"suite:{k}" for k in _REGION_SUITES)])
+def test_scheme_family_members_equal_their_chains_from_scratch(family):
+    kind, name = family.split(":")
+    rows = FAMILIES[name] if kind == "scheme" else _REGION_SUITES[name].family
+    ch = random_channel(7, (2, 3, 2, 2))
+    got = list(scheme_family(ch, rows, CFG))
+    want = list(_family_from_scratch(ch, rows, CFG))
+    assert len(got) == len(want)
+    for (g, g_feeds), (w, w_feeds) in zip(got, want):
+        assert g_feeds == w_feeds
+        assert g.keys() == w.keys()
+        for key in w:
+            assert g[key].shape == w[key].shape and (g[key] == w[key]).all()
 
 
 class TestStrongBothInclusion:

@@ -130,9 +130,9 @@ def test_maximize_takes_budget_seed_and_restarts_from_cfg(monkeypatch):
     starts = []
     ascend = search._ascend
 
-    def recorded(objective, blocks, start):
-        starts.append(start["p"].copy())
-        return ascend(objective, blocks, start)
+    def recorded(objective, blocks, points, chunk):
+        starts.extend(start["p"].copy() for start in points)
+        return ascend(objective, blocks, points, chunk)
 
     monkeypatch.setattr(search, "_ascend", recorded)
 
@@ -196,7 +196,8 @@ def test_first_grid_index_wins_over_a_later_one_ulp_larger(chunk):
 
 def per_proposal_ascend(objective, blocks, start):
     """Coordinate ascent with one point dict and one scalar projection per
-    proposal: the reference the batched ``search._ascend`` must reproduce."""
+    proposal: the reference the lockstep ``search._ascend`` must reproduce
+    for each start."""
     def score(points):
         batch = {b.name: np.stack([p[b.name].reshape(b.shape) for p in points]) for b in blocks}
         return np.asarray(objective(batch), dtype=np.float64)
@@ -227,9 +228,9 @@ def per_proposal_ascend(objective, blocks, start):
     return best, point
 
 
-@pytest.mark.parametrize("name", ["tin", "strong_y2", "very_weak_1", "genie_dominance_1"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
+def search_case(name, seed):
+    """``(objective, blocks, cfg, prior)``: a regime objective on a random
+    channel of one of three shapes, with one prior witness."""
     cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, aux_card_u=2,
                        seed=seed)
     ch = random_channel(40 + seed, [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 2)][seed])
@@ -237,28 +238,117 @@ def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
     blocks = OBJECTIVES[name][0].blocks(ch, cfg)
     rng = np.random.default_rng(seed)
     prior = {b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices) for b in blocks}
+    return objective(name, law), blocks, cfg, prior
+
+
+def recording(score, log):
+    """``score`` that appends a copy of every batch it is given to ``log``."""
+    def fn(batch):
+        log.append({n: np.array(a) for n, a in batch.items()})
+        return score(batch)
+
+    return fn
+
+
+def same_batch(g, w, blocks):
+    return all(g[b.name].shape == w[b.name].shape and (g[b.name] == w[b.name]).all()
+               for b in blocks)
+
+
+CASES = ["tin", "strong_y2", "very_weak_1", "genie_dominance_1"]
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximize_matches_per_proposal_ascent(monkeypatch, name, seed):
+    score, blocks, cfg, prior = search_case(name, seed)
 
     def run():
         """The search's result and every batch it scored, in order."""
         batches = []
-        score = objective(name, law)
-
-        def recorded(batch):
-            batches.append({n: np.array(a) for n, a in batch.items()})
-            return score(batch)
-
-        res = maximize(recorded, blocks, cfg, extra_candidates=[prior])
+        res = maximize(recording(score, batches), blocks, cfg, extra_candidates=[prior])
         return res, batches
 
     got, got_batches = run()
-    monkeypatch.setattr(search, "_ascend", per_proposal_ascend)
+    per_start = []  # every batch the per-proposal ascent scores, per start
+
+    def one_by_one(objective, blocks, starts, chunk):
+        per_start.extend([] for _ in starts)
+        return [per_proposal_ascend(recording(objective, log), blocks, start)
+                for start, log in zip(starts, per_start)]
+
+    monkeypatch.setattr(search, "_ascend", one_by_one)
     want, want_batches = run()
-    assert len(got_batches) == len(want_batches)
-    for g, w in zip(got_batches, want_batches):
-        assert all(g[b.name].shape == w[b.name].shape and (g[b.name] == w[b.name]).all()
-                   for b in blocks)
+    ascent = sum(len(log) for log in per_start)
+    head = len(want_batches) - ascent - 1  # grid and prior scores; the final re-score is last
+
+    # Lockstep: every start's B = 1 score, then per iteration one batch of
+    # every start still ascending, each start's slice equal to its own batch.
+    lockstep = [log[0] for log in per_start]
+    for t in range(1, max(len(log) for log in per_start)):
+        live = [log[t] for log in per_start if len(log) > t]
+        lockstep.append({b.name: np.concatenate([m[b.name] for m in live]) for b in blocks})
+    assert len(got_batches) == head + len(lockstep) + 1
+    for g, w in zip(got_batches, want_batches[:head] + lockstep + want_batches[-1:]):
+        assert same_batch(g, w, blocks)
     assert got.value == want.value
     assert all((got.point[b.name] == want.point[b.name]).all() for b in blocks)
     assert [v for v, _ in got.near_optima] == [v for v, _ in want.near_optima]
     for (_, p), (_, q) in zip(got.near_optima, want.near_optima):
         assert all((p[b.name] == q[b.name]).all() for b in blocks)
+
+
+def ascent_starts(blocks, prior, n, seed):
+    """The prior witness, a simplex vertex and ``n`` random points."""
+    rng = np.random.default_rng(seed)
+    vertex = {b.name: np.eye(b.k)[np.zeros(b.n_slices, dtype=int)] for b in blocks}
+    return [prior, vertex] + [{b.name: rng.dirichlet(np.ones(b.k), size=b.n_slices)
+                               for b in blocks} for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_ascent_equals_each_start_alone(name, seed):
+    score, blocks, _, prior = search_case(name, seed)
+    starts = ascent_starts(blocks, prior, 5, seed)
+    together = search._ascend(score, blocks, starts)
+    alone = [search._ascend(score, blocks, [start])[0] for start in starts]
+    assert len(together) == len(starts)
+    for (value, point), (v, p) in zip(together, alone):
+        assert value == v
+        assert all((point[b.name] == p[b.name]).all() for b in blocks)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_lockstep_ascent_scores_the_rows_of_the_per_start_runs(name):
+    score, blocks, _, prior = search_case(name, 1)
+    starts = ascent_starts(blocks, prior, 4, 1)
+
+    def rows_scored(points):
+        log = []
+        search._ascend(recording(score, log), blocks, points)
+        return sum(len(batch[blocks[0].name]) for batch in log), len(log)
+
+    rows, calls = rows_scored(starts)
+    alone = [rows_scored([start]) for start in starts]
+    assert rows == sum(r for r, _ in alone)
+    # One B = 1 call per start, then one call per iteration of the longest run.
+    assert calls == len(starts) + max(c for _, c in alone) - 1
+
+
+@pytest.mark.parametrize("name", ["tin", "genie_dominance_1"])
+def test_ascent_calls_fit_the_chunk(name):
+    score, blocks, cfg, prior = search_case(name, 2)
+    moves = sum(2 * b.n_slices * b.k for b in blocks)
+    starts = ascent_starts(blocks, prior, 4, 2)
+    want = search._ascend(score, blocks, starts)
+    for chunk in [1, moves - 1, moves, 2 * moves + 1, 3 * moves]:
+        log = []
+        got = search._ascend(recording(score, log), blocks, starts, chunk)
+        assert max(len(batch[blocks[0].name]) for batch in log) <= max(chunk, moves)
+        for (value, point), (v, p) in zip(got, want):
+            assert value == v and all((point[b.name] == p[b.name]).all() for b in blocks)
+        if chunk > 1:  # one grid point per call would only slow the test
+            log.clear()
+            maximize(recording(score, log), blocks, cfg, extra_candidates=[prior], chunk=chunk)
+            assert max(len(batch[blocks[0].name]) for batch in log) <= max(chunk, moves)
