@@ -51,6 +51,17 @@ def _neg_xlog2x_sum(values: np.ndarray) -> float:
     return float(-(v * logs).sum())
 
 
+def _row_entropies(m: np.ndarray) -> np.ndarray:
+    """``-sum(m * log2(m))`` of each row of ``m [B, K]``, with 0*log0 := 0.
+
+    Zero cells take ``log2(1) = 0``, so no masked ``log2`` is needed.
+    """
+    x = np.where(m > 0.0, m, 1.0)
+    np.log2(x, out=x)
+    x *= m
+    return -x.sum(axis=1)
+
+
 class KernelCache:
     """Marginal kernels by key under a byte budget.
 
@@ -444,9 +455,7 @@ class BatchJoint:
             m = self._flat @ self._law.marginal_kernel(self.in_names, self.values.shape[1:], key)
         else:
             m = self._contract(key)
-        logs = np.zeros_like(m)
-        np.log2(m, out=logs, where=m > 0.0)
-        h = -(m * logs).sum(axis=1)
+        h = _row_entropies(m)
         self._cache[key] = h
         return h
 

@@ -20,7 +20,9 @@ plus members derived from each of their laws that are always legal points
 of the same family: :func:`relayer` replaces one user's W layer by a
 constant or by ``W = X`` at the same X marginal.  The derived members cost
 little and make finite-resolution comparisons between equivalent schemes
-sharp.
+sharp.  A layered grid is never built law by law: its laws are the
+products of each user's distinct side factors, each scored once and
+counted with its multiplicity (:func:`layered_family`).
 
 The reduced families used by ``hk_strong_y2`` and ``one_sided`` carry no W1
 layer at all: the union runs over ``P(X1) P(W2) P(X2|W2)``, with X1 entering
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -211,6 +214,21 @@ class AuxInputDist:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _vertex_plan(dirs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of :func:`_candidate_vertices` after the origin, in order.
+
+    Axis intercepts as rows ``(column, coordinate, divisor)``, by direction
+    and R1 before R2; then the intersections of every non-parallel pair of
+    columns ``i < j`` as rows ``(i, j, c1i, c2i, c1j, c2j, det)``.
+    """
+    icpt = [(i, axis, c) for i, d in enumerate(dirs) for axis, c in enumerate(d) if c > 0]
+    pairs = [(i, j, *dirs[i], *dirs[j], dirs[i][0] * dirs[j][1] - dirs[j][0] * dirs[i][1])
+             for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
+    return (np.array(icpt, dtype=np.int64).reshape(-1, 3),
+            np.array([p for p in pairs if p[-1] != 0], dtype=np.int64).reshape(-1, 7))
+
+
 def _candidate_vertices(
     dirs: Sequence[tuple[int, int]], bounds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,28 +240,17 @@ def _candidate_vertices(
     2x2 solves are closed-form in the bounds).
     """
     b = np.asarray(bounds, dtype=np.float64)
-    B, k = b.shape
-    zeros = np.zeros(B)
-    pts: list[np.ndarray] = [np.zeros((B, 2))]
-    for i, (c1, c2) in enumerate(dirs):
-        if c1 > 0:
-            pts.append(np.stack([b[:, i] / c1, zeros], axis=1))
-        if c2 > 0:
-            pts.append(np.stack([zeros, b[:, i] / c2], axis=1))
-    for i in range(k):
-        c1i, c2i = dirs[i]
-        for j in range(i + 1, k):
-            c1j, c2j = dirs[j]
-            det = c1i * c2j - c1j * c2i
-            if det == 0:
-                continue
-            x = (b[:, i] * c2j - b[:, j] * c2i) / det
-            y = (c1i * b[:, j] - c1j * b[:, i]) / det
-            pts.append(np.stack([x, y], axis=1))
-    V = np.stack(pts, axis=1)
+    icpt, pairs = _vertex_plan(tuple(dirs))
+    n = 1 + len(icpt)
+    V = np.zeros((b.shape[0], n + len(pairs), 2))
+    V[:, np.arange(1, n), icpt[:, 1]] = b[:, icpt[:, 0]] / icpt[:, 2]
+    i, j, c1i, c2i, c1j, c2j, det = pairs.T
+    bi, bj = b[:, i], b[:, j]
+    V[:, n:, 0] = (bi * c2j - bj * c2i) / det
+    V[:, n:, 1] = (c1i * bj - c1j * bi) / det
     feas = (V[:, :, 0] >= -_FEAS_TOL) & (V[:, :, 1] >= -_FEAS_TOL)
-    for i, (c1, c2) in enumerate(dirs):
-        feas &= c1 * V[:, :, 0] + c2 * V[:, :, 1] <= b[:, i, np.newaxis] + _FEAS_TOL
+    for k, (c1, c2) in enumerate(dirs):
+        feas &= c1 * V[:, :, 0] + c2 * V[:, :, 1] <= b[:, k, np.newaxis] + _FEAS_TOL
     return V, feas
 
 
@@ -327,15 +334,13 @@ def _pareto_prune(rows: np.ndarray) -> np.ndarray:
     the closed positive quadrant, so it can neither set a support value nor
     win a tie, and a duplicate cannot change a maximum in a total order;
     pruning keeps the angle reduction exact while shrinking the candidate
-    set to (roughly) the frontier.
+    set to (roughly) the frontier.  The rows come back ordered by r1
+    descending, then r2 ascending, so r2 is non-decreasing.
     """
-    if rows.shape[0] <= 2:
-        return rows
     order = np.lexsort((rows[:, 1], -rows[:, 0]))
     r = rows[order]
     r1, r2 = r[:, 0], r[:, 1]
-    new_group = np.empty(len(r), dtype=bool)
-    new_group[0] = True
+    new_group = np.ones(len(r), dtype=bool)
     new_group[1:] = r1[1:] < r1[:-1]
     starts = np.nonzero(new_group)[0]
     gid = np.cumsum(new_group) - 1
@@ -376,15 +381,14 @@ class SupportAccumulator:
         # without this, 1e-16 noise defeats both the lexicographic tie-break
         # and the dominance prune.
         flatV = np.maximum(np.round(flatV, 12), 0.0)
-        if len(self._rows) > 2:
-            # Drop candidates the frontier strictly dominates; the prune
-            # would drop them too.  A pruned frontier of more than two rows
-            # runs r1 descending with r2 non-decreasing, so the ``i`` rows
-            # with a larger r1 come first and the best r2 among them is
-            # ``r2[i - 1]`` (``i == 0``: no such row).
-            r1, r2 = self._rows[:, 0], self._rows[:, 1]
-            i = np.searchsorted(-r1, -flatV[:, 0], "left")
-            flatV = flatV[(i == 0) | (flatV[:, 1] >= r2[i - 1])]
+        # Drop candidates the frontier strictly dominates; the prune would
+        # drop them too.  The frontier runs r1 descending with r2
+        # non-decreasing, so the ``i`` rows with a larger r1 come first and
+        # the best r2 among them is ``best[i]`` (-inf when there are none).
+        r1, r2 = self._rows[:, 0], self._rows[:, 1]
+        i = np.searchsorted(-r1, -flatV[:, 0], "left")
+        best = np.concatenate(([-math.inf], r2))
+        flatV = flatV[flatV[:, 1] >= best[i]]
         self._rows = _pareto_prune(np.concatenate([self._rows, flatV]))
 
     def finalize(self, meta: dict | None = None) -> RateRegion:
@@ -649,20 +653,89 @@ def _source_blocks(ch: DiscreteIC, src: Source, cfg: SearchConfig) -> list[Simpl
     return shrink_to_budget(_SOURCE_BLOCKS[src.kind](ch, cfg), cfg.max_candidates)
 
 
-def layered_family(
-    blocks: Sequence[SimplexBlock], cfg: SearchConfig, tag: int
-) -> Iterator[DistBatch]:
-    """Grid over the layered ``blocks`` + seeded random draws over
-    ``P(w1) P(w2) P(x1|w1) P(x2|w2)``."""
-    def laws(raw: Mapping[str, np.ndarray]) -> DistBatch:
-        return {name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+def _random_laws(blocks: Sequence[SimplexBlock], cfg: SearchConfig, tag: int) -> list[DistBatch]:
+    """``cfg.restarts`` seeded random draws over ``P(w1) P(w2) P(x1|w1) P(x2|w2)``
+    at the shapes of the layered ``blocks`` (no batch when there are none)."""
+    if cfg.restarts == 0:
+        return []
+    rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, tag]))
+    raw = {b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices)) for b in blocks}
+    return [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}]
 
+
+def _distinct_side(side: DistBatch, counts: np.ndarray) -> tuple[DistBatch, np.ndarray]:
+    """The distinct rows of one user's side factors ``{pw: [B, nw], pxw: [B, nw, nx]}``,
+    each with the summed ``counts`` of the rows it stands for."""
+    rows = np.concatenate([v.reshape(len(counts), -1) for v in side.values()], axis=1)
+    idx, total = distinct_rows(rows, counts)
+    return {name: v[idx] for name, v in side.items()}, total
+
+
+def _side_grid(blocks: Sequence[SimplexBlock]) -> tuple[DistBatch, np.ndarray]:
+    """Distinct laws of one user's side of a layered grid, ``blocks`` being
+    its ``pw`` and ``px|w`` blocks, and how many grid points each stands for.
+
+    The ``px|w`` rows of massless W values are set to 0 first.  That is
+    bit-exact for every law built from the side: :func:`batch_joint`
+    multiplies those rows by 0.0, and :func:`relayer`'s marginal adds them
+    as +0.0.
+    """
+    pw, pxw = (b.name for b in blocks)
+    tables = []
     for _, raw in iter_grid_batches(blocks, CHUNK):
-        yield laws(raw)
-    if cfg.restarts > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, tag]))
-        yield laws({b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices))
-                    for b in blocks})
+        w = raw[pw][:, 0, :]
+        side = {pw: w, pxw: np.where(w[:, :, np.newaxis] > 0.0, raw[pxw], 0.0)}
+        tables.append(_distinct_side(side, np.ones(len(w), dtype=np.int64)))
+    return _distinct_side({name: np.concatenate([t[name] for t, _ in tables]) for name in (pw, pxw)},
+                          np.concatenate([c for _, c in tables]))
+
+
+def _chain_table(
+    tables: dict[tuple[int, tuple], tuple[DistBatch, np.ndarray]],
+    side: int,
+    chain: Sequence[tuple[int, bool]],
+) -> tuple[DistBatch, np.ndarray]:
+    """User ``side``'s table after the steps of ``chain`` on that side, built
+    from the longest prefix already in ``tables`` (which it extends)."""
+    steps = tuple(step for step in chain if step[0] == side)
+    for n in range(1, len(steps) + 1):
+        if (side, steps[:n]) not in tables:
+            table, counts = tables[side, steps[:n - 1]]
+            tables[side, steps[:n]] = _distinct_side(relayer(table, *steps[n - 1]), counts)
+    return tables[side, steps]
+
+
+def layered_family(
+    blocks: Sequence[SimplexBlock], members: Sequence[Member]
+) -> Iterator[tuple[DistBatch, tuple[str, ...] | None, np.ndarray]]:
+    """``(batch, feeds, counts)`` for every member of every law of the grid
+    over the layered ``blocks`` (``pw1, px1w1, pw2, px2w2``).
+
+    A layered law is the product of two per-user factors, and the grid is
+    the Cartesian product of the two side grids; a member's chain of
+    :func:`relayer` steps acts on each side alone.  So each side's distinct
+    factors (:func:`_side_grid`) are re-layered by the member's steps on
+    that side, in chain order (each step prefix once), and deduplicated
+    again; a member's laws are the product of its two side tables, yielded
+    in ``CHUNK``-row batches, each row standing for ``c1[i] * c2[j]`` laws
+    of the grid.  The raw grid is never built.
+
+    Memory: a side table holds at most its side's grid, which is at most
+    ``max_candidates`` rows of ``nw * (nx + 1)`` float64 values, so at
+    worst ``8 * max_candidates * nw * (nx + 1)`` bytes (25.6 MB at the
+    default 200,000 rows, ``|W| = 4`` and ``|X| = 3``); the tables of every
+    chain prefix on a side are kept while the source runs, and a batch
+    holds at most ``CHUNK`` laws.
+    """
+    sides = {1: blocks[:2], 2: blocks[2:]}
+    tables = {(side, ()): _side_grid(sides[side]) for side in sides}
+    for chain, feeds in members:
+        (t1, c1), (t2, c2) = (_chain_table(tables, side, chain) for side in sides)
+        total = len(c1) * len(c2)
+        for start in range(0, total, CHUNK):
+            i, j = np.divmod(np.arange(start, min(start + CHUNK, total)), len(c2))
+            batch = {**{k: v[i] for k, v in t1.items()}, **{k: v[j] for k, v in t2.items()}}
+            yield batch, feeds, c1[i] * c2[j]
 
 
 def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None) -> DistBatch:
@@ -681,12 +754,17 @@ def scheme_family(
     family: Sequence[Source],
     cfg: SearchConfig,
     anchor: ProductInput | None = None,
-) -> Iterator[tuple[DistBatch, tuple[str, ...] | None]]:
-    """``(batch, feeds)`` for every member of every law of ``family`` (a
-    :data:`FAMILIES` row or a suite's), in order.
+) -> Iterator[tuple[DistBatch, tuple[str, ...] | None, np.ndarray]]:
+    """``(batch, feeds, counts)`` for every member of every law of ``family``
+    (a :data:`FAMILIES` row or a suite's), source by source: each row of a
+    batch stands for ``counts`` laws of the family.
 
-    ``anchor`` is the TIN optimum of ``(ch, cfg)`` if the caller has it
-    (see :func:`_tin_anchor`).
+    The grids of ``"layered"`` and ``"reduced"`` sources come from
+    :func:`layered_family`, as distinct laws with their multiplicities; the
+    random draws, the product grid and the anchor come one row per law,
+    each member re-layering every chain prefix once per batch.  ``anchor``
+    is the TIN optimum of ``(ch, cfg)`` if the caller has it (see
+    :func:`_tin_anchor`).
     """
     for src in family:
         blocks = _source_blocks(ch, src, cfg)
@@ -696,14 +774,16 @@ def scheme_family(
             laws = (product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
                     for _, raw in iter_grid_batches(blocks, CHUNK))
         else:
-            laws = layered_family(blocks, cfg, src.tag)
+            yield from layered_family(blocks, src.members)
+            laws = _random_laws(blocks, cfg, src.tag)
         for batch in laws:
-            derived = {(): batch}  # each chain prefix is re-layered once per batch
+            ones = np.ones(len(batch["pw1"]), dtype=np.int64)
+            derived = {(): batch}
             for chain, feeds in src.members:
                 for n in range(1, len(chain) + 1):
                     if chain[:n] not in derived:
                         derived[chain[:n]] = relayer(derived[chain[:n - 1]], *chain[n - 1])
-                yield derived[chain], feeds
+                yield derived[chain], feeds, ones
 
 
 def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
@@ -715,9 +795,10 @@ def _key_vector(cells: int) -> np.ndarray:
     return np.random.default_rng(0xD15711C7).integers(0, 2**64, cells, dtype=np.uint64) | 1
 
 
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index of one representative per distinct row of ``rows [B, cells]``,
-    and how many rows it stands for.
+    and the summed ``weights`` of the rows it stands for (by default, how
+    many rows it stands for).
 
     Rows merge only when every entry is equal under ``==``.  Each row is
     keyed by the wrapping integer product of its bit patterns with
@@ -734,13 +815,15 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort(rows.T[::-1])
         new = _row_starts(rows[order])
     starts = np.flatnonzero(new)
-    return order[starts], np.diff(starts, append=len(rows))
+    if weights is None:
+        weights = np.ones(len(rows), dtype=np.int64)
+    return order[starts], np.add.reduceat(weights[order], starts)
 
 
 def union_over_batches(
     ch: DiscreteIC,
     regions: Mapping[str, str],
-    batches: Iterable[tuple[DistBatch, Collection[str] | None]],
+    batches: Iterable[tuple[DistBatch, Collection[str] | None, np.ndarray]],
     angles: int,
     per_batch_hook: (
         Callable[[BatchJoint, Mapping[str, np.ndarray], np.ndarray], None] | None
@@ -749,24 +832,20 @@ def union_over_batches(
     """Accumulate named regions over one stream of law batches.
 
     ``regions`` maps each region name to its scheme; several regions may
-    share one.  Each batch comes with the names of the regions it feeds,
-    ``None`` for every region.
-    Law grids repeat input laws, and a law's bounds depend on nothing else,
-    so each distinct law of a batch (:func:`distinct_rows`) is scored once;
-    ``laws_enumerated`` still counts every law.  Every scheme's bounds are
-    computed once per batch, and ``per_batch_hook(bj, bounds, counts)``
-    receives the joint of the batch's distinct laws, their bound matrices
-    keyed by scheme, and each distinct law's multiplicity in the batch,
-    enabling zero-tolerance per-law checks on exactly the laws the regions
-    were built from.
+    share one.  Each batch comes with the names of the regions it feeds
+    (``None`` for every region) and each row's count, the number of laws
+    of the family it stands for (:func:`scheme_family` yields a layered
+    grid as its distinct laws); ``laws_enumerated`` sums the counts.  Every
+    scheme's bounds are computed once per batch, and
+    ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
+    bound matrices keyed by scheme and the counts, enabling zero-tolerance
+    per-law checks on exactly the laws the regions were built from.
     """
     tables = {scheme: table_for_scheme(scheme) for scheme in regions.values()}
     accs = {name: SupportAccumulator(angles) for name in regions}
     laws = dict.fromkeys(regions, 0)
-    for batch, feeds in batches:
-        full = batch_joint(ch, batch)
-        idx, counts = distinct_rows(full.values.reshape(full.batch_size, -1))
-        bj = BatchJoint(full.in_names, full.values[idx], ch.law)
+    for batch, feeds, counts in batches:
+        bj = batch_joint(ch, batch)
         bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
         merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
                   for scheme, table in tables.items()}
@@ -774,7 +853,7 @@ def union_over_batches(
         merged = {s: (d, _drop_repeats(b[np.lexsort(b.T)])) for s, (d, b) in merged.items()}
         for name in regions if feeds is None else feeds:
             accs[name].add(*merged[regions[name]])
-            laws[name] += full.batch_size
+            laws[name] += int(counts.sum())
         if per_batch_hook is not None:
             per_batch_hook(bj, bounds, counts)
     return {

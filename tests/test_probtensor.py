@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from icrates import probtensor
 from icrates import (
     AuxInputDist,
     InfoQuery,
@@ -209,6 +210,19 @@ class TestInvariants:
 
 
 class TestBatchJoint:
+    @pytest.mark.parametrize("cells", [3, 9, 27, 36])
+    def test_row_entropies_equal_the_masked_log(self, cells):
+        rng = np.random.default_rng(cells)
+        m = rng.dirichlet(np.ones(cells), size=4096)
+        m[rng.random(m.shape) < 0.3] = 0.0
+        m[0] = 0.0
+        m[1] = np.eye(cells)[0]
+        logs = np.zeros_like(m)
+        np.log2(m, out=logs, where=m > 0.0)
+        want = -(m * logs).sum(axis=1)
+        got = probtensor._row_entropies(m)
+        assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+
     def test_matches_probtensor_path(self):
         t = random_tensor(13, (2, 3, 2), ("A", "B", "C"))
         bj = BatchJoint(("A", "B", "C"), t.values[np.newaxis, ...])

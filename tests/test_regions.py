@@ -374,32 +374,52 @@ class TestUnionEngine:
         assert len(reps) == len(distinct)
         np.testing.assert_array_equal(np.unique(reps, axis=0), distinct)
 
+    def test_distinct_rows_sums_weights(self):
+        rng = np.random.default_rng(4)
+        rows = np.round(rng.random((6, 3)), 1)[rng.integers(0, 6, 300)]
+        weights = rng.integers(1, 50, len(rows))
+        idx, total = regions.distinct_rows(rows, weights)
+        plain_idx, plain_counts = regions.distinct_rows(rows)
+        np.testing.assert_array_equal(idx, plain_idx)
+        equal = (rows[:, None, :] == rows[idx][None, :, :]).all(axis=2)  # [B, reps]
+        np.testing.assert_array_equal(total, weights @ equal)
+        np.testing.assert_array_equal(plain_counts, equal.sum(axis=0))
+
     def test_duplicated_laws_change_nothing(self):
+        # A row with count c changes the region as its c copies do, and
+        # counts as c laws to laws_enumerated and to the hook.
         ch = random_channel(5, (2, 2, 2, 2))
         rng = np.random.default_rng(0)
-        plain = [b for b, _ in scheme_family(ch, FAMILIES["hk"], CFG)]
+        plain = [(b, c) for b, _, c in scheme_family(ch, FAMILIES["hk"], CFG)]
 
-        def doubled(batch):
-            perm = rng.permutation(2 * len(batch["pw1"]))
-            return {k: np.concatenate([v, v])[perm] for k, v in batch.items()}
+        def doubled(batch, counts):
+            perm = rng.permutation(2 * len(counts))
+            twice = {k: np.concatenate([v, v])[perm] for k, v in batch.items()}
+            return twice, np.concatenate([counts, counts])[perm]
 
-        seen = []
-        a = union_over_batches(ch, {"hk": "hk"}, ((b, ("hk",)) for b in plain), CFG.angles)["hk"]
-        b = union_over_batches(ch, {"hk": "hk"}, ((doubled(b), ("hk",)) for b in plain), CFG.angles,
-                               per_batch_hook=lambda bj, bounds, counts: seen.append(counts))["hk"]
-        np.testing.assert_array_equal(b.h_bits, a.h_bits)
-        np.testing.assert_array_equal(b.points, a.points)
-        np.testing.assert_array_equal(b.vertices, a.vertices)
-        assert b.meta["laws_enumerated"] == 2 * a.meta["laws_enumerated"]
-        assert sum(int(c.sum()) for c in seen) == b.meta["laws_enumerated"]
-        assert all((c % 2 == 0).all() for c in seen)
+        def run(stream):
+            seen = []
+            region = union_over_batches(ch, {"hk": "hk"}, ((b, ("hk",), c) for b, c in stream), CFG.angles,
+                                        per_batch_hook=lambda bj, bounds, counts: seen.append(counts))["hk"]
+            assert sum(int(c.sum()) for c in seen) == region.meta["laws_enumerated"]
+            return region
+
+        a = run(plain)
+        assert a.meta["laws_enumerated"] > sum(len(c) for _, c in plain)  # the grid comes as distinct laws
+        for stream in ([doubled(b, c) for b, c in plain], [(b, 2 * c) for b, c in plain]):
+            b = run(stream)
+            np.testing.assert_array_equal(b.h_bits, a.h_bits)
+            np.testing.assert_array_equal(b.points, a.points)
+            np.testing.assert_array_equal(b.vertices, a.vertices)
+            assert b.meta["laws_enumerated"] == 2 * a.meta["laws_enumerated"]
 
     def test_regions_sharing_a_scheme_see_only_their_batches(self):
         ch = random_channel(6, (2, 2, 2, 2))
-        batches = [b for b, _ in scheme_family(ch, FAMILIES["semijoint"], CFG)]
-        feeds = [(b, ("all", "first") if i == 0 else ("all",)) for i, b in enumerate(batches)]
+        batches = [(b, c) for b, _, c in scheme_family(ch, FAMILIES["semijoint"], CFG)]
+        feeds = [(b, ("all", "first") if i == 0 else ("all",), c) for i, (b, c) in enumerate(batches)]
         out = union_over_batches(ch, {"all": "semijoint", "first": "semijoint"}, feeds, CFG.angles)
-        assert out["first"].meta["laws_enumerated"] == batches[0]["pw1"].shape[0]
+        assert out["first"].meta["laws_enumerated"] == batches[0][1].sum()
+        assert out["all"].meta["laws_enumerated"] == sum(c.sum() for _, c in batches)
         assert includes(out["all"], out["first"], tol=0.0)
 
 
@@ -446,6 +466,57 @@ def test_accumulator_invariant_under_chunking_and_order(data, rows):
     np.testing.assert_array_equal(got.points, expected.points)
 
 
+def _candidate_vertices_loop(dirs, bounds):
+    """Candidate vertices and feasibility built one candidate at a time."""
+    b = np.asarray(bounds, dtype=np.float64)
+    B, k = b.shape
+    zeros = np.zeros(B)
+    pts = [np.zeros((B, 2))]
+    for i, (c1, c2) in enumerate(dirs):
+        if c1 > 0:
+            pts.append(np.stack([b[:, i] / c1, zeros], axis=1))
+        if c2 > 0:
+            pts.append(np.stack([zeros, b[:, i] / c2], axis=1))
+    for i in range(k):
+        c1i, c2i = dirs[i]
+        for j in range(i + 1, k):
+            c1j, c2j = dirs[j]
+            det = c1i * c2j - c1j * c2i
+            if det == 0:
+                continue
+            x = (b[:, i] * c2j - b[:, j] * c2i) / det
+            y = (c1i * b[:, j] - c1j * b[:, i]) / det
+            pts.append(np.stack([x, y], axis=1))
+    V = np.stack(pts, axis=1)
+    feas = (V[:, :, 0] >= -regions._FEAS_TOL) & (V[:, :, 1] >= -regions._FEAS_TOL)
+    for i, (c1, c2) in enumerate(dirs):
+        feas &= c1 * V[:, :, 0] + c2 * V[:, :, 1] <= b[:, i, np.newaxis] + regions._FEAS_TOL
+    return V, feas
+
+
+@pytest.mark.parametrize("dirs", [_DIRS, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], [(0, 1), (2, 1)],
+                                  [(1, 1), (1, 1), (1, 2)]])
+def test_candidate_vertices_equal_the_loop(dirs):
+    rng = np.random.default_rng(len(dirs))
+    for rows in (1, 5, 600):
+        bounds = np.where(rng.random((rows, len(dirs))) < 0.2, 0.0, 3 * rng.random((rows, len(dirs))))
+        bounds[0] = np.round(bounds[0] * 2) / 2  # ties between candidates
+        V, feas = regions._candidate_vertices(dirs, bounds)
+        want_V, want_feas = _candidate_vertices_loop(dirs, bounds)
+        assert V.shape == want_V.shape and feas.shape == want_feas.shape
+        assert (V == want_V).all() and (np.signbit(V) == np.signbit(want_V)).all()
+        assert (feas == want_feas).all()
+
+
+def test_pareto_prune_sorts_and_prunes_small_inputs():
+    prune = regions._pareto_prune
+    np.testing.assert_array_equal(prune(np.array([[1.0, 1.0], [2.0, 2.0]])), [[2.0, 2.0]])
+    np.testing.assert_array_equal(prune(np.array([[1.0, 2.0], [2.0, 1.0]])), [[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(prune(np.array([[1.0, 2.0], [1.0, 2.0]])), [[1.0, 2.0]])
+    np.testing.assert_array_equal(prune(np.array([[0.5, 0.5]])), [[0.5, 0.5]])
+    assert prune(np.empty((0, 2))).shape == (0, 2)
+
+
 #: Candidate rates on a coarse lattice (ties and duplicates are common),
 #: negatives that snap to zero, and arbitrary floats.
 _RATE = st.one_of(st.integers(-2, 8).map(lambda k: k / 4), st.floats(-0.5, 3.0))
@@ -469,36 +540,52 @@ def test_frontier_prefilter_keeps_the_unfiltered_prune(adds):
 
 
 def _family_from_scratch(ch, family, cfg):
-    """``scheme_family`` with every member's chain applied to its source law
-    from the start."""
+    """``(batch, feeds)`` for every member of every law of ``family``, one
+    row per law: the raw layered and product grids, the random draws and
+    the anchor, with every member's chain applied to its source law from the
+    start."""
     for src in family:
         blocks = regions._source_blocks(ch, src, cfg)
         if src.kind == "anchor":
             laws = [regions._tin_anchor(ch, cfg)]
         elif src.kind == "products":
-            laws = (product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
-                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK))
+            laws = [product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
+                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
         else:
-            laws = regions.layered_family(blocks, cfg, src.tag)
+            laws = [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
+            laws += regions._random_laws(blocks, cfg, src.tag)
         for batch in laws:
             for chain, feeds in src.members:
                 yield functools.reduce(lambda b, step: relayer(b, *step), chain, batch), feeds
 
 
+def _law_multiset(ch, stream):
+    """``{(q bytes, feeds): total count}`` over ``(batch, feeds, counts)``."""
+    out = {}
+    for batch, feeds, counts in stream:
+        q = batch_joint(ch, batch).values.reshape(len(counts), -1)
+        rows, inverse = np.unique(q.view(f"V{q.shape[1] * 8}").ravel(), return_inverse=True)
+        for row, total in zip(rows, np.bincount(inverse.ravel(), weights=counts)):
+            key = (row.tobytes(), feeds)
+            out[key] = out.get(key, 0) + int(total)
+    return out
+
+
 @pytest.mark.parametrize("family", [*(f"scheme:{k}" for k in FAMILIES),
                                     *(f"suite:{k}" for k in _REGION_SUITES)])
 def test_scheme_family_members_equal_their_chains_from_scratch(family):
+    # As a multiset: every law of the raw family, bit for bit, with its
+    # feeds, as often as the raw family holds it.
     kind, name = family.split(":")
     rows = FAMILIES[name] if kind == "scheme" else _REGION_SUITES[name].family
-    ch = random_channel(7, (2, 3, 2, 2))
-    got = list(scheme_family(ch, rows, CFG))
-    want = list(_family_from_scratch(ch, rows, CFG))
-    assert len(got) == len(want)
-    for (g, g_feeds), (w, w_feeds) in zip(got, want):
-        assert g_feeds == w_feeds
-        assert g.keys() == w.keys()
-        for key in w:
-            assert g[key].shape == w[key].shape and (g[key] == w[key]).all()
+    for shape in [(2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 2, 2)]:
+        ch = random_channel(7, shape)
+        got = _law_multiset(ch, scheme_family(ch, rows, CFG))
+        want = _law_multiset(ch, ((b, f, np.ones(len(b["pw1"]), dtype=np.int64))
+                                  for b, f in _family_from_scratch(ch, rows, CFG)))
+        assert sum(got.values()) == sum(want.values())
+        assert got == want
 
 
 class TestStrongBothInclusion:
@@ -512,7 +599,7 @@ class TestStrongBothInclusion:
         table = table_for_scheme("semijoint")
         acc_sj = SupportAccumulator(cfg.angles)
         acc_wx = SupportAccumulator(cfg.angles)
-        for batch, _ in scheme_family(ch, FAMILIES["semijoint"], cfg):
+        for batch, _, _ in scheme_family(ch, FAMILIES["semijoint"], cfg):
             bj = batch_joint(ch, batch)
             bounds = batch_bounds(bj, table)
             dirs, merged = merged_dirs_bounds(table, bounds)
@@ -690,7 +777,7 @@ class TestChannelKernel:
     ], ids=["3x3", "2x3-2x3", "3x2-2x3", "zeros", "xor", "strong-pair"])
     def test_entropies_match_dense_joint(self, ch):
         subsets = table_subsets()
-        family = [b for b, _ in scheme_family(ch, FAMILIES["hk"], CFG)]  # |W| = 1, 2 and W = X lifts
+        family = [b for b, _, _ in scheme_family(ch, FAMILIES["hk"], CFG)]  # |W| = 1, 2 and W = X lifts
         family.append(zero_entry_batch(ch.nx1, ch.nx2))
         for batch in [*family, relayer(family[-1], 1), relayer(family[-1], 2)]:
             bj = batch_joint(ch, batch)

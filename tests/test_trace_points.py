@@ -53,15 +53,38 @@ def test_gaussian_region_work_reaches_traced_names():
     assert tr.counts["gaussian.mi_calls"] > 0
 
 
+def _rows_and_laws(ch, family, cfg):
+    """Rows the family's batches hold, and laws those rows stand for."""
+    batches = list(icrates.regions.scheme_family(ch, family, cfg))
+    return sum(len(c) for *_, c in batches), sum(int(c.sum()) for *_, c in batches)
+
+
 def test_traced_region_counts_every_law():
-    # The engine scores each distinct law once; the tracer still sees them all.
+    # regions.laws counts the laws scored, each distinct law of a layered
+    # grid once; laws_enumerated still counts every law of the family.
     ch = random_channel(3, (2, 2, 2, 2))
     cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
     tracing = load_tracing()
     tr = tracing.Tracer()
     with tracing.Patches(MODULES, tr):
         region = icrates.regions.region_scheme(ch, "hk", cfg)
-    assert tr.counts["regions.laws"] == region.meta["laws_enumerated"] > 0
+    family = icrates.regions.FAMILIES["hk"]
+    size = {src.kind: icrates.search.grid_size(icrates.regions._source_blocks(ch, src, cfg))
+            for src in family}
+    members = [len(src.members) for src in family]  # layered, products, anchor
+    every_law = (size["layered"] + cfg.restarts) * members[0] + size["products"] * members[1] + members[2]
+    scored, laws = _rows_and_laws(ch, family, cfg)
+    assert tr.counts["regions.laws"] == scored < laws == region.meta["laws_enumerated"] == every_law
+
+
+def test_traced_region_document_equals_untraced():
+    ch = random_channel(4, (3, 2, 2, 3))
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=3)
+    plain = icrates.regions.region_scheme(ch, "hk", cfg)
+    tracing = load_tracing()
+    with tracing.Patches(MODULES, tracing.Tracer()):
+        traced = icrates.regions.region_scheme(ch, "hk", cfg)
+    assert traced.to_json_dict() == plain.to_json_dict()
 
 
 def test_traced_ascent_counts_and_keeps_reports():
@@ -79,7 +102,8 @@ def test_traced_ascent_counts_and_keeps_reports():
 
 def test_traced_suite_family_counts_every_law():
     # The suite families build their derived members through regions.relayer;
-    # tracing them must change no document and still count every law.
+    # tracing them must change no document, count each scored law, and the
+    # suite must still check every law.
     cfg = SearchConfig(grid_steps=2, cond_grid_steps=1, restarts=1, aux_card_w=2)
     plain = icrates.verify.verify_strong_y2_equivalence(trials=1, seed=3, cfg=cfg)
     tracing = load_tracing()
@@ -87,6 +111,9 @@ def test_traced_suite_family_counts_every_law():
     with tracing.Patches(MODULES, tr):
         traced = icrates.verify.verify_strong_y2_equivalence(trials=1, seed=3, cfg=cfg)
     assert traced.to_json_dict() == plain.to_json_dict()
-    assert tr.counts["regions.laws"] == traced.records[0]["laws_checked"] > 0
+    ch = icrates.verify.generate_regime_channel("strong_y2", 3 * 1000, cfg)
+    family = icrates.verify._REGION_SUITES["strong_y2_regions"].family
+    scored, laws = _rows_and_laws(ch, family, cfg)
+    assert tr.counts["regions.laws"] == scored < laws == traced.records[0]["laws_checked"]
     # The suite enumerates its family through a traced name.
     assert any(name == "regions.family" for _, _, name, *_ in tr.spans)

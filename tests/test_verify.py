@@ -122,7 +122,7 @@ class TestSuites:
     def test_region_suites_count_every_law(self, suite, monkeypatch):
         spec = verify._REGION_SUITES[suite]
         ch = generate_regime_channel(spec.regime, 7 * 1000, CFG)
-        enumerated = sum(len(batch["pw1"]) for batch, _ in verify.scheme_family(ch, spec.family, CFG))
+        enumerated = sum(int(counts.sum()) for *_, counts in verify.scheme_family(ch, spec.family, CFG))
         clean = run_suite(suite, trials=1, seed=7, cfg=CFG, tol=5e-3).records[0]
         # Every relation fails at every law: each law counts once as a violation.
         monkeypatch.setattr(verify, "_excess", lambda bounds, rel: np.ones(len(bounds[rel[0]])))
