@@ -52,7 +52,14 @@ from .gaussian import split_system
 from .probtensor import BatchJoint, ProbTensor, Term, require_valid
 from .probtensor import term as _T  # table shorthand
 from .regimes import _product_blocks
-from .search import CHUNK, SearchConfig, SimplexBlock, iter_grid_batches, shrink_to_budget
+from .search import (
+    CHUNK,
+    SearchConfig,
+    SimplexBlock,
+    canonical_layers,
+    iter_grid_batches,
+    shrink_to_budget,
+)
 from .sumcap import ProductInput, tin_sumrate
 
 ALLOWED_DIRS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
@@ -672,20 +679,25 @@ def _distinct_side(side: DistBatch, counts: np.ndarray) -> tuple[DistBatch, np.n
 
 
 def _side_grid(blocks: Sequence[SimplexBlock]) -> tuple[DistBatch, np.ndarray]:
-    """Distinct laws of one user's side of a layered grid, ``blocks`` being
-    its ``pw`` and ``px|w`` blocks, and how many grid points each stands for.
+    """Distinct laws of one user's side of a layered grid modulo relabelling
+    of W, ``blocks`` being its ``pw`` and ``px|w`` blocks, and how many grid
+    points each stands for.
 
     The ``px|w`` rows of massless W values are set to 0 first.  That is
     bit-exact for every law built from the side: :func:`batch_joint`
     multiplies those rows by 0.0, and :func:`relayer`'s marginal adds them
-    as +0.0.
+    as +0.0.  Each row's W values are then put in canonical order
+    (:func:`canonical_layers`): a relabelling of W changes no bound of any
+    scheme, and :func:`relayer` commutes with it (both up to the order in
+    which sums round), so one row stands for its whole orbit and the table
+    holds at most the orbit count, which is at most the side's raw grid.
     """
     pw, pxw = (b.name for b in blocks)
     tables = []
     for _, raw in iter_grid_batches(blocks, CHUNK):
         w = raw[pw][:, 0, :]
-        side = {pw: w, pxw: np.where(w[:, :, np.newaxis] > 0.0, raw[pxw], 0.0)}
-        tables.append(_distinct_side(side, np.ones(len(w), dtype=np.int64)))
+        w, x = canonical_layers(w, np.where(w[:, :, np.newaxis] > 0.0, raw[pxw], 0.0))
+        tables.append(_distinct_side({pw: w, pxw: x}, np.ones(len(w), dtype=np.int64)))
     return _distinct_side({name: np.concatenate([t[name] for t, _ in tables]) for name in (pw, pxw)},
                           np.concatenate([c for _, c in tables]))
 
@@ -714,15 +726,17 @@ def layered_family(
     A layered law is the product of two per-user factors, and the grid is
     the Cartesian product of the two side grids; a member's chain of
     :func:`relayer` steps acts on each side alone.  So each side's distinct
-    factors (:func:`_side_grid`) are re-layered by the member's steps on
-    that side, in chain order (each step prefix once), and deduplicated
-    again; a member's laws are the product of its two side tables, yielded
-    in ``CHUNK``-row batches, each row standing for ``c1[i] * c2[j]`` laws
-    of the grid.  The raw grid is never built.
+    factors modulo relabelling of W (:func:`_side_grid`, one canonical row
+    per orbit) are re-layered by the member's steps on that side, in chain
+    order (each step prefix once), and deduplicated again; a member's laws
+    are the product of its two side tables, yielded in ``CHUNK``-row
+    batches, each row standing for ``c1[i] * c2[j]`` laws of the grid.  The
+    raw grid is never built.
 
-    Memory: a side table holds at most its side's grid, which is at most
-    ``max_candidates`` rows of ``nw * (nx + 1)`` float64 values, so at
-    worst ``8 * max_candidates * nw * (nx + 1)`` bytes (25.6 MB at the
+    Memory: a side table holds at most its side's orbit count, which is at
+    most its side's grid, itself at most ``max_candidates`` rows of
+    ``nw * (nx + 1)`` float64 values; so at worst a table takes
+    ``8 * max_candidates * nw * (nx + 1)`` bytes (25.6 MB at the
     default 200,000 rows, ``|W| = 4`` and ``|X| = 3``); the tables of every
     chain prefix on a side are kept while the source runs, and a batch
     holds at most ``CHUNK`` laws.
@@ -760,11 +774,11 @@ def scheme_family(
     batch stands for ``counts`` laws of the family.
 
     The grids of ``"layered"`` and ``"reduced"`` sources come from
-    :func:`layered_family`, as distinct laws with their multiplicities; the
-    random draws, the product grid and the anchor come one row per law,
-    each member re-layering every chain prefix once per batch.  ``anchor``
-    is the TIN optimum of ``(ch, cfg)`` if the caller has it (see
-    :func:`_tin_anchor`).
+    :func:`layered_family`, one canonical law per relabelling orbit of W
+    with the orbit's multiplicity; the random draws, the product grid and
+    the anchor come one row per law, each member re-layering every chain
+    prefix once per batch.  ``anchor`` is the TIN optimum of ``(ch, cfg)``
+    if the caller has it (see :func:`_tin_anchor`).
     """
     for src in family:
         blocks = _source_blocks(ch, src, cfg)
@@ -835,7 +849,8 @@ def union_over_batches(
     share one.  Each batch comes with the names of the regions it feeds
     (``None`` for every region) and each row's count, the number of laws
     of the family it stands for (:func:`scheme_family` yields a layered
-    grid as its distinct laws); ``laws_enumerated`` sums the counts.  Every
+    grid as one law per relabelling orbit of W); ``laws_enumerated`` sums
+    the counts.  Every
     scheme's bounds are computed once per batch, and
     ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
     bound matrices keyed by scheme and the counts, enabling zero-tolerance

@@ -217,6 +217,22 @@ def iter_grid_batches(
         yield idx, batch
 
 
+def canonical_layers(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's layer values ``pw [B, n]`` with their conditionals
+    ``pxw [B, n, k]`` put in one canonical order of the labels.
+
+    Values run by non-increasing ``pw``, ties by their ``pxw`` rows in
+    descending lexicographic order, so every relabelling of a row's values
+    gives the same row bit for bit; identical ``(pw, pxw)`` pairs are
+    interchangeable.  One stable sort per batch (``np.lexsort`` along the
+    label axis, least significant key first), then one gather per array.
+    """
+    keys = np.concatenate([-np.moveaxis(pxw, 2, 0)[::-1], -pw[np.newaxis]])
+    order = np.lexsort(keys, axis=-1)
+    return (np.take_along_axis(pw, order, axis=1),
+            np.take_along_axis(pxw, order[:, :, np.newaxis], axis=1))
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of ``v`` (shape ``[..., k]``) onto
     the probability simplex; a 1-D vector is the single-row case."""

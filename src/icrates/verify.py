@@ -421,8 +421,10 @@ def _run_region_suite(
     Per generated channel, the suite's regions come from one engine run over
     its family; a trial fails when the support gap exceeds ``tol`` or any
     per-law relation is exceeded by more than 1e-9 bits.  The family hands
-    each distinct law of a layered grid over once with its multiplicity, so
-    ``laws_checked`` and ``per_law_violations`` count every enumerated law.
+    each relabelling orbit of W of a layered grid's laws over once, as one
+    canonical law with the orbit's multiplicity (every relation compares
+    bounds that a relabelling of W leaves unchanged), so ``laws_checked``
+    and ``per_law_violations`` count every enumerated law.
     """
     suite = _REGION_SUITES[name]
     records = []

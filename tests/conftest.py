@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from icrates import DiscreteIC
+from icrates import DiscreteIC, regions
 
 
 def orthogonal_channel() -> DiscreteIC:
@@ -39,6 +41,48 @@ def xor_channel() -> DiscreteIC:
             y = x1 ^ x2
             law[x1, x2, y, y] = 1.0
     return DiscreteIC.from_array(law)
+
+
+def canonical_layers_loop(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``(pw, px|w row)`` pairs put in order one row at a time by
+    Python's ``sorted``: by ``pw``, then by the ``px|w`` row, both descending."""
+    out_w, out_x = np.empty_like(pw), np.empty_like(pxw)
+    for b in range(len(pw)):
+        pairs = sorted(zip(pw[b].tolist(), map(tuple, pxw[b].tolist())), reverse=True)
+        out_w[b] = [w for w, _ in pairs]
+        out_x[b] = [x for _, x in pairs]
+    return out_w, out_x
+
+
+def _canonical_sides(law):
+    out = {}
+    for pw, pxw in (("pw1", "px1w1"), ("pw2", "px2w2")):
+        out[pw], out[pxw] = canonical_layers_loop(law[pw], law[pxw])
+    return out
+
+
+def family_from_scratch(ch, family, cfg, canonical=True):
+    """``((source, member), batch, feeds)`` for every member of every law of
+    ``family``, one row per law: the raw layered and product grids, the
+    random draws and the anchor, with every member's chain applied to its
+    source law from the start.  With ``canonical`` set, both sides of each
+    layered grid law are first put in order by :func:`canonical_layers_loop`."""
+    for s, src in enumerate(family):
+        blocks = regions._source_blocks(ch, src, cfg)
+        if src.kind == "anchor":
+            laws = [regions._tin_anchor(ch, cfg)]
+        elif src.kind == "products":
+            laws = [regions.product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
+                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
+        else:
+            laws = [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
+            if canonical:
+                laws = [_canonical_sides(law) for law in laws]
+            laws += regions._random_laws(blocks, cfg, src.tag)
+        for batch in laws:
+            for m, (chain, feeds) in enumerate(src.members):
+                yield (s, m), functools.reduce(lambda b, step: regions.relayer(b, *step), chain, batch), feeds
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -56,6 +55,7 @@ from icrates.regions import (
 )
 from icrates.verify import _REGION_SUITES, generate_regime_channel
 from tests.conftest import (
+    family_from_scratch,
     orthogonal_channel,
     product_channel,
     strong_pair_channel,
@@ -539,27 +539,6 @@ def test_frontier_prefilter_keeps_the_unfiltered_prune(adds):
             np.testing.assert_array_equal(acc._rows, frontier)
 
 
-def _family_from_scratch(ch, family, cfg):
-    """``(batch, feeds)`` for every member of every law of ``family``, one
-    row per law: the raw layered and product grids, the random draws and
-    the anchor, with every member's chain applied to its source law from the
-    start."""
-    for src in family:
-        blocks = regions._source_blocks(ch, src, cfg)
-        if src.kind == "anchor":
-            laws = [regions._tin_anchor(ch, cfg)]
-        elif src.kind == "products":
-            laws = [product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
-                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
-        else:
-            laws = [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
-                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
-            laws += regions._random_laws(blocks, cfg, src.tag)
-        for batch in laws:
-            for chain, feeds in src.members:
-                yield functools.reduce(lambda b, step: relayer(b, *step), chain, batch), feeds
-
-
 def _law_multiset(ch, stream):
     """``{(q bytes, feeds): total count}`` over ``(batch, feeds, counts)``."""
     out = {}
@@ -572,20 +551,50 @@ def _law_multiset(ch, stream):
     return out
 
 
-@pytest.mark.parametrize("family", [*(f"scheme:{k}" for k in FAMILIES),
-                                    *(f"suite:{k}" for k in _REGION_SUITES)])
-def test_scheme_family_members_equal_their_chains_from_scratch(family):
-    # As a multiset: every law of the raw family, bit for bit, with its
-    # feeds, as often as the raw family holds it.
+_FAMILY_IDS = [*(f"scheme:{k}" for k in FAMILIES), *(f"suite:{k}" for k in _REGION_SUITES)]
+_FAMILY_SHAPES = [(2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 2, 2)]
+
+
+def _family_and_regions(family):
+    """A ``_FAMILY_IDS`` entry's sources and the regions they feed."""
     kind, name = family.split(":")
-    rows = FAMILIES[name] if kind == "scheme" else _REGION_SUITES[name].family
-    for shape in [(2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 2, 2)]:
+    if kind == "scheme":
+        return FAMILIES[name], {name: name}
+    return _REGION_SUITES[name].family, _REGION_SUITES[name].regions
+
+
+def _counted(stream):
+    return ((b, f, np.ones(len(b["pw1"]), dtype=np.int64)) for _, b, f in stream)
+
+
+@pytest.mark.parametrize("family", _FAMILY_IDS)
+def test_scheme_family_members_equal_their_chains_from_scratch(family):
+    # As a multiset: every law of the raw family with both sides of each
+    # layered grid law put in canonical order, bit for bit, with its feeds,
+    # as often as the raw family holds it.
+    rows, _ = _family_and_regions(family)
+    for shape in _FAMILY_SHAPES:
         ch = random_channel(7, shape)
         got = _law_multiset(ch, scheme_family(ch, rows, CFG))
-        want = _law_multiset(ch, ((b, f, np.ones(len(b["pw1"]), dtype=np.int64))
-                                  for b, f in _family_from_scratch(ch, rows, CFG)))
+        want = _law_multiset(ch, _counted(family_from_scratch(ch, rows, CFG)))
         assert sum(got.values()) == sum(want.values())
         assert got == want
+
+
+@pytest.mark.parametrize("family", _FAMILY_IDS)
+def test_canonical_family_regions_equal_the_raw_family_regions(family):
+    # Scoring one law per relabelling orbit of W moves no region: the raw,
+    # un-canonicalized family gives the same support within 1e-12 and
+    # counts the same laws.
+    rows, names = _family_and_regions(family)
+    for shape in _FAMILY_SHAPES:
+        ch = random_channel(7, shape)
+        got = union_over_batches(ch, names, scheme_family(ch, rows, CFG), CFG.angles)
+        raw = union_over_batches(ch, names, _counted(family_from_scratch(ch, rows, CFG, canonical=False)),
+                                 CFG.angles)
+        for name in names:
+            assert np.abs(got[name].h_bits - raw[name].h_bits).max() <= 1e-12
+            assert got[name].meta["laws_enumerated"] == raw[name].meta["laws_enumerated"]
 
 
 class TestStrongBothInclusion:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icrates import SearchConfig, random_channel, random_coupling
 from icrates import search
@@ -10,6 +13,7 @@ from icrates.regimes import OBJECTIVES, objective
 from icrates.search import (
     IMPROVE_EPS,
     SimplexBlock,
+    canonical_layers,
     grid_size,
     iter_grid_batches,
     maximize,
@@ -17,6 +21,7 @@ from icrates.search import (
     shrink_to_budget,
     simplex_grid,
 )
+from tests.conftest import canonical_layers_loop
 
 
 def test_simplex_grid_counts():
@@ -65,6 +70,61 @@ def test_batched_projection_equals_scalar_rows(k):
     assert (project_simplex(rows) == want).all()
     assert (project_simplex(rows.reshape(2, -1, k)) == want.reshape(2, -1, k)).all()
     assert (project_simplex(rows[5]) == want[5]).all()
+
+
+#: Layer entries on a coarse lattice (ties are common) mixed with arbitrary floats.
+_ENTRY = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0))
+
+
+@st.composite
+def layer_batches(draw):
+    """``pw [B, n]`` and ``pxw [B, n, k]``: grid rows (simplex-grid points,
+    massless values' rows zeroed) or free rows, some with the last value's
+    mass, or its whole pair, tied to the first's."""
+    B, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, 4))
+
+        def pick(grid, size):
+            return grid[draw(st.lists(st.integers(0, len(grid) - 1), min_size=size, max_size=size))]
+
+        pw = pick(simplex_grid(n, steps), B)
+        pxw = np.where(pw[:, :, None] > 0.0, pick(simplex_grid(k, steps), B * n).reshape(B, n, k), 0.0)
+    else:
+        size = B * n * (k + 1)
+        free = np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size))).reshape(B, n, k + 1)
+        pw, pxw = free[:, :, 0].copy(), free[:, :, 1:].copy()
+    tie = draw(st.sampled_from(["none", "mass", "pair"]))
+    if tie != "none":
+        pw[:, -1] = pw[:, 0]
+    if tie == "pair":
+        pxw[:, -1] = pxw[:, 0]
+    return pw, pxw
+
+
+def _pairs(pw, pxw):
+    return sorted(zip(pw.tolist(), map(tuple, pxw.tolist())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layers=layer_batches())
+def test_canonical_layers_pick_one_order_per_relabelling(layers):
+    pw, pxw = layers
+    w, x = canonical_layers(pw, pxw)
+    # The batched sort equals Python's sorted, row by row.
+    want_w, want_x = canonical_layers_loop(pw, pxw)
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(x, want_x)
+    # It permutes each row's (pw, px|w row) pairs ...
+    for b in range(len(pw)):
+        assert _pairs(w[b], x[b]) == _pairs(pw[b], pxw[b])
+    # ... is idempotent ...
+    again = canonical_layers(w, x)
+    assert (again[0] == w).all() and (again[1] == x).all()
+    # ... and every relabelling of W gives the same canonical row.
+    for perm in itertools.permutations(range(pw.shape[1])):
+        got = canonical_layers(pw[:, perm], pxw[:, perm])
+        assert (got[0] == w).all() and (got[1] == x).all()
 
 
 def test_shrink_to_budget_reduces_largest_block():

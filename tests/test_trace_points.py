@@ -18,6 +18,7 @@ import icrates.search
 import icrates.sumcap
 import icrates.verify
 from icrates import GaussianIC, SearchConfig, random_channel
+from tests.conftest import family_from_scratch
 
 TRACING = Path(__file__).resolve().parents[1] / "icbench" / "tracing.py"
 
@@ -117,3 +118,28 @@ def test_traced_suite_family_counts_every_law():
     assert tr.counts["regions.laws"] == scored < laws == traced.records[0]["laws_checked"]
     # The suite enumerates its family through a traced name.
     assert any(name == "regions.family" for _, _, name, *_ in tr.spans)
+
+
+def _distinct_laws(ch, stream):
+    """Distinct laws ``q(w1,w2,x1,x2)`` of each (source, member), summed."""
+    seen = {}
+    for member, batch, _ in stream:
+        q = icrates.regions.batch_joint(ch, batch).values.reshape(len(batch["pw1"]), -1)
+        seen.setdefault(member, set()).update(row.tobytes() for row in q)
+    return sum(len(laws) for laws in seen.values())
+
+
+def test_traced_suite_family_scores_one_law_per_relabelling_orbit():
+    # At |W| = 2 a relabelling of W maps grid laws onto grid laws; the
+    # family is scored as its distinct canonical laws, fewer than its
+    # distinct raw laws.
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        icrates.verify.verify_one_sided_reduction(trials=1, seed=3, cfg=cfg)
+    ch = icrates.verify.generate_regime_channel("one_sided", 3 * 1000, cfg)
+    family = icrates.verify._REGION_SUITES["one_sided_regions"].family
+    canonical = _distinct_laws(ch, family_from_scratch(ch, family, cfg))
+    raw = _distinct_laws(ch, family_from_scratch(ch, family, cfg, canonical=False))
+    assert tr.counts["regions.laws"] == canonical < raw
