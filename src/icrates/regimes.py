@@ -97,13 +97,17 @@ class Layout:
     of ``X1`` and ``X2`` take the law's input cardinalities, the one other
     letter the rest.  The objective's joint is the input law times a
     conditional law (the channel law or a coupling's joint law), over
-    ``names`` followed by the law's outputs.
+    ``names`` followed by the law's outputs.  ``labels`` names the blocks
+    whose labels no objective over the layout sees, in the form
+    :func:`search.iter_grid_batches` takes: the first block's columns are
+    the labels, every later one has one slice per label.
     """
 
     blocks: Callable[[DiscreteIC, SearchConfig], list[SimplexBlock]]
     expr: str
     operands: tuple[str, ...]
     names: tuple[str, ...]
+    labels: tuple[str, ...] = ()
 
 
 def _product_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
@@ -130,13 +134,14 @@ def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
 
 #: ``P(x1) P(x2)``.
 _PRODUCT = Layout(_product_blocks, "bi,bj->bij", ("px1", "px2"), ("X1", "X2"))
-#: ``P(w) P(x1|w) P(x2)`` and its mirror.
+#: ``P(w) P(x1|w) P(x2)`` and its mirror; W's labels are exchangeable.
 _LAYER_1 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx1, ch.nx2), "bw,bwi,bj->bwij",
-                  ("pw", "px_own", "px_other"), ("W1", "X1", "X2"))
+                  ("pw", "px_own", "px_other"), ("W1", "X1", "X2"), ("pw", "px_own"))
 _LAYER_2 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx2, ch.nx1), "bw,bwj,bi->bwij",
-                  ("pw", "px_own", "px_other"), ("W2", "X1", "X2"))
-#: ``P(x1) P(x2) P(u|x1,x2)``.
-_AUX_U = Layout(_dominance_blocks, "bi,bj,biju->biju", ("px1", "px2", "pu"), ("X1", "X2", "U"))
+                  ("pw", "px_own", "px_other"), ("W2", "X1", "X2"), ("pw", "px_own"))
+#: ``P(x1) P(x2) P(u|x1,x2)``; U's labels, the columns of ``pu``, are exchangeable.
+_AUX_U = Layout(_dominance_blocks, "bi,bj,biju->biju", ("px1", "px2", "pu"), ("X1", "X2", "U"),
+                ("pu",))
 
 #: Every searched or scored quantity: a layout and signed rows, summed in
 #: order as ``sum(sign * I(term))`` over the layout's joint; ``strong_y1``
@@ -197,8 +202,9 @@ def search_objective(
 ) -> SearchResult:
     """Maximize ``OBJECTIVES[name]`` over the search laws times ``law`` at the
     resolution of ``cfg``; every regime, TIN and genie search runs here."""
-    blocks = OBJECTIVES[name][0].blocks(ch, cfg)
-    return maximize(objective(name, law), blocks, cfg, extra_candidates=extra_candidates)
+    layout = OBJECTIVES[name][0]
+    return maximize(objective(name, law), layout.blocks(ch, cfg), cfg,
+                    extra_candidates=extra_candidates, labels=layout.labels)
 
 
 def _run_condition(

@@ -56,7 +56,9 @@ from .search import (
     CHUNK,
     SearchConfig,
     SimplexBlock,
+    _row_starts,
     canonical_layers,
+    distinct_rows,
     iter_grid_batches,
     shrink_to_budget,
 )
@@ -416,13 +418,6 @@ class SupportAccumulator:
             vertices=_extract_vertices(pts),
             meta=dict(meta or {}),
         )
-
-
-def _row_starts(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows that differ from the row before them."""
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return new
 
 
 def _drop_repeats(rows: np.ndarray) -> np.ndarray:
@@ -802,36 +797,6 @@ def scheme_family(
 
 def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
     return SCHEME_TABLES["semijoint" if scheme == "strong_capacity" else scheme]
-
-
-def _key_vector(cells: int) -> np.ndarray:
-    """Fixed odd 64-bit multipliers that key a row of ``cells`` float64 bit patterns."""
-    return np.random.default_rng(0xD15711C7).integers(0, 2**64, cells, dtype=np.uint64) | 1
-
-
-def distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one representative per distinct row of ``rows [B, cells]``,
-    and the summed ``weights`` of the rows it stands for (by default, how
-    many rows it stands for).
-
-    Rows merge only when every entry is equal under ``==``.  Each row is
-    keyed by the wrapping integer product of its bit patterns with
-    :func:`_key_vector`, so rows equal bit for bit share a key, and rows
-    sorted stably by key are compared exactly with their neighbour.  Should
-    two different rows share a key, the rows are sorted by their entries
-    instead.  Rows equal only through ``-0.0 == 0.0``, which law grids never
-    produce, may stay apart; that costs a repeated score, never a result.
-    """
-    key = np.ascontiguousarray(rows).view(np.uint64) @ _key_vector(rows.shape[1])
-    order = np.argsort(key, kind="stable")
-    new = _row_starts(rows[order])
-    if (new[1:] & (key[order[1:]] == key[order[:-1]])).any():
-        order = np.lexsort(rows.T[::-1])
-        new = _row_starts(rows[order])
-    starts = np.flatnonzero(new)
-    if weights is None:
-        weights = np.ones(len(rows), dtype=np.int64)
-    return order[starts], np.add.reduceat(weights[order], starts)
 
 
 def union_over_batches(

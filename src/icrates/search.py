@@ -13,7 +13,10 @@ call (in groups that fit the chunk), and each start takes the same steps it
 would take alone.  Everything is deterministic for a fixed seed.
 
 Ties go to the first candidate in enumeration order, whatever evaluator
-computed the values: the grid scan visits each chunk by its values snapped to
+computed the values.  Where the objective does not see some blocks' labels,
+the grid scan visits one canonical point per relabelling orbit, in the order
+of each orbit's first raw grid point, so ties go to the first canonical point
+in raw-grid order.  The grid scan visits each chunk by its values snapped to
 12 decimals (``np.round(values, 12)``, stable order), the ascent takes the
 first proposal within ``IMPROVE_EPS`` of the best proposal, and a candidate
 replaces the best only when it exceeds it by more than ``IMPROVE_EPS``.
@@ -185,36 +188,143 @@ def shrink_to_budget(blocks: Sequence[SimplexBlock], budget: int) -> list[Simple
     return out
 
 
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return new
+
+
+def _key_vector(cells: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers that key a row of ``cells`` float64 bit patterns."""
+    return np.random.default_rng(0xD15711C7).integers(0, 2**64, cells, dtype=np.uint64) | 1
+
+
+def distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first of each distinct row of ``rows [B, cells]``, in
+    no particular order, and the summed ``weights`` of the rows it stands
+    for (by default, how many rows it stands for).
+
+    Rows merge only when every entry is equal under ``==``.  Each row is
+    keyed by the wrapping integer product of its bit patterns with
+    :func:`_key_vector`, so rows equal bit for bit share a key, and rows
+    sorted stably by key are compared exactly with their neighbour.  Should
+    two different rows share a key, the rows are sorted by their entries
+    instead.  Rows equal only through ``-0.0 == 0.0``, which law grids never
+    produce, may stay apart; that costs a repeated score, never a result.
+    """
+    key = np.ascontiguousarray(rows).view(np.uint64) @ _key_vector(rows.shape[1])
+    order = np.argsort(key, kind="stable")
+    new = _row_starts(rows[order])
+    if (new[1:] & (key[order[1:]] == key[order[:-1]])).any():
+        order = np.lexsort(rows.T[::-1])
+        new = _row_starts(rows[order])
+    starts = np.flatnonzero(new)
+    if weights is None:
+        weights = np.ones(len(rows), dtype=np.int64)
+    return order[starts], np.add.reduceat(weights[order], starts)
+
+
+#: One axis of a product grid: the values it writes, as ``(block name, slice
+#: index or ``slice(None)``, table [m, ...])``, then each of its ``m`` rows'
+#: index among the ``radix`` raw grid points of the slices it covers.
+_Axis = tuple[list[tuple[str, int | slice, np.ndarray]], np.ndarray, int]
+
+
+def _grid_axes(blocks: Sequence[SimplexBlock]) -> list[_Axis]:
+    """One axis per slice of ``blocks``, over its simplex grid."""
+    axes: list[_Axis] = []
+    for b in blocks:
+        table = simplex_grid(b.k, b.steps)
+        axes += [([(b.name, s, table)], np.arange(len(table)), len(table)) for s in range(b.n_slices)]
+    return axes
+
+
+def _product_batches(
+    blocks: Sequence[SimplexBlock], axes: Sequence[_Axis], chunk: int
+) -> Iterator[tuple[np.ndarray, Point]]:
+    """``(raw flat indices, point_batch)`` over the product of ``axes``,
+    earlier axes varying slowest."""
+    total = math.prod(len(raw) for _, raw, _ in axes)
+    for start in range(0, total, chunk):
+        rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        idx = np.zeros_like(rem)
+        scale = 1
+        batch: Point = {b.name: np.empty((rem.size, b.n_slices, b.k), dtype=np.float64) for b in blocks}
+        for writes, raw, radix in reversed(axes):
+            rows = rem % len(raw)
+            rem //= len(raw)
+            for name, s, table in writes:
+                batch[name][:, s] = table[rows]
+            idx += raw[rows] * scale
+            scale *= radix
+        yield idx, batch
+
+
+def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
+    """Each point of ``batch`` over the label ``blocks`` as one key row per
+    label ``[B, n, cells]``, the labels in canonical order.
+
+    A label's key is its column of the first block, then its slice of every
+    later block.  When the first block is one slice (a law of the labels),
+    the later blocks' slices at labels of zero mass carry no weight, and are
+    first set to their block's first grid point.
+    """
+    head, *tail = blocks
+    rows = [batch[b.name] for b in tail]
+    if head.n_slices == 1:
+        massless = batch[head.name][:, 0, :, np.newaxis] == 0.0
+        rows = [np.where(massless, simplex_grid(b.k, b.steps)[0], r) for b, r in zip(tail, rows)]
+    keys = np.concatenate([np.swapaxes(batch[head.name], 1, 2), *rows], axis=2)
+    w, x = canonical_layers(keys[:, :, 0], keys[:, :, 1:])
+    return np.concatenate([w[:, :, np.newaxis], x], axis=2)
+
+
+def _label_axis(blocks: Sequence[SimplexBlock]) -> _Axis:
+    """The grid over the label ``blocks`` as one axis, one canonical point per
+    label orbit, in the order of each orbit's first raw grid point."""
+    keys, raws = [], []
+    for idx, batch in _product_batches(blocks, _grid_axes(blocks), CHUNK):
+        rows = _label_keys(batch, blocks).reshape(len(idx), -1)
+        keep = np.sort(distinct_rows(rows)[0])
+        keys.append(rows[keep])
+        raws.append(idx[keep])
+    rows = np.concatenate(keys)
+    keep = np.sort(distinct_rows(rows)[0])
+    keys = rows[keep].reshape(len(keep), blocks[0].k, -1)
+    head, *tail = blocks
+    writes = [(head.name, slice(None), np.swapaxes(keys[:, :, :head.n_slices], 1, 2))]
+    offset = head.n_slices
+    for b in tail:
+        writes.append((b.name, slice(None), keys[:, :, offset:offset + b.k]))
+        offset += b.k
+    return writes, np.concatenate(raws)[keep], grid_size(blocks)
+
+
 def iter_grid_batches(
-    blocks: Sequence[SimplexBlock], chunk: int = CHUNK
+    blocks: Sequence[SimplexBlock], chunk: int = CHUNK, labels: Sequence[str] = ()
 ) -> Iterator[tuple[np.ndarray, Point]]:
     """Yield ``(flat_indices, point_batch)`` over the full product grid.
 
     ``point_batch[name]`` has shape ``[B, n_slices, k]``.  Flat indices run
     lexicographically: earlier blocks (and earlier slices within a block)
     vary slowest.
+
+    ``labels`` names adjacent blocks, in block order, whose labels the
+    objective does not see: the first block's columns are the labels, and
+    every later one has one slice per label (its rows are conditioned on
+    the label).  The scan then visits one canonical point per orbit of the
+    grid under relabelling: each point of those blocks is put in canonical
+    order (:func:`_label_keys`), exact repeats are dropped, and the rest
+    come in the order of their first raw grid point, whose flat index they
+    carry.  Points of the remaining blocks are unchanged.
     """
-    tables: list[np.ndarray] = []
-    owners: list[tuple[int, int]] = []  # (block index, slice index) per axis
-    for bi, b in enumerate(blocks):
-        table = simplex_grid(b.k, b.steps)
-        for s in range(b.n_slices):
-            tables.append(table)
-            owners.append((bi, s))
-    radices = np.array([t.shape[0] for t in tables], dtype=np.int64)
-    total = int(np.prod(radices))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        batch: Point = {
-            b.name: np.empty((idx.size, b.n_slices, b.k), dtype=np.float64) for b in blocks
-        }
-        rem = idx.copy()
-        for axis in range(len(tables) - 1, -1, -1):
-            rows = rem % radices[axis]
-            rem //= radices[axis]
-            bi, s = owners[axis]
-            batch[blocks[bi].name][:, s, :] = tables[axis][rows]
-        yield idx, batch
+    i = [b.name for b in blocks].index(labels[0]) if labels else len(blocks)
+    j = i + len(labels)
+    axes = _grid_axes(blocks[:i])
+    if labels:
+        axes.append(_label_axis(blocks[i:j]))
+    yield from _product_batches(blocks, axes + _grid_axes(blocks[j:]), chunk)
 
 
 def canonical_layers(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +426,7 @@ def maximize(
     cfg: SearchConfig,
     *,
     extra_candidates: Iterable[Point] = (),
+    labels: Sequence[str] = (),
     chunk: int = CHUNK,
 ) -> SearchResult:
     """Grid scan + multistart refinement; returns the best point found and
@@ -325,7 +436,10 @@ def maximize(
     random starts are drawn from ``cfg.seed``.  ``extra_candidates`` (for
     example, witnesses from an earlier lower resolution run) are both
     re-scored and used as ascent starts, so the returned value never falls
-    below a re-tested prior witness.
+    below a re-tested prior witness.  ``labels`` names blocks whose labels
+    the objective does not see (see :func:`iter_grid_batches`); the scan
+    then scores one canonical point per orbit, and ``n_evaluated`` counts
+    those points.  The budget still counts the raw grid.
     """
     eff_blocks = shrink_to_budget(blocks, cfg.max_candidates)
     n_evaluated = 0
@@ -343,7 +457,7 @@ def maximize(
             near.append((value, point))
             near[:] = [nv for nv in near if nv[0] >= best_val - NEAR_TOL][-MAX_NEAR:]
 
-    for idx, batch in iter_grid_batches(eff_blocks, chunk):
+    for idx, batch in iter_grid_batches(eff_blocks, chunk, labels):
         values = np.asarray(objective(batch), dtype=np.float64)
         n_evaluated += idx.size
         order = np.argsort(-np.round(values, 12), kind="stable")

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from icrates import DiscreteIC, regions
+from icrates import DiscreteIC, regions, search
 
 
 def orthogonal_channel() -> DiscreteIC:
@@ -52,6 +52,30 @@ def canonical_layers_loop(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, 
         out_w[b] = [w for w, _ in pairs]
         out_x[b] = [x for _, x in pairs]
     return out_w, out_x
+
+
+def label_images(batch, blocks, labels):
+    """``batch`` with each point's ``labels`` blocks put in canonical order by
+    :func:`canonical_layers_loop`: a label's key is its column of the first
+    block, then its slice of every later block.  When the first block is one
+    slice, later blocks' slices at labels of zero mass are first set to their
+    block's first grid point."""
+    head, *tail = [b for b in blocks if b.name in labels]
+    cols = batch[head.name]
+    rows = [batch[b.name].copy() for b in tail]
+    if head.n_slices == 1:
+        for b, r in zip(tail, rows):
+            r[cols[:, 0, :] == 0.0] = search.simplex_grid(b.k, b.steps)[0]
+    pxw = np.concatenate([np.swapaxes(cols[:, 1:, :], 1, 2), *rows], axis=2)
+    w, x = canonical_layers_loop(cols[:, 0, :], pxw)
+    out = dict(batch)
+    out[head.name] = np.concatenate([w[:, np.newaxis, :], np.swapaxes(x[:, :, :head.n_slices - 1], 1, 2)],
+                                    axis=1)
+    offset = head.n_slices - 1
+    for b in tail:
+        out[b.name] = x[:, :, offset:offset + b.k]
+        offset += b.k
+    return out
 
 
 def _canonical_sides(law):

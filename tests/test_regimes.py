@@ -124,6 +124,25 @@ def test_margins_rescore_bit_for_bit(seed):
         assert evaluate_genie_dominance_margin(ch, vc, direction, report.witness) == report.margin_bits
 
 
+def test_every_witness_is_a_law():
+    # Every slice of every witness sums to 1, the px_own rows of massless W
+    # values included; the one-sided channels' first very-weak witnesses
+    # have such values.
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=3, aux_card_u=2, seed=1)
+    channels = [product_channel(0), product_channel(1), cross_revealing_channel(),
+                random_channel(5, (2, 3, 2, 2)), random_channel(6, (3, 2, 2, 3))]
+    massless = 0
+    for ch in channels:
+        vc = random_coupling(ch, 2, 2, seed=2)
+        for report in (*check_very_weak(ch, cfg), *check_genie_dominance(ch, vc, cfg)):
+            for slices in report.witness.values():
+                assert (slices >= 0.0).all()
+                np.testing.assert_allclose(slices.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+            if "pw" in report.witness:
+                massless += int((report.witness["pw"] == 0.0).sum())
+    assert massless > 0
+
+
 class TestSingleDriver:
     def test_every_search_runs_through_search_objective(self, monkeypatch):
         """``regimes.search_objective`` is the only caller of ``maximize``:

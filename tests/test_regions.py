@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icrates import regions, sumcap
+from icrates import regions, search, sumcap
 from icrates import (
     AuxInputDist,
     DiscreteIC,
@@ -369,7 +369,7 @@ class TestUnionEngine:
         distinct = np.unique(rows, axis=0)
         np.testing.assert_array_equal(np.unique(check(), axis=0), distinct)
         # Every key collides: the rows that come back are still all distinct.
-        monkeypatch.setattr(regions, "_key_vector", lambda cells: np.zeros(cells, dtype=np.uint64))
+        monkeypatch.setattr(search, "_key_vector", lambda cells: np.zeros(cells, dtype=np.uint64))
         reps = check()
         assert len(reps) == len(distinct)
         np.testing.assert_array_equal(np.unique(reps, axis=0), distinct)

@@ -21,7 +21,7 @@ from icrates.search import (
     shrink_to_budget,
     simplex_grid,
 )
-from tests.conftest import canonical_layers_loop
+from tests.conftest import canonical_layers_loop, label_images
 
 
 def test_simplex_grid_counts():
@@ -125,6 +125,41 @@ def test_canonical_layers_pick_one_order_per_relabelling(layers):
     for perm in itertools.permutations(range(pw.shape[1])):
         got = canonical_layers(pw[:, perm], pxw[:, perm])
         assert (got[0] == w).all() and (got[1] == x).all()
+
+
+LABELLED = [name for name, (layout, _) in OBJECTIVES.items() if layout.labels]
+
+
+@pytest.mark.parametrize("name", LABELLED)
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2)])
+def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
+    layout = OBJECTIVES[name][0]
+    cfg = SearchConfig(grid_steps=2, cond_grid_steps=2, restarts=0, aux_card_w=3, aux_card_u=2)
+    ch = random_channel(11, shape)
+    blocks = layout.blocks(ch, cfg)
+    assert grid_size(blocks) <= cfg.max_candidates
+
+    def keys(batch):
+        return [tuple(batch[b.name][k].tobytes() for b in blocks) for k in range(len(batch[blocks[0].name]))]
+
+    first = {}  # loop-oracle image of each raw grid point -> first raw index
+    for idx, batch in iter_grid_batches(blocks):
+        for key, i in zip(keys(label_images(batch, blocks, layout.labels)), idx.tolist()):
+            first.setdefault(key, i)
+    got, got_idx = [], []
+    for idx, batch in iter_grid_batches(blocks, labels=layout.labels):
+        got += keys(batch)
+        got_idx += idx.tolist()
+    assert len(set(got)) == len(got) < grid_size(blocks)
+    assert set(got) == set(first)
+    assert got_idx == [first[key] for key in got] == sorted(got_idx)
+
+    law = random_coupling(ch, 2, 2, seed=1).joint_law if name.startswith("genie") else ch.law
+    score = objective(name, law)
+    raw_max = max(float(score(batch).max()) for _, batch in iter_grid_batches(blocks))
+    res = maximize(score, blocks, cfg, labels=layout.labels)
+    assert abs(res.grid_value - raw_max) <= 1e-12
+    assert res.n_evaluated == len(got)
 
 
 def test_shrink_to_budget_reduces_largest_block():

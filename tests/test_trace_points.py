@@ -17,8 +17,8 @@ import icrates.regions
 import icrates.search
 import icrates.sumcap
 import icrates.verify
-from icrates import GaussianIC, SearchConfig, random_channel
-from tests.conftest import family_from_scratch
+from icrates import GaussianIC, SearchConfig, random_channel, random_coupling
+from tests.conftest import family_from_scratch, label_images
 
 TRACING = Path(__file__).resolve().parents[1] / "icbench" / "tracing.py"
 
@@ -143,3 +143,34 @@ def test_traced_suite_family_scores_one_law_per_relabelling_orbit():
     canonical = _distinct_laws(ch, family_from_scratch(ch, family, cfg))
     raw = _distinct_laws(ch, family_from_scratch(ch, family, cfg, canonical=False))
     assert tr.counts["regions.laws"] == canonical < raw
+
+
+def _canonical_count(name, ch, cfg):
+    """Distinct loop-oracle images of the raw grid points ``name`` scans."""
+    layout = icrates.regimes.OBJECTIVES[name][0]
+    blocks = icrates.search.shrink_to_budget(layout.blocks(ch, cfg), cfg.max_candidates)
+    seen = set()
+    for _, batch in icrates.search.iter_grid_batches(blocks):
+        image = label_images(batch, blocks, layout.labels)
+        seen.update(zip(*([row.tobytes() for row in image[b.name]] for b in blocks)))
+    return len(seen)
+
+
+def test_traced_label_scans_count_canonical_points_in_one_grid_span():
+    ch = random_channel(8, (2, 3, 2, 2))
+    vc = random_coupling(ch, 2, 2, seed=8)
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=3, aux_card_u=2)
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        icrates.regimes.check_very_weak(ch, cfg)
+        icrates.sumcap.check_genie_dominance(ch, vc, cfg)
+    names = ["very_weak_1", "very_weak_2", "genie_dominance_1", "genie_dominance_2"]
+    assert tr.counts["search.grid_points"] == sum(_canonical_count(n, ch, cfg) for n in names)
+    span_names = {sid: name for sid, _, name, *_ in tr.spans}
+    grids = [parent for _, parent, name, *_ in tr.spans if name == "search.grid"]
+    assert len(grids) == tr.counts["search.maximize_calls"] == 4
+    for parent in grids:  # no grid span inside another
+        while parent != -1:
+            assert span_names[parent] != "search.grid"
+            parent = next(p for sid, p, *_ in tr.spans if sid == parent)
