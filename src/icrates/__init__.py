@@ -21,6 +21,7 @@ from .channels import (
     save_coupling,
 )
 from .errors import IcError
+from .gaussian import noisy_sum_capacity as gaussian_noisy_sumcap
 from .probtensor import (
     InfoQuery,
     ProbTensor,
@@ -44,19 +45,13 @@ from .regimes import (
 )
 from .regions import (
     AuxInputDist,
-    RatePolytope,
     RateRegion,
     equals,
     hausdorff_support_gap,
     includes,
     max_sumrate,
-    polytope_hk,
-    polytope_hk_strong_y2,
-    polytope_one_sided,
-    polytope_semijoint,
     region_gaussian,
     region_scheme,
-    union_region,
 )
 from .search import SearchConfig
 from .sumcap import (
@@ -65,7 +60,6 @@ from .sumcap import (
     certify_sum_capacity,
     check_genie_alignment,
     check_genie_dominance,
-    gaussian_noisy_sumcap,
     maximize_genie_rate,
     outer_bound,
     tin_sumrate,
@@ -88,21 +82,21 @@ __version__ = "0.1.0"
 __all__ = [
     "AuxInputDist", "DiscreteIC", "GaussianIC", "GaussianVirtualParams",
     "IcError", "InfoQuery", "NO_VIOLATION_FOUND", "OneSided", "ProbTensor",
-    "ProductInput", "RatePolytope", "RateRegion", "RegimeReport",
-    "SearchConfig", "SumCapacityCertificate", "VIOLATED", "VerifyOutcome",
+    "ProductInput", "RateRegion", "RegimeReport", "SearchConfig",
+    "SumCapacityCertificate", "VIOLATED", "VerifyOutcome",
     "VirtualCoupling", "certify_sum_capacity", "channel_digest",
-    "check_genie_alignment", "check_genie_dominance", "check_noisy_gaussian",
-    "check_strong_at_y2", "check_strong_both", "check_very_weak",
-    "check_very_weak_gaussian", "compose_joint", "degenerate_coupling",
-    "entropy", "equals", "evaluate_condition_margin", "gaussian_noisy_sumcap",
+    "check_genie_alignment", "check_genie_dominance",
+    "check_noisy_gaussian", "check_strong_at_y2", "check_strong_both",
+    "check_very_weak", "check_very_weak_gaussian", "compose_joint",
+    "degenerate_coupling", "entropy", "equals",
+    "evaluate_condition_margin", "gaussian_noisy_sumcap",
     "gaussian_virtual", "generate_regime_channel", "hausdorff_support_gap",
     "includes", "is_one_sided", "load_channel", "load_coupling",
     "marginalize", "max_sumrate", "maximize_genie_rate",
-    "mutual_information", "outer_bound", "output_marginals", "polytope_hk",
-    "polytope_hk_strong_y2", "polytope_one_sided", "polytope_semijoint",
-    "random_channel", "random_coupling", "region_gaussian", "region_scheme",
-    "require_valid", "revealing_coupling", "run_suite", "save_channel",
-    "save_coupling", "telescoping_gap", "tin_sumrate", "union_region",
+    "mutual_information", "outer_bound", "output_marginals",
+    "random_channel", "random_coupling", "region_gaussian",
+    "region_scheme", "require_valid", "revealing_coupling", "run_suite",
+    "save_channel", "save_coupling", "telescoping_gap", "tin_sumrate",
     "validate", "verify_gaussian_regimes", "verify_one_sided_reduction",
     "verify_strong_y2_equivalence", "verify_sumrate_collapse",
     "verify_telescoping", "verify_very_weak_equivalence",

@@ -25,7 +25,12 @@ from .channels import (
     load_coupling,
 )
 from .errors import ConfigError, IcError
-from .gaussian import CERTIFICATE_SEARCH_POINTS, GaussianNoisyReport, GaussianVeryWeakReport
+from .gaussian import (
+    CERTIFICATE_SEARCH_POINTS,
+    GaussianNoisyReport,
+    GaussianVeryWeakReport,
+    noisy_sum_capacity,
+)
 from .regimes import (
     check_noisy_gaussian,
     check_strong_both,
@@ -35,7 +40,7 @@ from .regimes import (
 from .regions import GAUSSIAN_SCHEMES, SCHEMES, RateRegion, region_gaussian, region_scheme
 from .search import SearchConfig
 from .serialize import frontier_csv, stable_json_dumps
-from .sumcap import certify_sum_capacity, gaussian_noisy_sumcap, outer_bound, tin_sumrate
+from .sumcap import certify_sum_capacity, outer_bound, tin_sumrate
 from .verify import SUITE_CONFIG, SUITES, run_suite
 
 
@@ -124,20 +129,28 @@ def _region_doc(region: RateRegion, scheme: str, header: dict, cfg_doc: dict) ->
     }
 
 
+def _gaussian_regimes(g: GaussianIC) -> dict:
+    """The closed-form regime reports of ``g`` and the config they ran."""
+    return {
+        "very_weak_gaussian": _gaussian_vw_dict(check_very_weak_gaussian(g)),
+        "noisy_gaussian": _gaussian_noisy_dict(check_noisy_gaussian(g)),
+        "config": {"certificate_search_points": CERTIFICATE_SEARCH_POINTS},
+    }
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     ch = load_channel(args.channel)
-    cfg = _config(args)
     if isinstance(ch, GaussianIC):
+        _refuse_unread(args, (), "classify on a gaussian channel")
         side = "side_a" if ch.b == 0.0 else ("side_b" if ch.a == 0.0 else "none")
         doc = {
             "command": "classify",
             "channel": _channel_header(ch),
             "one_sided": side,
-            "very_weak_gaussian": _gaussian_vw_dict(check_very_weak_gaussian(ch)),
-            "noisy_gaussian": _gaussian_noisy_dict(check_noisy_gaussian(ch)),
-            "config": cfg.to_json_dict(),
+            **_gaussian_regimes(ch),
         }
     else:
+        cfg = _config(args)
         vw1, vw2 = check_very_weak(ch, cfg)
         st2, st1 = check_strong_both(ch, cfg)
         doc = {
@@ -235,17 +248,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gaussian(args: argparse.Namespace) -> int:
     g = GaussianIC(a=args.a, b=args.b, p1=args.p1, p2=args.p2)
     if args.mode == "regime":
-        doc = {
-            "command": "gaussian regime",
-            "channel": _channel_header(g),
-            "very_weak_gaussian": _gaussian_vw_dict(check_very_weak_gaussian(g)),
-            "noisy_gaussian": _gaussian_noisy_dict(check_noisy_gaussian(g)),
-            "config": {"certificate_search_points": CERTIFICATE_SEARCH_POINTS},
-        }
+        doc = {"command": "gaussian regime", "channel": _channel_header(g), **_gaussian_regimes(g)}
         _emit(stable_json_dumps(doc), args.out)
         return 0
     if args.mode == "sumcap":
-        value = gaussian_noisy_sumcap(g)
+        value = noisy_sum_capacity(g)
         doc = {
             "command": "gaussian sumcap",
             "channel": _channel_header(g),

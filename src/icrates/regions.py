@@ -57,14 +57,12 @@ from .search import (
     SearchConfig,
     SimplexBlock,
     _row_starts,
-    canonical_layers,
+    canonical_table,
     distinct_rows,
     iter_grid_batches,
     shrink_to_budget,
 )
 from .sumcap import ProductInput, tin_sumrate
-
-ALLOWED_DIRS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
 _FEAS_TOL = 1e-12
 
@@ -263,53 +261,6 @@ def _candidate_vertices(
     return V, feas
 
 
-@dataclass(frozen=True)
-class RatePolytope:
-    """Intersection of rate half-planes for one fixed input law.
-
-    Bounds are clamped to be nonnegative, so every polytope contains the
-    origin and is never empty.
-    """
-
-    constraints: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for c1, c2, bound in self.constraints:
-            if (c1, c2) not in ALLOWED_DIRS:
-                raise ConfigError("unsupported constraint direction", direction=(c1, c2))
-            cleaned.append((int(c1), int(c2), max(float(bound), 0.0)))
-        object.__setattr__(self, "constraints", tuple(cleaned))
-
-    def _dirs_bounds(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        bounds = np.array([[b for _, _, b in self.constraints]])
-        return merged_dirs_bounds(self.constraints, bounds)
-
-    def vertices(self) -> np.ndarray:
-        """Feasible candidate vertices (deduplicated, unordered)."""
-        dirs, bounds = self._dirs_bounds()
-        V, feas = _candidate_vertices(dirs, bounds)
-        pts = V[0][feas[0]]
-        return np.unique(np.round(pts, 12), axis=0)
-
-    def support(self, theta_deg: float) -> float:
-        t = math.radians(theta_deg)
-        v = self.vertices()
-        return float((v @ np.array([math.cos(t), math.sin(t)])).max())
-
-    def max_sum(self) -> float:
-        v = self.vertices()
-        return float((v[:, 0] + v[:, 1]).max())
-
-    def contains(self, r1: float, r2: float, tol: float = 1e-9) -> bool:
-        if r1 < -tol or r2 < -tol:
-            return False
-        return all(c1 * r1 + c2 * r2 <= bound + tol for c1, c2, bound in self.constraints)
-
-    def includes(self, other: "RatePolytope", tol: float = 1e-9) -> bool:
-        return all(self.contains(r1, r2, tol) for r1, r2 in other.vertices())
-
-
 # ---------------------------------------------------------------------------
 # Rate regions (support samples + frontier vertices)
 # ---------------------------------------------------------------------------
@@ -442,16 +393,6 @@ def _extract_vertices(points: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def union_region(polytopes: Sequence[RatePolytope], angles: int = SearchConfig.angles) -> RateRegion:
-    """Convex hull of a union of polytopes (exact time-sharing closure)."""
-    if not polytopes:
-        raise EmptyListError("union_region needs at least one polytope")
-    acc = SupportAccumulator(angles)
-    for poly in polytopes:
-        acc.add(*poly._dirs_bounds())
-    return acc.finalize({"n_polytopes": len(polytopes)})
-
-
 # ---------------------------------------------------------------------------
 # Region comparison operations
 # ---------------------------------------------------------------------------
@@ -491,7 +432,7 @@ def max_sumrate(r: RateRegion) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-law polytope constructors
+# Constraint tables
 # ---------------------------------------------------------------------------
 
 
@@ -508,40 +449,6 @@ def table_bounds(table: Sequence[Constraint], mi: Callable[..., object]) -> np.n
             val = val + mi(*term)
         cols.append(val)
     return np.column_stack(cols)
-
-
-def _polytope_from_table(ch: DiscreteIC, d: AuxInputDist, table: Sequence[Constraint]) -> RatePolytope:
-    bounds = table_bounds(table, batch_joint(ch, dist_batch_from_aux([d])).mi)
-    return RatePolytope(tuple((c1, c2, b) for (c1, c2, _), b in zip(table, bounds[0])))
-
-
-def polytope_semijoint(ch: DiscreteIC, d: AuxInputDist) -> RatePolytope:
-    """Four-constraint polytope of the two-step (semi-joint) decoder."""
-    return _polytope_from_table(ch, d, SCHEME_TABLES["semijoint"])
-
-
-def polytope_hk(ch: DiscreteIC, d: AuxInputDist) -> RatePolytope:
-    """Seven-constraint compact superposition/joint-decoding polytope."""
-    return _polytope_from_table(ch, d, SCHEME_TABLES["hk"])
-
-
-def polytope_hk_strong_y2(ch: DiscreteIC, d: AuxInputDist) -> RatePolytope:
-    """Five-constraint polytope for strong interference at receiver 2.
-
-    Requires a degenerate W1 layer (the reduced family has none).
-    """
-    if d.nw1 != 1:
-        raise DimensionMismatchError("strong-at-Y2 polytope needs nw1 == 1", nw1=d.nw1)
-    return _polytope_from_table(ch, d, SCHEME_TABLES["hk_strong_y2"])
-
-
-def polytope_one_sided(ch: DiscreteIC, d: AuxInputDist) -> RatePolytope:
-    """Three-constraint polytope for channels whose receiver 2 is clean."""
-    if is_one_sided(ch) != OneSided.SIDE_A:
-        raise NotOneSidedError("channel is not one-sided toward receiver 2")
-    if d.nw1 != 1:
-        raise DimensionMismatchError("one-sided polytope needs nw1 == 1", nw1=d.nw1)
-    return _polytope_from_table(ch, d, SCHEME_TABLES["one_sided"])
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +490,6 @@ def merged_dirs_bounds(
             dirs.append(key)
             cols[key] = bounds[:, idx]
     return dirs, np.stack([cols[d] for d in dirs], axis=1)
-
-
-def dist_batch_from_aux(dists: Sequence[AuxInputDist]) -> DistBatch:
-    return {
-        "pw1": np.stack([d.pw1 for d in dists]),
-        "pw2": np.stack([d.pw2 for d in dists]),
-        "px1w1": np.stack([d.px1_given_w1 for d in dists]),
-        "px2w2": np.stack([d.px2_given_w2 for d in dists]),
-    }
 
 
 def product_laws(px1: np.ndarray, px2: np.ndarray) -> DistBatch:
@@ -673,30 +571,6 @@ def _distinct_side(side: DistBatch, counts: np.ndarray) -> tuple[DistBatch, np.n
     return {name: v[idx] for name, v in side.items()}, total
 
 
-def _side_grid(blocks: Sequence[SimplexBlock]) -> tuple[DistBatch, np.ndarray]:
-    """Distinct laws of one user's side of a layered grid modulo relabelling
-    of W, ``blocks`` being its ``pw`` and ``px|w`` blocks, and how many grid
-    points each stands for.
-
-    The ``px|w`` rows of massless W values are set to 0 first.  That is
-    bit-exact for every law built from the side: :func:`batch_joint`
-    multiplies those rows by 0.0, and :func:`relayer`'s marginal adds them
-    as +0.0.  Each row's W values are then put in canonical order
-    (:func:`canonical_layers`): a relabelling of W changes no bound of any
-    scheme, and :func:`relayer` commutes with it (both up to the order in
-    which sums round), so one row stands for its whole orbit and the table
-    holds at most the orbit count, which is at most the side's raw grid.
-    """
-    pw, pxw = (b.name for b in blocks)
-    tables = []
-    for _, raw in iter_grid_batches(blocks, CHUNK):
-        w = raw[pw][:, 0, :]
-        w, x = canonical_layers(w, np.where(w[:, :, np.newaxis] > 0.0, raw[pxw], 0.0))
-        tables.append(_distinct_side({pw: w, pxw: x}, np.ones(len(w), dtype=np.int64)))
-    return _distinct_side({name: np.concatenate([t[name] for t, _ in tables]) for name in (pw, pxw)},
-                          np.concatenate([c for _, c in tables]))
-
-
 def _chain_table(
     tables: dict[tuple[int, tuple], tuple[DistBatch, np.ndarray]],
     side: int,
@@ -720,13 +594,19 @@ def layered_family(
 
     A layered law is the product of two per-user factors, and the grid is
     the Cartesian product of the two side grids; a member's chain of
-    :func:`relayer` steps acts on each side alone.  So each side's distinct
-    factors modulo relabelling of W (:func:`_side_grid`, one canonical row
-    per orbit) are re-layered by the member's steps on that side, in chain
-    order (each step prefix once), and deduplicated again; a member's laws
-    are the product of its two side tables, yielded in ``CHUNK``-row
-    batches, each row standing for ``c1[i] * c2[j]`` laws of the grid.  The
-    raw grid is never built.
+    :func:`relayer` steps acts on each side alone.  So each side's grid,
+    ``pw`` and ``px|w`` blocks, is enumerated modulo relabelling of W
+    (:func:`canonical_table`, one canonical row per orbit with the orbit's
+    size): a relabelling of W changes no bound of any scheme, and
+    :func:`relayer` commutes with it (both up to the order in which sums
+    round).  The ``px|w`` rows of massless W values hold their block's
+    first grid point, which is bit-exact for every law built from the side:
+    :func:`batch_joint` multiplies those rows by 0.0, and :func:`relayer`'s
+    marginal adds them as +0.0.  Each side table is re-layered by the
+    member's steps on that side, in chain order (each step prefix once),
+    and deduplicated again; a member's laws are the product of its two side
+    tables, yielded in ``CHUNK``-row batches, each row standing for
+    ``c1[i] * c2[j]`` laws of the grid.  The raw grid is never built.
 
     Memory: a side table holds at most its side's orbit count, which is at
     most its side's grid, itself at most ``max_candidates`` rows of
@@ -736,10 +616,12 @@ def layered_family(
     chain prefix on a side are kept while the source runs, and a batch
     holds at most ``CHUNK`` laws.
     """
-    sides = {1: blocks[:2], 2: blocks[2:]}
-    tables = {(side, ()): _side_grid(sides[side]) for side in sides}
+    tables = {}
+    for side, (pw, pxw) in ((1, blocks[:2]), (2, blocks[2:])):
+        keys, _, counts = canonical_table((pw, pxw))
+        tables[side, ()] = {pw.name: keys[..., 0], pxw.name: keys[..., 1:]}, counts
     for chain, feeds in members:
-        (t1, c1), (t2, c2) = (_chain_table(tables, side, chain) for side in sides)
+        (t1, c1), (t2, c2) = (_chain_table(tables, side, chain) for side in (1, 2))
         total = len(c1) * len(c2)
         for start in range(0, total, CHUNK):
             i, j = np.divmod(np.arange(start, min(start + CHUNK, total)), len(c2))

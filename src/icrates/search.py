@@ -280,25 +280,41 @@ def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
     return np.concatenate([w[:, :, np.newaxis], x], axis=2)
 
 
+def canonical_table(blocks: Sequence[SimplexBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid over the label ``blocks`` modulo relabelling: one key row
+    ``[n, cells]`` per orbit (:func:`_label_keys`, labels in canonical
+    order), the flat index of the orbit's first raw grid point and the
+    orbit's size, as ``keys [m, n, cells]``, ``first [m]`` and ``counts [m]``.
+
+    Orbits come in the order of their first raw grid point.  Each ``CHUNK``
+    batch of the raw grid is reduced to its distinct keys, with their counts,
+    before the batches are merged, so the raw grid is never held whole.
+    """
+    keys, firsts, counts = [], [], []
+    for idx, batch in _product_batches(blocks, _grid_axes(blocks), CHUNK):
+        rows = _label_keys(batch, blocks).reshape(len(idx), -1)
+        keep, count = distinct_rows(rows)
+        keys.append(rows[keep])
+        firsts.append(idx[keep])
+        counts.append(count)
+    rows, first = np.concatenate(keys), np.concatenate(firsts)
+    keep, count = distinct_rows(rows, np.concatenate(counts))
+    order = np.argsort(first[keep])
+    keep = keep[order]
+    return rows[keep].reshape(len(keep), blocks[0].k, -1), first[keep], count[order]
+
+
 def _label_axis(blocks: Sequence[SimplexBlock]) -> _Axis:
     """The grid over the label ``blocks`` as one axis, one canonical point per
     label orbit, in the order of each orbit's first raw grid point."""
-    keys, raws = [], []
-    for idx, batch in _product_batches(blocks, _grid_axes(blocks), CHUNK):
-        rows = _label_keys(batch, blocks).reshape(len(idx), -1)
-        keep = np.sort(distinct_rows(rows)[0])
-        keys.append(rows[keep])
-        raws.append(idx[keep])
-    rows = np.concatenate(keys)
-    keep = np.sort(distinct_rows(rows)[0])
-    keys = rows[keep].reshape(len(keep), blocks[0].k, -1)
+    keys, first, _ = canonical_table(blocks)
     head, *tail = blocks
     writes = [(head.name, slice(None), np.swapaxes(keys[:, :, :head.n_slices], 1, 2))]
     offset = head.n_slices
     for b in tail:
         writes.append((b.name, slice(None), keys[:, :, offset:offset + b.k]))
         offset += b.k
-    return writes, np.concatenate(raws)[keep], grid_size(blocks)
+    return writes, first, grid_size(blocks)
 
 
 def iter_grid_batches(
@@ -314,10 +330,11 @@ def iter_grid_batches(
     objective does not see: the first block's columns are the labels, and
     every later one has one slice per label (its rows are conditioned on
     the label).  The scan then visits one canonical point per orbit of the
-    grid under relabelling: each point of those blocks is put in canonical
-    order (:func:`_label_keys`), exact repeats are dropped, and the rest
-    come in the order of their first raw grid point, whose flat index they
-    carry.  Points of the remaining blocks are unchanged.
+    grid under relabelling, read off the label blocks'
+    :func:`canonical_table`: each point of those blocks is put in canonical
+    order, exact repeats are dropped, and the rest come in the order of
+    their first raw grid point, whose flat index they carry.  Points of the
+    remaining blocks are unchanged.
     """
     i = [b.name for b in blocks].index(labels[0]) if labels else len(blocks)
     j = i + len(labels)

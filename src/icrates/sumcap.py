@@ -21,9 +21,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .channels import DiscreteIC, GaussianIC, VirtualCoupling
+from .channels import DiscreteIC, VirtualCoupling
 from .errors import IcError, ValidationError
-from .gaussian import noisy_sum_capacity
 from .probtensor import MASS_TOL, ProbTensor, require_valid
 from .regimes import (
     NO_VIOLATION_FOUND,
@@ -281,10 +280,3 @@ def certify_sum_capacity(
         near_optima_checked=len(points),
     )
 
-
-def gaussian_noisy_sumcap(g: GaussianIC) -> float | None:
-    """Sum capacity under the Gaussian noisy-interference condition.
-
-    ``None`` when the channel is outside the regime.
-    """
-    return noisy_sum_capacity(g)

@@ -6,6 +6,7 @@ import pytest
 from icrates import random_channel, save_channel
 from icrates.channels import random_coupling, save_coupling
 from icrates.cli import main
+from icrates.gaussian import CERTIFICATE_SEARCH_POINTS
 
 
 @pytest.fixture
@@ -239,6 +240,10 @@ class TestUnreadFlags:
         ["region", "G", "--scheme", "tin", "--grid", "3"],
         ["region", "G", "--scheme", "tin", "--restarts", "9"],
         ["region", "G", "--scheme", "tin", "--seed", "1"],
+        ["classify", "G", "--grid", "3"],
+        ["classify", "G", "--restarts", "9"],
+        ["classify", "G", "--angles", "5"],
+        ["classify", "G", "--tol", "1e-3"],
     ])
     def test_exits_three(self, capsys, channel_file, gaussian_file, argv):
         files = {"CH": channel_file, "G": gaussian_file}
@@ -250,6 +255,16 @@ class TestUnreadFlags:
         assert code == 0 and json.loads(out)["tolerance_bits"] == 1e-9
         code, out = run(capsys, "verify", "gaussian_regimes", "--trials", "3", "--seed", "2026")
         assert code in (0, 1) and json.loads(out)["config"]["seed"] == 2026
+
+    def test_gaussian_classify_reports_the_config_it_ran(self, capsys, gaussian_file):
+        code, out = run(capsys, "classify", gaussian_file)
+        assert code == 0
+        doc = json.loads(out)
+        code, out = run(capsys, "gaussian", "regime", "--a", "0.5", "--b", "0.4", "--p1", "1", "--p2", "1")
+        regime = json.loads(out)
+        assert doc["config"] == regime["config"] == {"certificate_search_points": CERTIFICATE_SEARCH_POINTS}
+        for key in ("very_weak_gaussian", "noisy_gaussian"):
+            assert doc[key] == regime[key]
 
     def test_gaussian_region_file_reports_splits_and_angles(self, capsys, gaussian_file):
         code, out = run(capsys, "region", gaussian_file, "--scheme", "semijoint",

@@ -10,7 +10,6 @@ from icrates import (
     AuxInputDist,
     DiscreteIC,
     InfoQuery,
-    RatePolytope,
     SearchConfig,
     compose_joint,
     equals,
@@ -18,14 +17,9 @@ from icrates import (
     includes,
     max_sumrate,
     mutual_information,
-    polytope_hk,
-    polytope_hk_strong_y2,
-    polytope_one_sided,
-    polytope_semijoint,
     random_channel,
     region_gaussian,
     region_scheme,
-    union_region,
 )
 from icrates.channels import GaussianIC
 from icrates.errors import (
@@ -44,7 +38,6 @@ from icrates.regions import (
     batch_bounds,
     batch_joint,
     common_layers,
-    dist_batch_from_aux,
     merged_dirs_bounds,
     product_laws,
     relayer,
@@ -75,32 +68,60 @@ def random_aux(seed, nw1=2, nw2=2, nx1=2, nx2=2):
     )
 
 
+def aux_batch(dists):
+    """The layered laws ``dists`` as one batch."""
+    return {
+        "pw1": np.stack([d.pw1 for d in dists]),
+        "pw2": np.stack([d.pw2 for d in dists]),
+        "px1w1": np.stack([d.px1_given_w1 for d in dists]),
+        "px2w2": np.stack([d.px2_given_w2 for d in dists]),
+    }
+
+
+def law_bounds(ch, dists, scheme):
+    """``[B, n_constraints]`` clamped bounds of ``scheme`` at each law of ``dists``."""
+    return batch_bounds(batch_joint(ch, aux_batch(dists)), table_for_scheme(scheme))
+
+
+def law_region(ch, d, scheme):
+    """The rate region of ``scheme`` at the single law ``d`` (its polytope)."""
+    table = table_for_scheme(scheme)
+    acc = SupportAccumulator(91)
+    acc.add(*merged_dirs_bounds(table, law_bounds(ch, [d], scheme)))
+    return acc.finalize()
+
+
+def hull(*polytopes, angles=91):
+    """The region of the union of ``polytopes``, each a tuple of ``(c1, c2, bound)`` rows."""
+    acc = SupportAccumulator(angles)
+    for poly in polytopes:
+        acc.add(*merged_dirs_bounds(poly, np.array([[b for _, _, b in poly]])))
+    return acc.finalize()
+
+
 class TestPolytopes:
     def test_semijoint_orthogonal_identity_layers(self):
         # Y1 = X1, Y2 = X2: full common layers force each receiver to decode
         # the other's whole message, collapsing the sum bounds to 1 bit.
         ch = orthogonal_channel()
         d = AuxInputDist(np.full(2, 0.5), np.full(2, 0.5), np.eye(2), np.eye(2))
-        poly = polytope_semijoint(ch, d)
-        bounds = [b for _, _, b in poly.constraints]
-        assert bounds == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-12)
+        bounds = law_bounds(ch, [d], "semijoint")[0]
+        np.testing.assert_allclose(bounds, [1.0, 1.0, 1.0, 1.0], rtol=0, atol=1e-12)
 
     def test_semijoint_degenerate_layers_rectangle(self):
         ch = orthogonal_channel()
         d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
-        poly = polytope_semijoint(ch, d)
-        bounds = [b for _, _, b in poly.constraints]
-        assert bounds == pytest.approx([1.0, 1.0, 2.0, 2.0], abs=1e-12)
+        bounds = law_bounds(ch, [d], "semijoint")[0]
+        np.testing.assert_allclose(bounds, [1.0, 1.0, 2.0, 2.0], rtol=0, atol=1e-12)
 
     def test_semijoint_identity_reduces_to_strong_form(self):
         ch = random_channel(21, (2, 2, 2, 2))
         d = AuxInputDist(np.array([0.4, 0.6]), np.array([0.7, 0.3]), np.eye(2), np.eye(2))
-        poly = polytope_semijoint(ch, d)
+        bounds = law_bounds(ch, [d], "semijoint")[0]
         joint = compose_joint(d, ch)
         want_r1 = mutual_information(joint, InfoQuery.of("X1", "Y1", "X2"))
         want_sum1 = mutual_information(joint, InfoQuery.of(("X1", "X2"), "Y1"))
         want_sum2 = mutual_information(joint, InfoQuery.of(("X1", "X2"), "Y2"))
-        bounds = [b for _, _, b in poly.constraints]
         assert bounds[0] == pytest.approx(want_r1, abs=1e-12)
         assert bounds[2] == pytest.approx(want_sum1, abs=1e-12)
         assert bounds[3] == pytest.approx(want_sum2, abs=1e-12)
@@ -108,13 +129,13 @@ class TestPolytopes:
     def test_hk_degenerate_layers_rectangle(self):
         ch = random_channel(2, (2, 2, 2, 2))
         d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
-        hk = polytope_hk(ch, d)
+        hk = law_region(ch, d, "hk")
         joint = compose_joint(d, ch)
         i1 = mutual_information(joint, InfoQuery.of("X1", "Y1"))
         i2 = mutual_information(joint, InfoQuery.of("X2", "Y2"))
-        assert hk.support(0.0) == pytest.approx(i1, abs=1e-9)
-        assert hk.support(90.0) == pytest.approx(i2, abs=1e-9)
-        assert hk.max_sum() == pytest.approx(i1 + i2, abs=1e-9)
+        assert hk.h_bits[0] == pytest.approx(i1, abs=1e-9)
+        assert hk.h_bits[-1] == pytest.approx(i2, abs=1e-9)
+        assert max_sumrate(hk) == pytest.approx(i1 + i2, abs=1e-9)
 
     def test_hk_identity_layers(self):
         # Orthogonal links: with full common layers the cross-conditioned sum
@@ -123,105 +144,88 @@ class TestPolytopes:
         # of the union still supplies the square.
         ch = orthogonal_channel()
         d = AuxInputDist(np.full(2, 0.5), np.full(2, 0.5), np.eye(2), np.eye(2))
-        assert polytope_hk(ch, d).max_sum() == pytest.approx(0.0, abs=1e-12)
+        assert max_sumrate(law_region(ch, d, "hk")) == pytest.approx(0.0, abs=1e-12)
         # Joint-output channel: full common layers achieve the square.
-        ch2 = strong_pair_channel()
-        hk2 = polytope_hk(ch2, d)
-        assert hk2.support(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert hk2.support(90.0) == pytest.approx(1.0, abs=1e-12)
-        assert hk2.max_sum() == pytest.approx(2.0, abs=1e-12)
+        hk2 = law_region(strong_pair_channel(), d, "hk")
+        assert hk2.h_bits[0] == pytest.approx(1.0, abs=1e-12)
+        assert hk2.h_bits[-1] == pytest.approx(1.0, abs=1e-12)
+        assert max_sumrate(hk2) == pytest.approx(2.0, abs=1e-12)
 
     def test_hk_contained_in_semijoint_on_very_weak(self):
+        # Every vertex of each law's hk polytope meets that law's semijoint
+        # constraints.
         cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
         ch = generate_regime_channel("very_weak", 5, cfg)
-        for seed in range(12):
-            d = random_aux(seed)
-            assert polytope_semijoint(ch, d).includes(polytope_hk(ch, d), tol=1e-9)
-
-    def test_strong_y2_needs_degenerate_w1(self):
-        ch = strong_pair_channel()
-        with pytest.raises(DimensionMismatchError):
-            polytope_hk_strong_y2(ch, random_aux(0))
+        dists = [random_aux(seed) for seed in range(12)]
+        V, feas = regions._candidate_vertices(
+            *merged_dirs_bounds(SCHEME_TABLES["hk"], law_bounds(ch, dists, "hk")))
+        sj = law_bounds(ch, dists, "semijoint")
+        for k, (c1, c2, _) in enumerate(SCHEME_TABLES["semijoint"]):
+            slack = sj[:, k, np.newaxis] - (c1 * V[:, :, 0] + c2 * V[:, :, 1])
+            assert (slack[feas] >= -1e-9).all()
 
     def test_strong_y2_canonical(self):
         ch = strong_pair_channel()
         d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
-        poly = polytope_hk_strong_y2(ch, d)
-        assert poly.support(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert poly.support(90.0) == pytest.approx(1.0, abs=1e-12)
-        assert poly.max_sum() == pytest.approx(2.0, abs=1e-12)
+        region = law_region(ch, d, "hk_strong_y2")
+        assert region.h_bits[0] == pytest.approx(1.0, abs=1e-12)
+        assert region.h_bits[-1] == pytest.approx(1.0, abs=1e-12)
+        assert max_sumrate(region) == pytest.approx(2.0, abs=1e-12)
 
     def test_strong_y2_chain_rule_dominance(self):
         ch = generate_regime_channel("strong_y2", 1, CFG)
-        for seed in range(8):
-            d = random_aux(seed, nw1=1)
-            poly = polytope_hk_strong_y2(ch, d)
-            bounds = [b for _, _, b in poly.constraints]
-            assert bounds[2] >= bounds[1] - 1e-12  # I(X1,X2;Y2) >= I(X2;Y2|X1)
-
-    def test_one_sided_guard(self):
-        ch = strong_pair_channel()
-        d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
-        with pytest.raises(NotOneSidedError):
-            polytope_one_sided(ch, d)
+        bounds = law_bounds(ch, [random_aux(seed, nw1=1) for seed in range(8)], "hk_strong_y2")
+        assert (bounds[:, 2] >= bounds[:, 1] - 1e-12).all()  # I(X1,X2;Y2) >= I(X2;Y2|X1)
 
     def test_one_sided_rectangle_when_w2_degenerate(self):
         ch = product_channel(7)
         d = AuxInputDist(np.ones(1), np.ones(1), [[0.5, 0.5]], [[0.5, 0.5]])
-        poly = polytope_one_sided(ch, d)
+        region = law_region(ch, d, "one_sided")
         joint = compose_joint(d, ch)
         i1 = mutual_information(joint, InfoQuery.of("X1", "Y1"))
         i2 = mutual_information(joint, InfoQuery.of("X2", "Y2"))
-        assert poly.support(0.0) == pytest.approx(i1, abs=1e-9)
-        assert poly.support(90.0) == pytest.approx(i2, abs=1e-9)
+        assert region.h_bits[0] == pytest.approx(i1, abs=1e-9)
+        assert region.h_bits[-1] == pytest.approx(i2, abs=1e-9)
 
     def test_bounds_within_caps(self):
         for seed in range(8):
             ch = random_channel(seed, (2, 2, 2, 2))
             d = random_aux(seed + 100)
-            for poly in (polytope_hk(ch, d), polytope_semijoint(ch, d)):
-                for c1, c2, bound in poly.constraints:
-                    assert bound >= 0.0
-                    assert bound <= c1 * 1.0 + c2 * 1.0 + 1e-9  # binary caps
+            for scheme in ("hk", "semijoint"):
+                bounds = law_bounds(ch, [d], scheme)[0]
+                caps = [c1 * 1.0 + c2 * 1.0 for c1, c2, _ in table_for_scheme(scheme)]  # binary caps
+                assert (bounds >= 0.0).all()
+                assert (bounds <= np.array(caps) + 1e-9).all()
 
 
 class TestUnionRegion:
     def test_single_polytope_support(self):
-        poly = RatePolytope(((1, 0, 1.0), (0, 1, 0.5), (1, 1, 1.2)))
-        region = union_region([poly], angles=91)
-        for k, theta in enumerate(region.theta_deg):
-            assert region.h_bits[k] == pytest.approx(poly.support(theta), abs=1e-12)
+        region = hull(((1, 0, 1.0), (0, 1, 0.5), (1, 1, 1.2)))
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.2], [0.7, 0.5], [0.0, 0.5]])
+        rad = np.radians(region.theta_deg)
+        want = (vertices @ np.stack([np.cos(rad), np.sin(rad)])).max(axis=0)
+        np.testing.assert_allclose(region.h_bits, want, rtol=0, atol=1e-12)
 
     def test_two_segments_hull(self):
-        p1 = RatePolytope(((1, 0, 1.0), (0, 1, 0.0)))
-        p2 = RatePolytope(((1, 0, 0.0), (0, 1, 1.0)))
-        region = union_region([p1, p2], angles=91)
+        region = hull(((1, 0, 1.0), (0, 1, 0.0)), ((1, 0, 0.0), (0, 1, 1.0)))
         assert region.h_bits[45] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
     def test_union_monotone(self):
-        p1 = RatePolytope(((1, 0, 0.8), (0, 1, 0.3)))
-        p2 = RatePolytope(((1, 0, 0.5), (0, 1, 0.9)))
-        small = union_region([p1], angles=91)
-        big = union_region([p1, p2], angles=91)
-        assert np.all(big.h_bits >= small.h_bits - 1e-15)
+        p1, p2 = ((1, 0, 0.8), (0, 1, 0.3)), ((1, 0, 0.5), (0, 1, 0.9))
+        assert np.all(hull(p1, p2).h_bits >= hull(p1).h_bits - 1e-15)
 
     def test_empty_list(self):
         with pytest.raises(EmptyListError):
-            union_region([], angles=91)
+            SupportAccumulator(91).finalize()
 
     def test_angle_grid_needs_two_angles(self):
-        poly = RatePolytope(((1, 0, 1.0), (0, 1, 0.5)))
-        for build in (lambda: SupportAccumulator(1), lambda: union_region([poly], angles=1),
+        for build in (lambda: SupportAccumulator(1),
                       lambda: region_gaussian(GaussianIC(0.4, 0.3, 1.0, 1.0), "tin", angles=1)):
             with pytest.raises(ConfigError, match="angles"):
                 build()
 
     def test_support_idempotent_under_resampling(self):
-        polys = [
-            RatePolytope(((1, 0, 0.9), (0, 1, 0.4), (1, 1, 1.1))),
-            RatePolytope(((1, 0, 0.4), (0, 1, 1.0), (2, 1, 1.5))),
-        ]
-        region = union_region(polys, angles=91)
+        region = hull(((1, 0, 0.9), (0, 1, 0.4), (1, 1, 1.1)), ((1, 0, 0.4), (0, 1, 1.0), (2, 1, 1.5)))
         verts = np.vstack([region.vertices, [[0.0, 0.0]]])
         rad = np.radians(region.theta_deg)
         u = np.stack([np.cos(rad), np.sin(rad)], axis=1)
@@ -232,33 +236,29 @@ class TestUnionRegion:
         # At 45 deg the flat edge R1 + R2 = 0.5 ties with (0.1, 0.4), which
         # lies on it; whichever tied point the scoring keeps, the
         # collinearity pass leaves only the edge's endpoints.
-        region = union_region([RatePolytope(((1, 1, 0.5),)),
-                               RatePolytope(((1, 0, 0.1), (0, 1, 0.4)))])
+        region = hull(((1, 1, 0.5),), ((1, 0, 0.1), (0, 1, 0.4)))
         assert region.vertices.tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
 
 class TestRegionOps:
+    SQUARE = ((1, 0, 1.0), (0, 1, 1.0))
+
     def test_equality_reflexive(self):
-        region = union_region([RatePolytope(((1, 0, 1.0), (0, 1, 1.0)))], angles=91)
+        region = hull(self.SQUARE)
         assert equals(region, region, tol=0.0)
 
     def test_square_vs_triangle(self):
-        square = union_region([RatePolytope(((1, 0, 1.0), (0, 1, 1.0)))], angles=91)
-        triangle = union_region(
-            [RatePolytope(((1, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)))], angles=91
-        )
+        square = hull(self.SQUARE)
+        triangle = hull((*self.SQUARE, (1, 1, 1.0)))
         assert includes(square, triangle, tol=1e-12)
         assert not includes(triangle, square, tol=1e-3)
 
     def test_max_sumrate_square(self):
-        square = union_region([RatePolytope(((1, 0, 1.0), (0, 1, 1.0)))], angles=91)
-        assert max_sumrate(square) == pytest.approx(2.0, abs=1e-12)
+        assert max_sumrate(hull(self.SQUARE)) == pytest.approx(2.0, abs=1e-12)
 
     def test_angle_grid_mismatch(self):
-        a = union_region([RatePolytope(((1, 0, 1.0), (0, 1, 1.0)))], angles=91)
-        b = union_region([RatePolytope(((1, 0, 1.0), (0, 1, 1.0)))], angles=31)
         with pytest.raises(AngleGridMismatchError):
-            hausdorff_support_gap(a, b)
+            hausdorff_support_gap(hull(self.SQUARE, angles=91), hull(self.SQUARE, angles=31))
 
 
 class TestRegionScheme:
@@ -303,20 +303,20 @@ class TestRegionScheme:
     @pytest.mark.parametrize("scheme, case", [
         *((s, "2x2") for s in regions.SCHEMES), ("hk", "3x3-shrunk")])
     def test_reported_steps_are_the_scanned_steps(self, scheme, case, monkeypatch):
-        # Every block the family's grids run through iter_grid_batches, and
-        # no block name at two resolutions, so the report names each once.
+        # Every block the family's grids run through iter_grid_batches (the
+        # product grids) or canonical_table (the layered side grids), and no
+        # block name at two resolutions, so the report names each once.
         if case == "2x2":  # one-sided, so every scheme applies
             ch, cfg = generate_regime_channel("one_sided", 0, CFG), CFG
         else:
             ch, cfg = random_channel(1, (3, 3, 3, 3)), SearchConfig(aux_card_w=4)
         scanned = set()
-        grid = regions.iter_grid_batches
+        for name in ("iter_grid_batches", "canonical_table"):
+            def record(blocks, *args, scan=getattr(regions, name)):
+                scanned.update((b.name, b.steps) for b in blocks)
+                return scan(blocks, *args)
 
-        def record(blocks, *args):
-            scanned.update((b.name, b.steps) for b in blocks)
-            return grid(blocks, *args)
-
-        monkeypatch.setattr(regions, "iter_grid_batches", record)
+            monkeypatch.setattr(regions, name, record)
         steps = region_scheme(ch, scheme, cfg).meta["effective_steps"]
         assert len(steps) == len(scanned) > 0
         assert steps == dict(sorted(scanned))
@@ -631,39 +631,30 @@ def oracle_bounds(ch, d, table):
 
 class TestBatchConsistency:
     def test_batch_bounds_match_polytopes(self):
+        # Each law's bounds, in a batch of six and alone, equal the dense joint's.
         ch = random_channel(3, (2, 2, 2, 2))
         dists = [random_aux(s) for s in range(6)]
-        bj = batch_joint(ch, dist_batch_from_aux(dists))
-        for scheme, builder in (
-            ("hk", polytope_hk),
-            ("semijoint", polytope_semijoint),
-        ):
-            table = table_for_scheme(scheme)
-            bounds = batch_bounds(bj, table)
+        for scheme in ("hk", "semijoint"):
+            bounds = law_bounds(ch, dists, scheme)
             for row, d in enumerate(dists):
-                want = oracle_bounds(ch, d, table)
+                want = oracle_bounds(ch, d, table_for_scheme(scheme))
                 np.testing.assert_allclose(bounds[row], want, rtol=0, atol=1e-12)
-                single = [b for _, _, b in builder(ch, d).constraints]
-                np.testing.assert_allclose(single, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(law_bounds(ch, [d], scheme)[0], want, rtol=0, atol=1e-12)
 
     def test_reduced_polytopes_match_dense_oracle(self):
         rng = np.random.default_rng(4)
         one_sided = DiscreteIC.from_array(np.einsum(
             "abi,bj->abij", rng.dirichlet(np.ones(2), size=(2, 2)), rng.dirichlet(np.ones(3), size=2)))
-        cases = (
-            (random_channel(3, (2, 2, 2, 2)), "hk_strong_y2", polytope_hk_strong_y2),
-            (one_sided, "one_sided", polytope_one_sided),
-        )
-        for ch, scheme, builder in cases:
-            for seed in range(3):
-                d = random_aux(seed, nw1=1, nx2=ch.nx2)
-                single = [b for _, _, b in builder(ch, d).constraints]
+        for ch, scheme in ((random_channel(3, (2, 2, 2, 2)), "hk_strong_y2"), (one_sided, "one_sided")):
+            dists = [random_aux(seed, nw1=1, nx2=ch.nx2) for seed in range(3)]
+            bounds = law_bounds(ch, dists, scheme)
+            for row, d in enumerate(dists):
                 want = oracle_bounds(ch, d, table_for_scheme(scheme))
-                np.testing.assert_allclose(single, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(bounds[row], want, rtol=0, atol=1e-12)
 
     def test_polytope_size_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            polytope_hk(random_channel(3, (2, 3, 2, 2)), random_aux(0))
+            batch_joint(random_channel(3, (2, 3, 2, 2)), aux_batch([random_aux(0)]))
 
 
 class TestDerivedMembers:

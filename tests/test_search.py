@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icrates import SearchConfig, random_channel, random_coupling
-from icrates import search
+from icrates import regions, search
 from icrates.errors import SizeLimitError
 from icrates.regimes import OBJECTIVES, objective
 from icrates.search import (
@@ -130,13 +130,28 @@ def test_canonical_layers_pick_one_order_per_relabelling(layers):
 LABELLED = [name for name, (layout, _) in OBJECTIVES.items() if layout.labels]
 
 
-@pytest.mark.parametrize("name", LABELLED)
+def _label_blocks(name, ch, cfg):
+    """The blocks and label names of a labelled objective's layout, or of
+    user 1's side of a layered region grid (``"side"``: ``pw1``, ``px1w1``)."""
+    if name == "side":
+        return regions._layer_blocks(ch, cfg, cfg.card_w(ch.nx1))[:2], ("pw1", "px1w1")
+    layout = OBJECTIVES[name][0]
+    return layout.blocks(ch, cfg), layout.labels
+
+
+def _label_rows(batch, blocks):
+    """Each point of ``batch`` as one key row per label ``[B, n, cells]``: its
+    column of the first block, then its slice of every later block."""
+    head, *tail = blocks
+    return np.concatenate([np.swapaxes(batch[head.name], 1, 2), *(batch[b.name] for b in tail)], axis=2)
+
+
+@pytest.mark.parametrize("name", [*LABELLED, "side"])
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2)])
 def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
-    layout = OBJECTIVES[name][0]
     cfg = SearchConfig(grid_steps=2, cond_grid_steps=2, restarts=0, aux_card_w=3, aux_card_u=2)
     ch = random_channel(11, shape)
-    blocks = layout.blocks(ch, cfg)
+    blocks, labels = _label_blocks(name, ch, cfg)
     assert grid_size(blocks) <= cfg.max_candidates
 
     def keys(batch):
@@ -144,20 +159,36 @@ def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
 
     first = {}  # loop-oracle image of each raw grid point -> first raw index
     for idx, batch in iter_grid_batches(blocks):
-        for key, i in zip(keys(label_images(batch, blocks, layout.labels)), idx.tolist()):
+        for key, i in zip(keys(label_images(batch, blocks, labels)), idx.tolist()):
             first.setdefault(key, i)
     got, got_idx = [], []
-    for idx, batch in iter_grid_batches(blocks, labels=layout.labels):
+    for idx, batch in iter_grid_batches(blocks, labels=labels):
         got += keys(batch)
         got_idx += idx.tolist()
     assert len(set(got)) == len(got) < grid_size(blocks)
     assert set(got) == set(first)
     assert got_idx == [first[key] for key in got] == sorted(got_idx)
 
+    # The table behind the scan: one row per orbit of the label blocks' own
+    # grid, the loop image of the orbit's first raw point, in the order of
+    # those points, with the orbit's size.
+    label_blocks = [b for b in blocks if b.name in labels]
+    orbits = {}  # loop image -> [first raw index, size]
+    for idx, batch in iter_grid_batches(label_blocks):
+        images = _label_rows(label_images(batch, label_blocks, labels), label_blocks)
+        for image, i in zip(images, idx.tolist()):
+            orbits.setdefault(image.tobytes(), [i, 0])[1] += 1
+    table, table_first, counts = search.canonical_table(label_blocks)
+    assert counts.sum() == grid_size(label_blocks)
+    assert [(row.tobytes(), i, c) for row, i, c in zip(table, table_first.tolist(), counts.tolist())] \
+        == sorted(((image, i, c) for image, (i, c) in orbits.items()), key=lambda t: t[1])
+
+    if name == "side":
+        return
     law = random_coupling(ch, 2, 2, seed=1).joint_law if name.startswith("genie") else ch.law
     score = objective(name, law)
     raw_max = max(float(score(batch).max()) for _, batch in iter_grid_batches(blocks))
-    res = maximize(score, blocks, cfg, labels=layout.labels)
+    res = maximize(score, blocks, cfg, labels=labels)
     assert abs(res.grid_value - raw_max) <= 1e-12
     assert res.n_evaluated == len(got)
 
