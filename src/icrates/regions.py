@@ -20,9 +20,12 @@ plus members derived from each of their laws that are always legal points
 of the same family: :func:`relayer` replaces one user's W layer by a
 constant or by ``W = X`` at the same X marginal.  The derived members cost
 little and make finite-resolution comparisons between equivalent schemes
-sharp.  A layered grid is never built law by law: its laws are the
-products of each user's distinct side factors, each scored once and
-counted with its multiplicity (:func:`layered_family`).
+sharp.  No family is built law by law: every source is a product of law
+tables, each holding some of a law's four factors with each row's count
+(a grid's two side tables, one table of random draws, or the
+maximizer's two one-row side tables), and one enumerator re-layers each
+table for each member, deduplicates it, and yields the product
+(:func:`layered_family`).
 
 The reduced families used by ``hk_strong_y2`` and ``one_sided`` carry no W1
 layer at all: the union runs over ``P(X1) P(W2) P(X2|W2)``, with X1 entering
@@ -59,8 +62,8 @@ from .search import (
     _row_starts,
     canonical_table,
     distinct_rows,
-    iter_grid_batches,
     shrink_to_budget,
+    simplex_grid,
 )
 from .sumcap import ProductInput, tin_sumrate
 
@@ -492,18 +495,12 @@ def merged_dirs_bounds(
     return dirs, np.stack([cols[d] for d in dirs], axis=1)
 
 
-def product_laws(px1: np.ndarray, px2: np.ndarray) -> DistBatch:
-    """Product input laws ``[B, |X1|]`` x ``[B, |X2|]`` with constant W layers."""
-    ones = np.ones((px1.shape[0], 1))
-    return {"pw1": ones, "px1w1": px1[:, np.newaxis, :], "pw2": ones, "px2w2": px2[:, np.newaxis, :]}
-
-
 def relayer(batch: DistBatch, side: int, identity: bool = False) -> DistBatch:
     """User ``side``'s W layer replaced at the same X marginal: by a constant
     layer, or by ``W = X`` when ``identity`` is set.
 
     Both are legal members of any family that holds the batch; the other
-    user's layer is kept as it is.
+    user's layer, and any factor the batch holds of it, is kept as it is.
     """
     pw, pxw = f"pw{side}", f"px{side}w{side}"
     px = np.einsum("bw,bwi->bi", batch[pw], batch[pxw])
@@ -513,11 +510,6 @@ def relayer(batch: DistBatch, side: int, identity: bool = False) -> DistBatch:
     else:
         layer = {pw: np.ones((B, 1)), pxw: px[:, np.newaxis, :]}
     return {**batch, **layer}
-
-
-def common_layers(batch: DistBatch) -> DistBatch:
-    """Full common layers ``W1 = X1`` and ``W2 = X2`` at the batch's X marginals."""
-    return relayer(relayer(batch, 1, identity=True), 2, identity=True)
 
 
 def _layer_blocks(ch: DiscreteIC, cfg: SearchConfig, nw1: int) -> list[SimplexBlock]:
@@ -553,91 +545,116 @@ def _source_blocks(ch: DiscreteIC, src: Source, cfg: SearchConfig) -> list[Simpl
     return shrink_to_budget(_SOURCE_BLOCKS[src.kind](ch, cfg), cfg.max_candidates)
 
 
-def _random_laws(blocks: Sequence[SimplexBlock], cfg: SearchConfig, tag: int) -> list[DistBatch]:
-    """``cfg.restarts`` seeded random draws over ``P(w1) P(w2) P(x1|w1) P(x2|w2)``
-    at the shapes of the layered ``blocks`` (no batch when there are none)."""
-    if cfg.restarts == 0:
-        return []
-    rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, tag]))
-    raw = {b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices)) for b in blocks}
-    return [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}]
+#: A law table: some of a law's four factors, one row per entry, and each
+#: row's count, the number of laws of the family it stands for.
+LawTable = tuple[DistBatch, np.ndarray]
 
 
-def _distinct_side(side: DistBatch, counts: np.ndarray) -> tuple[DistBatch, np.ndarray]:
-    """The distinct rows of one user's side factors ``{pw: [B, nw], pxw: [B, nw, nx]}``,
-    each with the summed ``counts`` of the rows it stands for."""
-    rows = np.concatenate([v.reshape(len(counts), -1) for v in side.values()], axis=1)
-    idx, total = distinct_rows(rows, counts)
-    return {name: v[idx] for name, v in side.items()}, total
+def _constant_w_sides(px1: np.ndarray, px2: np.ndarray) -> list[LawTable]:
+    """Side tables ``{pw_i: 1, px_i|w_i: px_i}`` over the marginal rows
+    ``px1 [m1, |X1|]`` and ``px2 [m2, |X2|]``, each row counted once."""
+    return [({f"pw{i}": np.ones((len(px), 1)), f"px{i}w{i}": px[:, np.newaxis, :]},
+             np.ones(len(px), dtype=np.int64)) for i, px in ((1, px1), (2, px2))]
+
+
+def _grid_tables(blocks: Sequence[SimplexBlock]) -> list[LawTable]:
+    """The grid over ``blocks`` as its two side tables.
+
+    Marginal blocks ``px1, px2`` (the product grid) give constant-W sides
+    over their simplex grids.  Layered blocks ``pw1, px1w1, pw2, px2w2``
+    give each side's grid modulo relabelling of W (:func:`canonical_table`,
+    one canonical row per orbit with the orbit's size): a relabelling of W
+    changes no bound of any scheme, and :func:`relayer` commutes with it
+    (both up to the order in which sums round).  The ``px|w`` rows of
+    massless W values hold their block's first grid point, which is
+    bit-exact for every law built from the side: :func:`batch_joint`
+    multiplies those rows by 0.0, and :func:`relayer`'s marginal adds them
+    as +0.0.
+    """
+    if len(blocks) == 2:
+        return _constant_w_sides(*(simplex_grid(b.k, b.steps) for b in blocks))
+    tables = []
+    for pw, pxw in (blocks[:2], blocks[2:]):
+        keys, _, counts = canonical_table((pw, pxw))
+        tables.append(({pw.name: keys[..., 0], pxw.name: keys[..., 1:]}, counts))
+    return tables
+
+
+def _source_tables(
+    ch: DiscreteIC, src: Source, cfg: SearchConfig, anchor: ProductInput | None
+) -> list[list[LawTable]]:
+    """``src``'s laws as products of law tables.
+
+    A grid source is its two side tables (:func:`_grid_tables`); a layered
+    or reduced one also has its ``cfg.restarts`` seeded random draws, one
+    table of whole laws.  The anchor is the TIN-optimal product input as two
+    one-row side tables: ``anchor`` when the caller already has it from
+    ``tin_sumrate(ch, cfg)``, otherwise it is searched here.
+    """
+    if src.kind == "anchor":
+        opt = anchor if anchor is not None else tin_sumrate(ch, cfg)[0]
+        return [_constant_w_sides(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :])]
+    blocks = _source_blocks(ch, src, cfg)
+    products = [_grid_tables(blocks)]
+    if src.kind != "products" and cfg.restarts:
+        rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, src.tag]))
+        raw = {b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices)) for b in blocks}
+        draws = {name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+        products.append([(draws, np.ones(cfg.restarts, dtype=np.int64))])
+    return products
 
 
 def _chain_table(
-    tables: dict[tuple[int, tuple], tuple[DistBatch, np.ndarray]],
-    side: int,
-    chain: Sequence[tuple[int, bool]],
-) -> tuple[DistBatch, np.ndarray]:
-    """User ``side``'s table after the steps of ``chain`` on that side, built
-    from the longest prefix already in ``tables`` (which it extends)."""
-    steps = tuple(step for step in chain if step[0] == side)
+    prefixes: dict[tuple[int, tuple], LawTable], t: int, chain: Sequence[tuple[int, bool]]
+) -> LawTable:
+    """Table ``t`` after the steps of ``chain`` on the sides it holds, built
+    from the longest prefix already in ``prefixes`` (which it extends).
+    Each step's rows are deduplicated, each distinct row with the summed
+    counts of the rows it stands for."""
+    steps = tuple(step for step in chain if f"pw{step[0]}" in prefixes[t, ()][0])
     for n in range(1, len(steps) + 1):
-        if (side, steps[:n]) not in tables:
-            table, counts = tables[side, steps[:n - 1]]
-            tables[side, steps[:n]] = _distinct_side(relayer(table, *steps[n - 1]), counts)
-    return tables[side, steps]
+        if (t, steps[:n]) not in prefixes:
+            table, counts = prefixes[t, steps[:n - 1]]
+            table = relayer(table, *steps[n - 1])
+            rows = np.concatenate([v.reshape(len(counts), -1) for v in table.values()], axis=1)
+            idx, total = distinct_rows(rows, counts)
+            prefixes[t, steps[:n]] = {name: v[idx] for name, v in table.items()}, total
+    return prefixes[t, steps]
 
 
 def layered_family(
-    blocks: Sequence[SimplexBlock], members: Sequence[Member]
+    tables: Sequence[LawTable], members: Sequence[Member]
 ) -> Iterator[tuple[DistBatch, tuple[str, ...] | None, np.ndarray]]:
-    """``(batch, feeds, counts)`` for every member of every law of the grid
-    over the layered ``blocks`` (``pw1, px1w1, pw2, px2w2``).
+    """``(batch, feeds, counts)`` for every member of every law of the
+    product of the law ``tables``, which between them hold each of a law's
+    four factors once.
 
-    A layered law is the product of two per-user factors, and the grid is
-    the Cartesian product of the two side grids; a member's chain of
-    :func:`relayer` steps acts on each side alone.  So each side's grid,
-    ``pw`` and ``px|w`` blocks, is enumerated modulo relabelling of W
-    (:func:`canonical_table`, one canonical row per orbit with the orbit's
-    size): a relabelling of W changes no bound of any scheme, and
-    :func:`relayer` commutes with it (both up to the order in which sums
-    round).  The ``px|w`` rows of massless W values hold their block's
-    first grid point, which is bit-exact for every law built from the side:
-    :func:`batch_joint` multiplies those rows by 0.0, and :func:`relayer`'s
-    marginal adds them as +0.0.  Each side table is re-layered by the
-    member's steps on that side, in chain order (each step prefix once),
-    and deduplicated again; a member's laws are the product of its two side
-    tables, yielded in ``CHUNK``-row batches, each row standing for
-    ``c1[i] * c2[j]`` laws of the grid.  The raw grid is never built.
+    A member's chain of :func:`relayer` steps acts on each user's side
+    alone, so it acts on each table alone: each table is re-layered by the
+    member's steps on the sides it holds, in chain order (each step prefix
+    once), and deduplicated again.  A member's laws are the product of its
+    tables, yielded in ``CHUNK``-row batches, earlier tables varying
+    slowest, each row standing for the product of its tables' counts.  The
+    product is never built whole.
 
-    Memory: a side table holds at most its side's orbit count, which is at
-    most its side's grid, itself at most ``max_candidates`` rows of
-    ``nw * (nx + 1)`` float64 values; so at worst a table takes
-    ``8 * max_candidates * nw * (nx + 1)`` bytes (25.6 MB at the
-    default 200,000 rows, ``|W| = 4`` and ``|X| = 3``); the tables of every
-    chain prefix on a side are kept while the source runs, and a batch
-    holds at most ``CHUNK`` laws.
+    Memory: a re-layered table holds at most the rows of the table it comes
+    from.  A canonical side table holds at most its side's grid, itself at
+    most ``max_candidates`` rows of ``nw * (nx + 1)`` float64 values, so at
+    worst ``8 * max_candidates * nw * (nx + 1)`` bytes (25.6 MB at the
+    default 200,000 rows, ``|W| = 4`` and ``|X| = 3``); a product-grid side
+    table holds at most its shrunk marginal grid, and a draw table
+    ``restarts`` laws.  The tables of every chain prefix are kept while the
+    product runs, and a batch holds at most ``CHUNK`` laws.
     """
-    tables = {}
-    for side, (pw, pxw) in ((1, blocks[:2]), (2, blocks[2:])):
-        keys, _, counts = canonical_table((pw, pxw))
-        tables[side, ()] = {pw.name: keys[..., 0], pxw.name: keys[..., 1:]}, counts
+    prefixes = {(t, ()): table for t, table in enumerate(tables)}
     for chain, feeds in members:
-        (t1, c1), (t2, c2) = (_chain_table(tables, side, chain) for side in (1, 2))
-        total = len(c1) * len(c2)
+        chained = [_chain_table(prefixes, t, chain) for t in range(len(tables))]
+        sizes = [len(counts) for _, counts in chained]
+        total = math.prod(sizes)
         for start in range(0, total, CHUNK):
-            i, j = np.divmod(np.arange(start, min(start + CHUNK, total)), len(c2))
-            batch = {**{k: v[i] for k, v in t1.items()}, **{k: v[j] for k, v in t2.items()}}
-            yield batch, feeds, c1[i] * c2[j]
-
-
-def _tin_anchor(ch: DiscreteIC, cfg: SearchConfig, opt: ProductInput | None = None) -> DistBatch:
-    """The TIN-optimal product input as a one-law batch.
-
-    ``opt`` is that input when the caller already has it from
-    ``tin_sumrate(ch, cfg)``; otherwise it is searched here.
-    """
-    if opt is None:
-        opt, _ = tin_sumrate(ch, cfg)
-    return product_laws(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :])
+            rows = np.unravel_index(np.arange(start, min(start + CHUNK, total)), sizes)
+            batch = {name: v[i] for (table, _), i in zip(chained, rows) for name, v in table.items()}
+            yield batch, feeds, math.prod(counts[i] for (_, counts), i in zip(chained, rows))
 
 
 def scheme_family(
@@ -650,31 +667,16 @@ def scheme_family(
     (a :data:`FAMILIES` row or a suite's), source by source: each row of a
     batch stands for ``counts`` laws of the family.
 
-    The grids of ``"layered"`` and ``"reduced"`` sources come from
-    :func:`layered_family`, one canonical law per relabelling orbit of W
-    with the orbit's multiplicity; the random draws, the product grid and
-    the anchor come one row per law, each member re-layering every chain
-    prefix once per batch.  ``anchor`` is the TIN optimum of ``(ch, cfg)``
-    if the caller has it (see :func:`_tin_anchor`).
+    Every source is one or more products of law tables
+    (:func:`_source_tables`), and each product is enumerated with its
+    members by :func:`layered_family`: a layered grid as one canonical law
+    per relabelling orbit of W with the orbit's multiplicity, the product
+    grid, the random draws and the anchor as one row per distinct law.
+    ``anchor`` is the TIN optimum of ``(ch, cfg)`` if the caller has it.
     """
     for src in family:
-        blocks = _source_blocks(ch, src, cfg)
-        if src.kind == "anchor":
-            laws = [_tin_anchor(ch, cfg, anchor)]
-        elif src.kind == "products":
-            laws = (product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
-                    for _, raw in iter_grid_batches(blocks, CHUNK))
-        else:
-            yield from layered_family(blocks, src.members)
-            laws = _random_laws(blocks, cfg, src.tag)
-        for batch in laws:
-            ones = np.ones(len(batch["pw1"]), dtype=np.int64)
-            derived = {(): batch}
-            for chain, feeds in src.members:
-                for n in range(1, len(chain) + 1):
-                    if chain[:n] not in derived:
-                        derived[chain[:n]] = relayer(derived[chain[:n - 1]], *chain[n - 1])
-                yield derived[chain], feeds, ones
+        for tables in _source_tables(ch, src, cfg, anchor):
+            yield from layered_family(tables, src.members)
 
 
 def table_for_scheme(scheme: str) -> tuple[Constraint, ...]:
@@ -697,9 +699,10 @@ def union_over_batches(
     (``None`` for every region) and each row's count, the number of laws
     of the family it stands for (:func:`scheme_family` yields a layered
     grid as one law per relabelling orbit of W); ``laws_enumerated`` sums
-    the counts.  Every
-    scheme's bounds are computed once per batch, and
-    ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
+    the counts.  Every scheme's bounds are computed once per batch, and all
+    of a batch's bound rows go to its regions' accumulators, whose prune
+    drops repeats, so what is added does not depend on how the laws are
+    batched.  ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
     bound matrices keyed by scheme and the counts, enabling zero-tolerance
     per-law checks on exactly the laws the regions were built from.
     """
@@ -711,8 +714,6 @@ def union_over_batches(
         bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
         merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
                   for scheme, table in tables.items()}
-        # Distinct laws can still share bound rows; the frontier depends only on their set.
-        merged = {s: (d, _drop_repeats(b[np.lexsort(b.T)])) for s, (d, b) in merged.items()}
         for name in regions if feeds is None else feeds:
             accs[name].add(*merged[regions[name]])
             laws[name] += int(counts.sum())

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from icrates import DiscreteIC, regions, search
+from icrates import DiscreteIC, regions, search, sumcap
 
 
 def orthogonal_channel() -> DiscreteIC:
@@ -85,6 +85,17 @@ def _canonical_sides(law):
     return out
 
 
+def constant_w_laws(px1, px2):
+    """Product laws of the marginal rows ``px1``, ``px2`` with constant W layers."""
+    ones = np.ones((len(px1), 1))
+    return {"pw1": ones, "px1w1": px1[:, np.newaxis, :], "pw2": ones, "px2w2": px2[:, np.newaxis, :]}
+
+
+def _layered(raw):
+    """A layered law batch from grid blocks ``{pw: [B, 1, nw], px|w: [B, nw, nx]}``."""
+    return {name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
+
+
 def family_from_scratch(ch, family, cfg, canonical=True):
     """``((source, member), batch, feeds)`` for every member of every law of
     ``family``, one row per law: the raw layered and product grids, the
@@ -94,16 +105,19 @@ def family_from_scratch(ch, family, cfg, canonical=True):
     for s, src in enumerate(family):
         blocks = regions._source_blocks(ch, src, cfg)
         if src.kind == "anchor":
-            laws = [regions._tin_anchor(ch, cfg)]
+            opt, _ = sumcap.tin_sumrate(ch, cfg)
+            laws = [constant_w_laws(opt.px1[np.newaxis, :], opt.px2[np.newaxis, :])]
         elif src.kind == "products":
-            laws = [regions.product_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
-                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
+            laws = [constant_w_laws(raw["px1"][:, 0, :], raw["px2"][:, 0, :])
+                    for _, raw in search.iter_grid_batches(blocks)]
         else:
-            laws = [{name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
-                    for _, raw in regions.iter_grid_batches(blocks, regions.CHUNK)]
+            laws = [_layered(raw) for _, raw in search.iter_grid_batches(blocks)]
             if canonical:
                 laws = [_canonical_sides(law) for law in laws]
-            laws += regions._random_laws(blocks, cfg, src.tag)
+            if cfg.restarts:
+                rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, src.tag]))
+                laws.append(_layered({b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices))
+                                      for b in blocks}))
         for batch in laws:
             for m, (chain, feeds) in enumerate(src.members):
                 yield (s, m), functools.reduce(lambda b, step: regions.relayer(b, *step), chain, batch), feeds

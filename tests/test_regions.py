@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,9 +38,7 @@ from icrates.regions import (
     SupportAccumulator,
     batch_bounds,
     batch_joint,
-    common_layers,
     merged_dirs_bounds,
-    product_laws,
     relayer,
     scheme_family,
     table_bounds,
@@ -48,6 +47,7 @@ from icrates.regions import (
 )
 from icrates.verify import _REGION_SUITES, generate_regime_channel
 from tests.conftest import (
+    constant_w_laws,
     family_from_scratch,
     orthogonal_channel,
     product_channel,
@@ -303,15 +303,16 @@ class TestRegionScheme:
     @pytest.mark.parametrize("scheme, case", [
         *((s, "2x2") for s in regions.SCHEMES), ("hk", "3x3-shrunk")])
     def test_reported_steps_are_the_scanned_steps(self, scheme, case, monkeypatch):
-        # Every block the family's grids run through iter_grid_batches (the
-        # product grids) or canonical_table (the layered side grids), and no
-        # block name at two resolutions, so the report names each once.
+        # Every block the family's side tables are built from (_grid_tables:
+        # the product grids' constant-W sides; canonical_table: the layered
+        # side grids), and no block name at two resolutions, so the report
+        # names each once.
         if case == "2x2":  # one-sided, so every scheme applies
             ch, cfg = generate_regime_channel("one_sided", 0, CFG), CFG
         else:
             ch, cfg = random_channel(1, (3, 3, 3, 3)), SearchConfig(aux_card_w=4)
         scanned = set()
-        for name in ("iter_grid_batches", "canonical_table"):
+        for name in ("_grid_tables", "canonical_table"):
             def record(blocks, *args, scan=getattr(regions, name)):
                 scanned.update((b.name, b.steps) for b in blocks)
                 return scan(blocks, *args)
@@ -412,6 +413,30 @@ class TestUnionEngine:
             np.testing.assert_array_equal(b.points, a.points)
             np.testing.assert_array_equal(b.vertices, a.vertices)
             assert b.meta["laws_enumerated"] == 2 * a.meta["laws_enumerated"]
+
+    def test_rows_added_do_not_depend_on_batching(self, monkeypatch):
+        # The same laws, once as one batch that repeats every law and once
+        # split so that no batch repeats one: each run passes every bound
+        # row to add and gives the same region.
+        ch = random_channel(5, (2, 2, 2, 2))
+        batch, _, counts = next(scheme_family(ch, FAMILIES["hk"], CFG))
+        twice = {k: np.concatenate([v, v]) for k, v in batch.items()}
+        add = SupportAccumulator.add
+
+        def run(stream):
+            rows = []
+            monkeypatch.setattr(SupportAccumulator, "add",
+                                lambda self, dirs, bounds: rows.append(len(bounds)) or add(self, dirs, bounds))
+            region = union_over_batches(ch, {"hk": "hk"}, stream, CFG.angles)["hk"]
+            return sum(rows), region
+
+        rows_one, one = run([(twice, None, np.concatenate([counts, counts]))])
+        rows_split, split = run([(batch, None, counts), (batch, None, counts)])
+        assert rows_one == rows_split == 2 * len(counts)
+        np.testing.assert_array_equal(one.h_bits, split.h_bits)
+        np.testing.assert_array_equal(one.points, split.points)
+        np.testing.assert_array_equal(one.vertices, split.vertices)
+        assert one.meta == split.meta
 
     def test_regions_sharing_a_scheme_see_only_their_batches(self):
         ch = random_channel(6, (2, 2, 2, 2))
@@ -552,7 +577,9 @@ def _law_multiset(ch, stream):
 
 
 _FAMILY_IDS = [*(f"scheme:{k}" for k in FAMILIES), *(f"suite:{k}" for k in _REGION_SUITES)]
-_FAMILY_SHAPES = [(2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 2, 2)]
+#: Channel shapes and configs: no random draws, one, and a table of three.
+_FAMILY_CASES = [(shape, dataclasses.replace(CFG, restarts=restarts))
+                 for shape in [(2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 2, 2)] for restarts in (0, 1, 3)]
 
 
 def _family_and_regions(family):
@@ -573,10 +600,10 @@ def test_scheme_family_members_equal_their_chains_from_scratch(family):
     # layered grid law put in canonical order, bit for bit, with its feeds,
     # as often as the raw family holds it.
     rows, _ = _family_and_regions(family)
-    for shape in _FAMILY_SHAPES:
+    for shape, cfg in _FAMILY_CASES:
         ch = random_channel(7, shape)
-        got = _law_multiset(ch, scheme_family(ch, rows, CFG))
-        want = _law_multiset(ch, _counted(family_from_scratch(ch, rows, CFG)))
+        got = _law_multiset(ch, scheme_family(ch, rows, cfg))
+        want = _law_multiset(ch, _counted(family_from_scratch(ch, rows, cfg)))
         assert sum(got.values()) == sum(want.values())
         assert got == want
 
@@ -587,11 +614,11 @@ def test_canonical_family_regions_equal_the_raw_family_regions(family):
     # un-canonicalized family gives the same support within 1e-12 and
     # counts the same laws.
     rows, names = _family_and_regions(family)
-    for shape in _FAMILY_SHAPES:
+    for shape, cfg in _FAMILY_CASES:
         ch = random_channel(7, shape)
-        got = union_over_batches(ch, names, scheme_family(ch, rows, CFG), CFG.angles)
-        raw = union_over_batches(ch, names, _counted(family_from_scratch(ch, rows, CFG, canonical=False)),
-                                 CFG.angles)
+        got = union_over_batches(ch, names, scheme_family(ch, rows, cfg), cfg.angles)
+        raw = union_over_batches(ch, names, _counted(family_from_scratch(ch, rows, cfg, canonical=False)),
+                                 cfg.angles)
         for name in names:
             assert np.abs(got[name].h_bits - raw[name].h_bits).max() <= 1e-12
             assert got[name].meta["laws_enumerated"] == raw[name].meta["laws_enumerated"]
@@ -613,7 +640,7 @@ class TestStrongBothInclusion:
             bounds = batch_bounds(bj, table)
             dirs, merged = merged_dirs_bounds(table, bounds)
             acc_sj.add(dirs, merged)
-            bj_wx = batch_joint(ch, common_layers(batch))
+            bj_wx = batch_joint(ch, relayer(relayer(batch, 1, identity=True), 2, identity=True))
             bounds_wx = batch_bounds(bj_wx, table)
             dirs, merged = merged_dirs_bounds(table, bounds_wx)
             acc_wx.add(dirs, merged)
@@ -689,7 +716,7 @@ class TestDerivedMembers:
     def test_common_layers_of_product_laws_keep_marginals_exactly(self):
         rng = np.random.default_rng(2)
         px1, px2 = rng.dirichlet(np.ones(3), size=7), rng.dirichlet(np.ones(2), size=7)
-        out = common_layers(product_laws(px1, px2))
+        out = relayer(relayer(constant_w_laws(px1, px2), 1, identity=True), 2, identity=True)
         assert (out["pw1"] == px1).all() and (out["pw2"] == px2).all()
         assert (out["px1w1"] == np.eye(3)).all() and (out["px2w2"] == np.eye(2)).all()
 
