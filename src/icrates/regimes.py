@@ -165,17 +165,22 @@ OBJECTIVES: dict[str, tuple[Layout, tuple[tuple[int, Term], ...]]] = {
 
 
 def objective(name: str, law: ProbTensor) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """Batched ``OBJECTIVES[name]`` over the search laws times ``law``."""
+    """Batched ``OBJECTIVES[name]`` over the search laws times ``law``.
+
+    Each row's axis sets are made frozensets once here, so a call's
+    :meth:`BatchJoint.mi` rebuilds none of them.
+    """
     layout, rows = OBJECTIVES[name]
     subs, out = layout.expr.split("->")
     cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names}
     shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs.split(",")]
+    terms = [(sign, tuple(map(frozenset, t))) for sign, t in rows]
 
     def evaluate(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         ops = [batch[op].reshape(len(batch[op]), *s) for op, s in zip(layout.operands, shapes)]
         bj = BatchJoint(layout.names, np.einsum(layout.expr, *ops), law)
         total = 0.0
-        for sign, t in rows:
+        for sign, t in terms:
             total = total + bj.mi(*t) if sign > 0 else total - bj.mi(*t)
         return total
 

@@ -368,8 +368,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=-1) - 1.0
     k = v.shape[-1]
     rho = k - 1 - np.argmax((u * np.arange(1, k + 1) > css)[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
-    return np.maximum(v - theta, 0.0)
+    rho = rho.reshape(-1)
+    theta = css.reshape(-1, k)[np.arange(rho.size), rho] / (rho + 1.0)
+    return np.maximum(v - theta.reshape(*v.shape[:-1], 1), 0.0)
 
 
 def _score(objective: Objective, blocks: Sequence[SimplexBlock], point: Point) -> float:
@@ -387,44 +388,67 @@ def _ascend(
     the ``ASCENT_ITERS`` counter, and a start drops out once its step falls
     below ``ASCENT_MIN_STEP``.  An iteration builds every move of every
     active start: per block, slice and coordinate, ``+step`` then ``-step``
-    at that coordinate, the moved row projected back onto its simplex (one
-    projection call per block).  The active starts' moves are scored in one
-    objective call, in start order, or in groups of starts that fit ``chunk``
-    rows (at least one start per call).  Returns ``(value, point)`` per start,
-    in start order; each start takes exactly the steps it would take alone.
+    at that coordinate, the moved row projected back onto its simplex.  The
+    active starts' moves are scored in one objective call, in start order,
+    or in groups of starts that fit ``chunk`` rows (at least one start per
+    call).  Returns ``(value, point)`` per start, in start order; each start
+    takes exactly the steps it would take alone.
+
+    Every start's point is held as one array ``[start, row, max k]``, one
+    row per slice of every block in block order, rows of narrower blocks
+    padded with ``-inf``.  So one gather builds all moved rows of a group,
+    and they go through one :func:`project_simplex` call.  The padding
+    changes no bit: the descending sort puts it last, so the cumulative sum
+    over the real entries is unchanged; ``u·i > css`` is False on it
+    (``-inf > -inf``) and True on the first entry, so ``rho`` stays among
+    the real entries; and the padding is reset to ``-inf`` after the call.
     """
-    points = {b.name: np.stack([s[b.name].reshape(b.shape) for s in starts]) for b in blocks}
-    best = np.array([_score(objective, blocks, {n: a[i] for n, a in points.items()})
-                     for i in range(len(starts))])
+    width = max(b.k for b in blocks)
+    spans, offset = [], 0  # each block's rows
+    for b in blocks:
+        spans.append(slice(offset, offset + b.n_slices))
+        offset += b.n_slices
+    points = np.full((len(starts), offset, width), -np.inf)
+    for b, span in zip(blocks, spans):
+        points[:, span, :b.k] = [s[b.name].reshape(b.shape) for s in starts]
+
+    def point(a: np.ndarray) -> Point:
+        """``a [..., row, max k]`` as one ``[..., n_slices, k]`` view per block."""
+        return {b.name: a[..., span, :b.k] for b, span in zip(blocks, spans)}
+
+    best = np.array([_score(objective, blocks, point(p)) for p in points])
     step = np.full(len(starts), ASCENT_STEP)
-    sizes = [2 * b.n_slices * b.k for b in blocks]
-    total = sum(sizes)
+    # Each move's row, coordinate and sign, and the padding of its row.
+    parts = []
+    for b, span in zip(blocks, spans):
+        m = np.arange(2 * b.n_slices * b.k)
+        parts.append((span.start + m // (2 * b.k), m // 2 % b.k, np.where(m % 2 == 0, 1.0, -1.0),
+                      np.tile(np.arange(width) >= b.k, (m.size, 1))))
+    src, coord, sign, pad = map(np.concatenate, zip(*parts))
+    total = src.size
+    moves = np.arange(total)
     per_call = max(1, chunk // total)
     active = np.arange(len(starts))
     for _ in range(ASCENT_ITERS):
-        for group in np.split(active, range(per_call, active.size, per_call)):
-            moved = {b.name: np.repeat(points[b.name][group, None], total, axis=1) for b in blocks}
-            offset = 0
-            for b, size in zip(blocks, sizes):
-                moves = np.arange(size)
-                sign = np.where(moves % 2 == 0, 1.0, -1.0)
-                rows = np.repeat(points[b.name][group], 2 * b.k, axis=1)
-                rows[:, moves, moves // 2 % b.k] += sign * step[group, None]
-                moved[b.name][:, offset + moves, moves // (2 * b.k)] = project_simplex(rows)
-                offset += size
-            batch = {n: a.reshape(-1, *a.shape[2:]) for n, a in moved.items()}
+        for group in [active[i:i + per_call] for i in range(0, active.size, per_call)]:
+            rows = points[group[:, None], src]
+            rows[:, moves, coord] += sign * step[group, None]
+            rows = project_simplex(rows)
+            np.copyto(rows, -np.inf, where=pad)
+            moved = np.repeat(points[group, None], total, axis=1)
+            moved[:, moves, src] = rows
+            batch = {n: a.reshape(-1, *a.shape[2:]) for n, a in point(moved).items()}
             values = np.asarray(objective(batch), dtype=np.float64).reshape(group.size, total)
             k = np.argmax(values >= values.max(axis=1, keepdims=True) - IMPROVE_EPS, axis=1)
             top = values[np.arange(group.size), k]
             up = top > best[group] + IMPROVE_EPS
-            for n, a in moved.items():
-                points[n][group[up]] = a[up, k[up]]
+            points[group[up]] = moved[up, k[up]]
             best[group[up]] = top[up]
             step[group[~up]] *= 0.5
         active = active[step[active] >= ASCENT_MIN_STEP]
         if active.size == 0:
             break
-    return [(float(best[i]), {n: a[i].copy() for n, a in points.items()}) for i in range(len(starts))]
+    return [(float(v), {n: a.copy() for n, a in point(p).items()}) for v, p in zip(best, points)]
 
 
 @dataclass

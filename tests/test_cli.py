@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icrates import random_channel, save_channel
+import icrates
+from icrates import SearchConfig, random_channel, save_channel
 from icrates.channels import random_coupling, save_coupling
 from icrates.cli import main
 from icrates.gaussian import CERTIFICATE_SEARCH_POINTS
@@ -288,3 +293,25 @@ class TestDeterminism:
         run(capsys, "region", channel_file, "--scheme", "semijoint", *FAST, "--out", str(a))
         run(capsys, "region", channel_file, "--scheme", "semijoint", *FAST, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_requests_in_one_process_leak_nothing(self, capsys, channel_file, tmp_path):
+        # A flag one request gives must not reach the next request in the
+        # same process, and every document must be the one a fresh process
+        # writes.
+        flags = ["--grid", "4", "--cgrid", "2", "--restarts", "1"]
+        requests = [
+            ["classify", channel_file, *flags, "--aux-w", "3"],
+            ["classify", channel_file, *flags],
+            ["region", channel_file, "--scheme", "tin", *flags],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(icrates.__file__).parents[1])}
+        docs = []
+        for i, argv in enumerate(requests):
+            here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+            assert main([*argv, "--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "icrates.cli", *argv, "--out", str(fresh)],
+                           env=env, check=True)
+            assert here.read_bytes() == fresh.read_bytes()
+            docs.append(json.loads(here.read_text()))
+        assert docs[0]["config"]["aux_card_w"] == 3
+        assert docs[1]["config"]["aux_card_w"] == SearchConfig().aux_card_w

@@ -22,6 +22,7 @@ from icrates import (
 )
 from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
+from icrates.probtensor import BatchJoint
 from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
 from icrates.sumcap import evaluate_genie_dominance_margin
 from tests.conftest import product_channel, strong_pair_channel, xor_channel
@@ -282,3 +283,29 @@ class TestObjectiveTable:
             want = _reference(name, ch.law.values, vc.joint_law.values, w)
             assert values[row] == pytest.approx(want, abs=1e-12)
             assert evaluate_objective(name, law, w) == pytest.approx(values[row], abs=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equals_the_composition_through_mi(self, name, size):
+        # The objective builds its rows' axis sets once; its values must be
+        # the signed running total of ``BatchJoint.mi`` over the rows.
+        ch = random_channel(11, (2, 3, 3, 2))
+        vc = random_coupling(ch, 2, 2, seed=4)
+        law = vc.joint_law if name.startswith(("genie", "alignment")) else ch.law
+        layout, rows = OBJECTIVES[name]
+        rng = np.random.default_rng(size)
+        batch = {b.name: rng.dirichlet(np.ones(b.k), size=(size, b.n_slices))
+                 for b in layout.blocks(ch, SearchConfig(aux_card_w=3, aux_card_u=2))}
+        first = next(iter(batch.values()))
+        first[0, 0] = np.eye(first.shape[2])[0]  # a point mass: zero entries
+        subs, out = layout.expr.split("->")
+        cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names}
+        ops = [batch[op].reshape(size, *(cards.get(c, -1) for c in sub[1:]))
+               for op, sub in zip(layout.operands, subs.split(","))]
+        bj = BatchJoint(layout.names, np.einsum(layout.expr, *ops), law)
+        want = 0.0
+        for sign, t in rows:
+            want = want + bj.mi(*t) if sign > 0 else want - bj.mi(*t)
+        got = objective(name, law)(batch)
+        assert got.shape == (size,)
+        assert (got == want).all()

@@ -72,6 +72,32 @@ def test_batched_projection_equals_scalar_rows(k):
     assert (project_simplex(rows[5]) == want[5]).all()
 
 
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_padded_projection_equals_the_per_block_calls(seed):
+    # The ascent projects the moved rows of all blocks in one call, narrower
+    # blocks padded with -inf up to the widest k; every real entry must come
+    # out as the block's own call gives it.
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(1, 4)), int(k)) for k in rng.permutation(4) + 1]
+    group = 3
+    per_block = []
+    for n_slices, k in shapes:
+        rows = np.repeat(rng.dirichlet(np.ones(k), size=(group, n_slices)), 2 * k, axis=1)
+        m = np.arange(2 * n_slices * k)
+        # Steps past the simplex push moved coordinates below 0 and above 1.
+        step = rng.choice([0.5, 1.5, 3.0, 2.0**-23], size=(group, 1))
+        rows[:, m, m // 2 % k] += np.where(m % 2 == 0, 1.0, -1.0) * step
+        per_block.append(rows)
+    width = max(k for _, k in shapes)
+    padded = np.full((group, sum(r.shape[1] for r in per_block), width), -np.inf)
+    offsets = np.cumsum([0] + [r.shape[1] for r in per_block])
+    for rows, start in zip(per_block, offsets):
+        padded[:, start:start + rows.shape[1], :rows.shape[2]] = rows
+    got = project_simplex(padded)
+    for rows, start in zip(per_block, offsets):
+        assert (got[:, start:start + rows.shape[1], :rows.shape[2]] == project_simplex(rows)).all()
+
 #: Layer entries on a coarse lattice (ties are common) mixed with arbitrary floats.
 _ENTRY = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0))
 
