@@ -72,21 +72,23 @@ class KernelCache:
     def __init__(self, budget: int = 64 << 20) -> None:
         self.budget = budget
         self._kernels: dict[Hashable, np.ndarray] = {}
+        self._nbytes = 0
 
     def __len__(self) -> int:
         return len(self._kernels)
 
     @property
     def nbytes(self) -> int:
-        return sum(k.nbytes for k in self._kernels.values())
+        return self._nbytes
 
     def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
         kernel = self._kernels.get(key)
         if kernel is None:
             kernel = self._kernels[key] = build()
             kernel.setflags(write=False)
-            while len(self._kernels) > 1 and self.nbytes > self.budget:
-                del self._kernels[next(iter(self._kernels))]
+            self._nbytes += kernel.nbytes
+            while len(self._kernels) > 1 and self._nbytes > self.budget:
+                self._nbytes -= self._kernels.pop(next(iter(self._kernels))).nbytes
         return kernel
 
 

@@ -323,6 +323,25 @@ def _angle_grid(angles: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, u
 
 
+#: Rows of the first ``add`` into an empty accumulator whose vertices are
+#: enumerated before the corner skip runs, so that it has a frontier to
+#: skip against: those with the largest corner sums.
+_SEED_ROWS = 128
+#: Slack added to each corner coordinate; it exceeds the ``3 * _FEAS_TOL``
+#: a feasible vertex may lie past its intercept plus the 5e-13 of the snap.
+_CORNER_SLACK = 1e-9
+
+
+def _corners(dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> np.ndarray:
+    """``[B, 2]`` upper-right corners of the polytopes ``bounds [B, k]``:
+    per axis, the least axis intercept plus :data:`_CORNER_SLACK`, or
+    ``inf`` when no direction meets that axis."""
+    icpt, _ = _vertex_plan(tuple(dirs))
+    q = bounds[:, icpt[:, 0]] / icpt[:, 2]
+    return np.stack([q[:, icpt[:, 1] == axis].min(axis=1, initial=math.inf)
+                     for axis in (0, 1)], axis=1) + _CORNER_SLACK
+
+
 class SupportAccumulator:
     """Running union of polytopes as per-angle support maxima.
 
@@ -331,6 +350,19 @@ class SupportAccumulator:
     ``(h, -r1, -r2)`` in lexicographic order.  That is a total order, and
     pruning never drops a row that could win it, so the result does not
     depend on how the polytopes are chunked.
+
+    The frontier is the set of snapped vertices that no other one strictly
+    dominates, so ``add`` skips a polytope without enumerating its vertices
+    when a frontier row strictly dominates its corner (:func:`_corners`).
+    A feasible vertex lies at most ``(1 + c_other) * _FEAS_TOL`` past the
+    intercept of any direction ``c`` that meets its axis, and the
+    12-decimal snap moves it by at most 5e-13, both far inside the corner's
+    1e-9 slack; so every vertex of a skipped polytope would have been
+    dropped by the frontier filter or the prune, and the frontier after
+    each ``add`` is bit for bit what enumerating every polytope gives.  An
+    ``add`` into an empty accumulator first enumerates the
+    :data:`_SEED_ROWS` polytopes of largest corner sum, to give the skip a
+    frontier.
     """
 
     def __init__(self, angles: int) -> None:
@@ -338,6 +370,27 @@ class SupportAccumulator:
         self._rows = np.empty((0, 2))
 
     def add(self, dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> None:
+        b = np.asarray(bounds, dtype=np.float64)
+        corner = _corners(dirs, b)
+        rest = np.ones(len(b), dtype=bool)
+        if not len(self._rows) and len(b) > _SEED_ROWS:
+            seed = np.argpartition(-corner.sum(axis=1), _SEED_ROWS)[:_SEED_ROWS]
+            self._add_vertices(dirs, b[seed])
+            rest[seed] = False
+        self._add_vertices(dirs, b[rest & self._undominated(corner)])
+
+    def _undominated(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the ``points [n, 2]`` that no frontier row strictly
+        dominates.  The frontier runs r1 descending with r2 non-decreasing,
+        so the ``i`` rows with a larger r1 come first and the best r2 among
+        them is ``best[i]`` (-inf when there are none)."""
+        i = np.searchsorted(-self._rows[:, 0], -points[:, 0], "left")
+        best = np.concatenate(([-math.inf], self._rows[:, 1]))
+        return points[:, 1] >= best[i]
+
+    def _add_vertices(self, dirs: Sequence[tuple[int, int]], bounds: np.ndarray) -> None:
+        """Merge every feasible vertex of the polytopes ``bounds`` into the
+        frontier (the whole of ``add`` without the corner skip)."""
         V, feas = _candidate_vertices(dirs, bounds)
         flatV = V.reshape(-1, 2)[feas.reshape(-1)]
         # Snap to 12 decimals so that geometric ties are exact equalities;
@@ -345,13 +398,8 @@ class SupportAccumulator:
         # and the dominance prune.
         flatV = np.maximum(np.round(flatV, 12), 0.0)
         # Drop candidates the frontier strictly dominates; the prune would
-        # drop them too.  The frontier runs r1 descending with r2
-        # non-decreasing, so the ``i`` rows with a larger r1 come first and
-        # the best r2 among them is ``best[i]`` (-inf when there are none).
-        r1, r2 = self._rows[:, 0], self._rows[:, 1]
-        i = np.searchsorted(-r1, -flatV[:, 0], "left")
-        best = np.concatenate(([-math.inf], r2))
-        flatV = flatV[flatV[:, 1] >= best[i]]
+        # drop them too.
+        flatV = flatV[self._undominated(flatV)]
         self._rows = _pareto_prune(np.concatenate([self._rows, flatV]))
 
     def finalize(self, meta: dict | None = None) -> RateRegion:

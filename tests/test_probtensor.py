@@ -273,6 +273,19 @@ class TestBatchJoint:
         assert len(ch.law._kernels) == 1
         assert not kernel.flags.writeable
 
+    def test_kernel_cache_evicts_oldest_first_under_its_budget(self):
+        cache = probtensor.KernelCache(budget=100)
+        for key, n in enumerate([4, 4, 4, 20, 2]):  # 32, 32, 32, 160 and 16 bytes
+            cache.get(key, lambda n=n: np.zeros(n))
+            assert cache.nbytes == sum(k.nbytes for k in cache._kernels.values()) <= 100 or len(cache) == 1
+        assert list(cache._kernels) == [4] and cache.nbytes == 16
+        cache.budget = 40  # a budget set after construction holds from the next insertion
+        cache.get(5, lambda: np.zeros(2))
+        assert list(cache._kernels) == [4, 5] and cache.nbytes == 32
+        cache.get(4, lambda: np.zeros(9))  # a hit builds and evicts nothing
+        cache.get(6, lambda: np.zeros(2))
+        assert list(cache._kernels) == [5, 6] and cache.nbytes == 32
+
     def test_channel_must_match_input_law(self):
         ch = random_channel(1, (2, 3, 2, 2))
         with pytest.raises(DimensionMismatchError):

@@ -564,6 +564,85 @@ def test_frontier_prefilter_keeps_the_unfiltered_prune(adds):
             np.testing.assert_array_equal(acc._rows, frontier)
 
 
+def _assert_same_frontier(acc, plain):
+    assert acc._rows.shape == plain._rows.shape
+    assert (acc._rows == plain._rows).all()
+
+
+def _assert_same_region(acc, plain):
+    got, want = acc.finalize(), plain.finalize()
+    for name in ("h_bits", "points", "vertices"):
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert (getattr(got, name) == getattr(want, name)).all()
+
+
+#: Every scheme table's merged directions, and two sets that meet one axis
+#: only (the other corner coordinate is inf, so nothing may be skipped).
+_DIR_SETS = [*dict.fromkeys(tuple(merged_dirs_bounds(t, np.zeros((1, len(t))))[0])
+                            for t in SCHEME_TABLES.values()), ((0, 1),), ((1, 0),)]
+#: Offsets of a polytope's corner from a frontier point, on both sides of
+#: the skip's 1e-9 slack.
+_OFFSET = st.one_of(st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]),
+                    st.floats(-2e-9, 2e-9))
+
+
+def _near_rows(data, dirs, frontier):
+    """Polytopes with every direction tight at a point within 2e-9 of a
+    frontier point (plus a drawn extra), so their corners sit there."""
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        f = frontier[data.draw(st.integers(0, len(frontier) - 1))]
+        p = f + [data.draw(_OFFSET), data.draw(_OFFSET)]
+        rows.append([max(c1 * p[0] + c2 * p[1], 0.0) + data.draw(st.sampled_from([0.0, 0.0, 1 / 6]))
+                     for c1, c2 in dirs])
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dirs=st.sampled_from(_DIR_SETS), seed_rows=st.integers(0, 6))
+def test_corner_skip_keeps_the_frontier_of_every_vertex(data, dirs, seed_rows):
+    # The skipping add against the vertex path alone, over random chunks
+    # (empty ones too) and polytopes whose corners sit at frontier points.
+    acc, plain = SupportAccumulator(91), SupportAccumulator(91)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_SEED_ROWS", seed_rows)
+        for _ in range(data.draw(st.integers(1, 6))):
+            rows = data.draw(st.lists(st.lists(_BOUND, min_size=len(dirs), max_size=len(dirs)), max_size=12))
+            bounds = np.array(rows, dtype=np.float64).reshape(-1, len(dirs))
+            if len(plain._rows) and data.draw(st.booleans()):
+                bounds = np.concatenate([bounds, _near_rows(data, dirs, plain._rows)])
+            acc.add(dirs, bounds)
+            plain._add_vertices(dirs, bounds)
+            _assert_same_frontier(acc, plain)
+    if len(plain._rows):  # finalize refuses an empty union
+        _assert_same_region(acc, plain)
+
+
+@pytest.mark.parametrize("a,b,p1,p2,skips", [(1.0, 1.0, 1.0, 1.0, False), (0.3, 0.5, 10.0, 3.0, False),
+                                             (2.5, -1.0, 0.3, 4.0, True), (1.5, -2.0, 2.0, 0.5, True)])
+def test_corner_skip_on_the_gaussian_semijoint_region(monkeypatch, a, b, p1, p2, skips):
+    # region_gaussian makes one add of 33 x 33 power splits: the seed pass
+    # runs, and the frontier is unchanged.  Under strong interference the
+    # full common layers' polytope contains most others, and the skip
+    # drops them; under weak interference no polytope's corner is beaten.
+    calls, vertex_rows = [], []
+    add, vertices = SupportAccumulator.add, regions._candidate_vertices
+    monkeypatch.setattr(SupportAccumulator, "add",
+                        lambda self, dirs, bounds: calls.append((dirs, bounds)) or add(self, dirs, bounds))
+    region_gaussian(GaussianIC(a, b, p1, p2), "semijoint", splits=33)
+    [(dirs, bounds)] = calls
+    assert len(bounds) == 33 * 33 > regions._SEED_ROWS
+    monkeypatch.setattr(regions, "_candidate_vertices",
+                        lambda dirs, bounds: vertex_rows.append(len(bounds)) or vertices(dirs, bounds))
+    acc, plain = SupportAccumulator(91), SupportAccumulator(91)
+    acc.add(dirs, bounds)
+    assert vertex_rows[0] == regions._SEED_ROWS
+    assert (sum(vertex_rows) < len(bounds) // 2) if skips else (sum(vertex_rows) == len(bounds))
+    plain._add_vertices(dirs, bounds)
+    _assert_same_frontier(acc, plain)
+    _assert_same_region(acc, plain)
+
+
 def _law_multiset(ch, stream):
     """``{(q bytes, feeds): total count}`` over ``(batch, feeds, counts)``."""
     out = {}

@@ -174,3 +174,20 @@ def test_traced_label_scans_count_canonical_points_in_one_grid_span():
         while parent != -1:
             assert span_names[parent] != "search.grid"
             parent = next(p for sid, p, *_ in tr.spans if sid == parent)
+
+
+def test_traced_accumulator_counts_only_the_outer_adds(monkeypatch):
+    # The first add into an empty accumulator enumerates a seed of its
+    # polytopes before the corner skip; that pass must not go through the
+    # traced add, so calls and rows count what the region passes to it.
+    monkeypatch.setattr(icrates.regions, "_SEED_ROWS", 2)
+    ch = random_channel(3, (2, 2, 2, 2))
+    cfg = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=1, aux_card_w=2)
+    batches = [counts for *_, counts in icrates.regions.scheme_family(ch, icrates.regions.FAMILIES["hk"], cfg)]
+    assert len(batches[0]) > icrates.regions._SEED_ROWS
+    tracing = load_tracing()
+    tr = tracing.Tracer()
+    with tracing.Patches(MODULES, tr):
+        icrates.regions.region_scheme(ch, "hk", cfg)
+    assert tr.counts["regions.accumulate_calls"] == len(batches)
+    assert tr.counts["regions.accumulate_rows"] == sum(len(c) for c in batches)
