@@ -21,11 +21,13 @@ of the same family: :func:`relayer` replaces one user's W layer by a
 constant or by ``W = X`` at the same X marginal.  The derived members cost
 little and make finite-resolution comparisons between equivalent schemes
 sharp.  No family is built law by law: every source is a product of law
-tables, each holding some of a law's four factors with each row's count
-(a grid's two side tables, one table of random draws, or the
-maximizer's two one-row side tables), and one enumerator re-layers each
-table for each member, deduplicates it, and yields the product
-(:func:`layered_family`).
+tables (:class:`search.Table`), each holding some of a law's four factors
+with each row's count, the number of laws of the family it stands for (a
+grid's two side tables, one table of random draws, or the maximizer's two
+one-row side tables).
+:func:`layered_family` re-layers each table for each member and
+deduplicates it, and :func:`search.product_batches`, the enumerator the
+search grids use too, yields the product.
 
 The reduced families used by ``hk_strong_y2`` and ``one_sided`` carry no W1
 layer at all: the union runs over ``P(X1) P(W2) P(X2|W2)``, with X1 entering
@@ -59,9 +61,11 @@ from .search import (
     CHUNK,
     SearchConfig,
     SimplexBlock,
+    Table,
     _row_starts,
     canonical_table,
     distinct_rows,
+    product_batches,
     shrink_to_budget,
     simplex_grid,
 )
@@ -593,19 +597,14 @@ def _source_blocks(ch: DiscreteIC, src: Source, cfg: SearchConfig) -> list[Simpl
     return shrink_to_budget(_SOURCE_BLOCKS[src.kind](ch, cfg), cfg.max_candidates)
 
 
-#: A law table: some of a law's four factors, one row per entry, and each
-#: row's count, the number of laws of the family it stands for.
-LawTable = tuple[DistBatch, np.ndarray]
-
-
-def _constant_w_sides(px1: np.ndarray, px2: np.ndarray) -> list[LawTable]:
+def _constant_w_sides(px1: np.ndarray, px2: np.ndarray) -> list[Table]:
     """Side tables ``{pw_i: 1, px_i|w_i: px_i}`` over the marginal rows
     ``px1 [m1, |X1|]`` and ``px2 [m2, |X2|]``, each row counted once."""
-    return [({f"pw{i}": np.ones((len(px), 1)), f"px{i}w{i}": px[:, np.newaxis, :]},
-             np.ones(len(px), dtype=np.int64)) for i, px in ((1, px1), (2, px2))]
+    return [Table({f"pw{i}": np.ones((len(px), 1)), f"px{i}w{i}": px[:, np.newaxis, :]},
+                  np.ones(len(px), dtype=np.int64)) for i, px in ((1, px1), (2, px2))]
 
 
-def _grid_tables(blocks: Sequence[SimplexBlock]) -> list[LawTable]:
+def _grid_tables(blocks: Sequence[SimplexBlock]) -> list[Table]:
     """The grid over ``blocks`` as its two side tables.
 
     Marginal blocks ``px1, px2`` (the product grid) give constant-W sides
@@ -621,16 +620,14 @@ def _grid_tables(blocks: Sequence[SimplexBlock]) -> list[LawTable]:
     """
     if len(blocks) == 2:
         return _constant_w_sides(*(simplex_grid(b.k, b.steps) for b in blocks))
-    tables = []
-    for pw, pxw in (blocks[:2], blocks[2:]):
-        keys, _, counts = canonical_table((pw, pxw))
-        tables.append(({pw.name: keys[..., 0], pxw.name: keys[..., 1:]}, counts))
-    return tables
+    sides = [(pw, pxw, canonical_table((pw, pxw))) for pw, pxw in (blocks[:2], blocks[2:])]
+    return [Table({pw.name: t.columns[pw.name][:, 0], pxw.name: t.columns[pxw.name]}, t.counts)
+            for pw, pxw, t in sides]
 
 
 def _source_tables(
     ch: DiscreteIC, src: Source, cfg: SearchConfig, anchor: ProductInput | None
-) -> list[list[LawTable]]:
+) -> list[list[Table]]:
     """``src``'s laws as products of law tables.
 
     A grid source is its two side tables (:func:`_grid_tables`); a layered
@@ -648,30 +645,30 @@ def _source_tables(
         rng = np.random.default_rng(np.random.SeedSequence([0xFA111E5, cfg.seed, src.tag]))
         raw = {b.name: rng.dirichlet(np.ones(b.k), size=(cfg.restarts, b.n_slices)) for b in blocks}
         draws = {name: v[:, 0, :] if name.startswith("pw") else v for name, v in raw.items()}
-        products.append([(draws, np.ones(cfg.restarts, dtype=np.int64))])
+        products.append([Table(draws, np.ones(cfg.restarts, dtype=np.int64))])
     return products
 
 
 def _chain_table(
-    prefixes: dict[tuple[int, tuple], LawTable], t: int, chain: Sequence[tuple[int, bool]]
-) -> LawTable:
+    prefixes: dict[tuple[int, tuple], Table], t: int, chain: Sequence[tuple[int, bool]]
+) -> Table:
     """Table ``t`` after the steps of ``chain`` on the sides it holds, built
     from the longest prefix already in ``prefixes`` (which it extends).
     Each step's rows are deduplicated, each distinct row with the summed
     counts of the rows it stands for."""
-    steps = tuple(step for step in chain if f"pw{step[0]}" in prefixes[t, ()][0])
+    steps = tuple(step for step in chain if f"pw{step[0]}" in prefixes[t, ()].columns)
     for n in range(1, len(steps) + 1):
         if (t, steps[:n]) not in prefixes:
-            table, counts = prefixes[t, steps[:n - 1]]
-            table = relayer(table, *steps[n - 1])
-            rows = np.concatenate([v.reshape(len(counts), -1) for v in table.values()], axis=1)
-            idx, total = distinct_rows(rows, counts)
-            prefixes[t, steps[:n]] = {name: v[idx] for name, v in table.items()}, total
+            prev = prefixes[t, steps[:n - 1]]
+            table = relayer(prev.columns, *steps[n - 1])
+            rows = np.concatenate([v.reshape(len(prev.counts), -1) for v in table.values()], axis=1)
+            idx, total = distinct_rows(rows, prev.counts)
+            prefixes[t, steps[:n]] = Table({name: v[idx] for name, v in table.items()}, total)
     return prefixes[t, steps]
 
 
 def layered_family(
-    tables: Sequence[LawTable], members: Sequence[Member]
+    tables: Sequence[Table], members: Sequence[Member]
 ) -> Iterator[tuple[DistBatch, tuple[str, ...] | None, np.ndarray]]:
     """``(batch, feeds, counts)`` for every member of every law of the
     product of the law ``tables``, which between them hold each of a law's
@@ -681,9 +678,9 @@ def layered_family(
     alone, so it acts on each table alone: each table is re-layered by the
     member's steps on the sides it holds, in chain order (each step prefix
     once), and deduplicated again.  A member's laws are the product of its
-    tables, yielded in ``CHUNK``-row batches, earlier tables varying
-    slowest, each row standing for the product of its tables' counts.  The
-    product is never built whole.
+    tables (:func:`search.product_batches`), yielded in ``CHUNK``-row
+    batches, earlier tables varying slowest, each row standing for the
+    product of its tables' counts.  The product is never built whole.
 
     Memory: a re-layered table holds at most the rows of the table it comes
     from.  A canonical side table holds at most its side's grid, itself at
@@ -697,12 +694,8 @@ def layered_family(
     prefixes = {(t, ()): table for t, table in enumerate(tables)}
     for chain, feeds in members:
         chained = [_chain_table(prefixes, t, chain) for t in range(len(tables))]
-        sizes = [len(counts) for _, counts in chained]
-        total = math.prod(sizes)
-        for start in range(0, total, CHUNK):
-            rows = np.unravel_index(np.arange(start, min(start + CHUNK, total)), sizes)
-            batch = {name: v[i] for (table, _), i in zip(chained, rows) for name, v in table.items()}
-            yield batch, feeds, math.prod(counts[i] for (_, counts), i in zip(chained, rows))
+        for batch, counts, _ in product_batches(chained, CHUNK):
+            yield batch, feeds, counts
 
 
 def scheme_family(

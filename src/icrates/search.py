@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,40 +225,53 @@ def distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[
     return order[starts], np.add.reduceat(weights[order], starts)
 
 
-#: One axis of a product grid: the values it writes, as ``(block name, slice
-#: index or ``slice(None)``, table [m, ...])``, then each of its ``m`` rows'
-#: index among the ``radix`` raw grid points of the slices it covers.
-_Axis = tuple[list[tuple[str, int | slice, np.ndarray]], np.ndarray, int]
+class Table(NamedTuple):
+    """One factor of a product (:func:`product_batches`): ``m`` rows of the
+    named values ``columns[name] [m, ...]``, each row's ``counts`` (how many
+    points it stands for) and its ``raw`` index among the ``radix`` raw
+    points of the factor, by default its own index among ``m``."""
+
+    columns: Mapping[str, np.ndarray]
+    counts: np.ndarray
+    raw: np.ndarray | None = None
+    radix: int | None = None
 
 
-def _grid_axes(blocks: Sequence[SimplexBlock]) -> list[_Axis]:
-    """One axis per slice of ``blocks``, over its simplex grid."""
-    axes: list[_Axis] = []
-    for b in blocks:
-        table = simplex_grid(b.k, b.steps)
-        axes += [([(b.name, s, table)], np.arange(len(table)), len(table)) for s in range(b.n_slices)]
-    return axes
+def product_batches(
+    tables: Sequence[Table], chunk: int
+) -> Iterator[tuple[Point, np.ndarray, np.ndarray]]:
+    """``(batch, counts, idx)`` over the product of ``tables``, in batches of
+    at most ``chunk`` rows, earlier tables varying slowest.
 
-
-def _product_batches(
-    blocks: Sequence[SimplexBlock], axes: Sequence[_Axis], chunk: int
-) -> Iterator[tuple[np.ndarray, Point]]:
-    """``(raw flat indices, point_batch)`` over the product of ``axes``,
-    earlier axes varying slowest."""
-    total = math.prod(len(raw) for _, raw, _ in axes)
+    ``batch[name]`` gathers each row's values from the table that holds
+    ``name``; tables that share a name (the slices of one block) are laid
+    side by side along axis 1, in table order.  A row's count is the product
+    of its tables' counts, and its raw flat index ``idx`` is its tables' raw
+    indices in mixed radix.  The product is never built whole.
+    """
+    sizes = [len(t.counts) for t in tables]
+    total = math.prod(sizes)
     for start in range(0, total, chunk):
         rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        idx = np.zeros_like(rem)
-        scale = 1
-        batch: Point = {b.name: np.empty((rem.size, b.n_slices, b.k), dtype=np.float64) for b in blocks}
-        for writes, raw, radix in reversed(axes):
-            rows = rem % len(raw)
-            rem //= len(raw)
-            for name, s, table in writes:
-                batch[name][:, s] = table[rows]
-            idx += raw[rows] * scale
-            scale *= radix
-        yield idx, batch
+        rows, idx, scale = [], 0, 1
+        for t, size in zip(reversed(tables), reversed(sizes)):
+            rem, r = np.divmod(rem, size)
+            rows.insert(0, r)
+            idx = idx + (r if t.raw is None else t.raw[r]) * scale
+            scale *= size if t.radix is None else t.radix
+        parts: dict[str, list[np.ndarray]] = {}
+        for t, r in zip(tables, rows):
+            for name, v in t.columns.items():
+                parts.setdefault(name, []).append(v[r])
+        batch = {name: p[0] if len(p) == 1 else np.concatenate(p, axis=1) for name, p in parts.items()}
+        yield batch, math.prod(t.counts[r] for t, r in zip(tables, rows)), idx
+
+
+def _slice_tables(blocks: Sequence[SimplexBlock]) -> list[Table]:
+    """One table per slice of ``blocks``, over its simplex grid, each row counted once."""
+    grids = [(b, simplex_grid(b.k, b.steps)) for b in blocks]
+    return [Table({b.name: g[:, np.newaxis]}, np.ones(len(g), dtype=np.int64))
+            for b, g in grids for _ in range(b.n_slices)]
 
 
 def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
@@ -280,18 +293,19 @@ def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
     return np.concatenate([w[:, :, np.newaxis], x], axis=2)
 
 
-def canonical_table(blocks: Sequence[SimplexBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid over the label ``blocks`` modulo relabelling: one key row
-    ``[n, cells]`` per orbit (:func:`_label_keys`, labels in canonical
-    order), the flat index of the orbit's first raw grid point and the
-    orbit's size, as ``keys [m, n, cells]``, ``first [m]`` and ``counts [m]``.
+def canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
+    """The grid over the label ``blocks`` modulo relabelling, as one table:
+    one row per orbit, each block ``[m, n_slices, k]`` with its labels in
+    canonical order (:func:`_label_keys`), counted by the orbit's size, its
+    raw index the flat index of the orbit's first raw grid point.
 
     Orbits come in the order of their first raw grid point.  Each ``CHUNK``
-    batch of the raw grid is reduced to its distinct keys, with their counts,
-    before the batches are merged, so the raw grid is never held whole.
+    batch of the raw grid (:func:`product_batches` over the slice tables)
+    is reduced to its distinct keys, with their counts, before the batches
+    are merged, so the raw grid is never held whole.
     """
     keys, firsts, counts = [], [], []
-    for idx, batch in _product_batches(blocks, _grid_axes(blocks), CHUNK):
+    for batch, _, idx in product_batches(_slice_tables(blocks), CHUNK):
         rows = _label_keys(batch, blocks).reshape(len(idx), -1)
         keep, count = distinct_rows(rows)
         keys.append(rows[keep])
@@ -301,20 +315,11 @@ def canonical_table(blocks: Sequence[SimplexBlock]) -> tuple[np.ndarray, np.ndar
     keep, count = distinct_rows(rows, np.concatenate(counts))
     order = np.argsort(first[keep])
     keep = keep[order]
-    return rows[keep].reshape(len(keep), blocks[0].k, -1), first[keep], count[order]
-
-
-def _label_axis(blocks: Sequence[SimplexBlock]) -> _Axis:
-    """The grid over the label ``blocks`` as one axis, one canonical point per
-    label orbit, in the order of each orbit's first raw grid point."""
-    keys, first, _ = canonical_table(blocks)
-    head, *tail = blocks
-    writes = [(head.name, slice(None), np.swapaxes(keys[:, :, :head.n_slices], 1, 2))]
-    offset = head.n_slices
-    for b in tail:
-        writes.append((b.name, slice(None), keys[:, :, offset:offset + b.k]))
-        offset += b.k
-    return writes, first, grid_size(blocks)
+    keys = rows[keep].reshape(len(keep), blocks[0].k, -1)
+    cuts = np.cumsum([blocks[0].n_slices] + [b.k for b in blocks[1:-1]])
+    columns = dict(zip([b.name for b in blocks], np.split(keys, cuts, axis=2)))
+    columns[blocks[0].name] = np.swapaxes(columns[blocks[0].name], 1, 2)
+    return Table(columns, count[order], first[keep], grid_size(blocks))
 
 
 def iter_grid_batches(
@@ -322,26 +327,26 @@ def iter_grid_batches(
 ) -> Iterator[tuple[np.ndarray, Point]]:
     """Yield ``(flat_indices, point_batch)`` over the full product grid.
 
-    ``point_batch[name]`` has shape ``[B, n_slices, k]``.  Flat indices run
-    lexicographically: earlier blocks (and earlier slices within a block)
-    vary slowest.
+    ``point_batch[name]`` has shape ``[B, n_slices, k]``.  The grid is the
+    product (:func:`product_batches`) of one table per slice of every block,
+    so flat indices run lexicographically: earlier blocks (and earlier
+    slices within a block) vary slowest.
 
     ``labels`` names adjacent blocks, in block order, whose labels the
     objective does not see: the first block's columns are the labels, and
     every later one has one slice per label (its rows are conditioned on
-    the label).  The scan then visits one canonical point per orbit of the
-    grid under relabelling, read off the label blocks'
-    :func:`canonical_table`: each point of those blocks is put in canonical
-    order, exact repeats are dropped, and the rest come in the order of
-    their first raw grid point, whose flat index they carry.  Points of the
-    remaining blocks are unchanged.
+    the label).  Their slice tables are then replaced by one table, the
+    label blocks' :func:`canonical_table`: the scan visits one canonical
+    point per orbit of the grid under relabelling, in the order of the
+    orbit's first raw grid point, whose flat index it carries.  Points of
+    the remaining blocks are unchanged.
     """
     i = [b.name for b in blocks].index(labels[0]) if labels else len(blocks)
     j = i + len(labels)
-    axes = _grid_axes(blocks[:i])
-    if labels:
-        axes.append(_label_axis(blocks[i:j]))
-    yield from _product_batches(blocks, axes + _grid_axes(blocks[j:]), chunk)
+    label_table = [canonical_table(blocks[i:j])] if labels else []
+    tables = _slice_tables(blocks[:i]) + label_table + _slice_tables(blocks[j:])
+    for batch, _, idx in product_batches(tables, chunk):
+        yield idx, batch
 
 
 def canonical_layers(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

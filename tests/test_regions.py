@@ -703,6 +703,29 @@ def test_canonical_family_regions_equal_the_raw_family_regions(family):
             assert got[name].meta["laws_enumerated"] == raw[name].meta["laws_enumerated"]
 
 
+def el_gamal_costa_channel() -> DiscreteIC:
+    """Y1 = (X1 + V2) mod 3 and Y2 = (X2 + V1) mod 3 with Vi = [Xi >= 1]
+    (El Gamal and Costa, IEEE Trans. IT 1982)."""
+    law = np.zeros((3, 3, 3, 3))
+    for x1 in range(3):
+        for x2 in range(3):
+            law[x1, x2, (x1 + (x2 >= 1)) % 3, (x2 + (x1 >= 1)) % 3] = 1.0
+    return DiscreteIC.from_array(law)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the budget gives |W| = 3 coarser grids than |W| = 2, so the "
+    "|W| = 3 hk region lies 0.132 bits inside the |W| = 2 region at 45 degrees"))
+def test_hk_region_at_larger_w_contains_the_smaller_w_region():
+    # A |W| = 2 law is a |W| = 3 law with one massless W value, so the hk
+    # region at |W| = 3 contains the one at |W| = 2, at the same config.
+    ch = el_gamal_costa_channel()
+    small = region_scheme(ch, "hk", SearchConfig(aux_card_w=2))
+    large = region_scheme(ch, "hk", SearchConfig(aux_card_w=3))
+    assert (large.theta_deg == small.theta_deg).all()
+    assert (large.h_bits >= small.h_bits - 1e-12).all()
+
+
 class TestStrongBothInclusion:
     def test_identity_layers_cover_semijoint_on_strong_channels(self):
         # On a channel that is strong in both directions, every semijoint

@@ -204,9 +204,10 @@ def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
         images = _label_rows(label_images(batch, label_blocks, labels), label_blocks)
         for image, i in zip(images, idx.tolist()):
             orbits.setdefault(image.tobytes(), [i, 0])[1] += 1
-    table, table_first, counts = search.canonical_table(label_blocks)
-    assert counts.sum() == grid_size(label_blocks)
-    assert [(row.tobytes(), i, c) for row, i, c in zip(table, table_first.tolist(), counts.tolist())] \
+    table = search.canonical_table(label_blocks)
+    assert table.counts.sum() == table.radix == grid_size(label_blocks)
+    rows = _label_rows(table.columns, label_blocks)
+    assert [(row.tobytes(), i, c) for row, i, c in zip(rows, table.raw.tolist(), table.counts.tolist())] \
         == sorted(((image, i, c) for image, (i, c) in orbits.items()), key=lambda t: t[1])
 
     if name == "side":
@@ -237,14 +238,57 @@ def test_shrink_to_budget_refuses_overshoot_at_one_step():
 
 
 def test_iter_grid_batches_lexicographic():
-    blocks = [SimplexBlock("p", 1, 2, 2), SimplexBlock("q", 1, 2, 2)]
-    seen = []
-    for idx, batch in iter_grid_batches(blocks, chunk=4):
-        for k in range(idx.size):
-            seen.append((tuple(batch["p"][k, 0]), tuple(batch["q"][k, 0])))
-    assert len(seen) == 9
-    assert seen[0] == ((1.0, 0.0), (1.0, 0.0))
-    assert seen[1] == ((1.0, 0.0), (0.5, 0.5))  # last axis varies fastest
+    grid = [tuple(row) for row in simplex_grid(2, 2)]
+    for q_slices in (1, 2):
+        blocks = [SimplexBlock("p", 1, 2, 2), SimplexBlock("q", q_slices, 2, 2)]
+        size = grid_size(blocks)
+        assert size % 4 != 0
+        seen, flat = [], []
+        for idx, batch in iter_grid_batches(blocks, chunk=4):
+            assert idx.size <= 4
+            flat += idx.tolist()
+            seen += [(tuple(batch["p"][k, 0]), *map(tuple, batch["q"][k])) for k in range(idx.size)]
+        # Each raw flat index is the point's position in the scan, and
+        # earlier blocks and slices vary slowest.
+        assert flat == list(range(size))
+        assert seen == list(itertools.product(grid, repeat=1 + q_slices))
+        assert seen[0] == ((1.0, 0.0),) * (1 + q_slices)
+        assert seen[1] == ((1.0, 0.0),) * q_slices + ((0.5, 0.5),)  # last slice varies fastest
+
+
+def test_product_batches_are_chunk_invariant():
+    # Both slices of a grid block, a label group's canonical table and a
+    # region side table, the last two counted by orbit size.
+    tables = [
+        *search._slice_tables([SimplexBlock("q", 2, 3, 2)]),
+        search.canonical_table([SimplexBlock("a", 1, 2, 2), SimplexBlock("b", 2, 2, 2)]),
+        regions._grid_tables([SimplexBlock("pw1", 1, 2, 2), SimplexBlock("px1w1", 2, 3, 1),
+                              SimplexBlock("pw2", 1, 2, 2), SimplexBlock("px2w2", 2, 3, 1)])[0],
+    ]
+    assert all((t.counts > 1).any() for t in tables[2:])
+    runs = []
+    for chunk in (1, 5, search.CHUNK):
+        batches = list(search.product_batches(tables, chunk))
+        assert all(0 < len(counts) <= chunk for _, counts, _ in batches)
+        runs.append(({name: np.concatenate([b[name] for b, _, _ in batches]) for name in batches[0][0]},
+                     np.concatenate([c for _, c, _ in batches]), np.concatenate([i for *_, i in batches])))
+    columns, counts, idx = runs[0]
+    for other_columns, other_counts, other_idx in runs[1:]:
+        assert other_columns.keys() == columns.keys()
+        assert all((other_columns[name] == v).all() for name, v in columns.items())
+        assert (other_counts == counts).all() and (other_idx == idx).all()
+    assert counts.sum() == math.prod(int(t.counts.sum()) for t in tables)
+
+    # Row by row: earlier tables vary slowest, the slices of "q" side by side.
+    q0, q1, label, side = tables
+    combos = list(itertools.product(*(range(len(t.counts)) for t in tables)))
+    assert len(counts) == len(combos)
+    for n, (i, j, k, m) in enumerate(combos):
+        assert (columns["q"][n] == np.stack([q0.columns["q"][i, 0], q1.columns["q"][j, 0]])).all()
+        assert all((columns[name][n] == label.columns[name][k]).all() for name in ("a", "b"))
+        assert all((columns[name][n] == side.columns[name][m]).all() for name in ("pw1", "px1w1"))
+        assert counts[n] == label.counts[k] * side.counts[m]
+        assert idx[n] == ((i * len(q1.counts) + j) * label.radix + label.raw[k]) * len(side.counts) + m
 
 
 def quadratic_objective(target):

@@ -9,6 +9,8 @@ import argparse
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import icrates.cli
 import icrates.gaussian
 import icrates.probtensor
@@ -43,6 +45,22 @@ def test_every_patch_point_resolves():
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in points
                if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))]
     assert missing == []
+
+
+def test_grid_batches_are_index_and_batch_pairs():
+    # The tracer's grid wrapper unpacks each item of iter_grid_batches as
+    # exactly ``idx, batch``.
+    ch = random_channel(8, (2, 3, 2, 2))
+    cfg = SearchConfig(grid_steps=2, cond_grid_steps=2, restarts=0, aux_card_w=3, aux_card_u=2)
+    layout = icrates.regimes.OBJECTIVES["very_weak_1"][0]
+    assert layout.labels
+    blocks = layout.blocks(ch, cfg)
+    for labels in ((), layout.labels):
+        items = list(icrates.search.iter_grid_batches(blocks, chunk=7, labels=labels))
+        assert items
+        for item in items:
+            assert type(item) is tuple and len(item) == 2
+            assert isinstance(item[0], np.ndarray) and isinstance(item[1], dict)
 
 
 def test_gaussian_region_work_reaches_traced_names():
