@@ -338,11 +338,15 @@ def revealing_coupling(base: DiscreteIC) -> VirtualCoupling:
 # ---------------------------------------------------------------------------
 
 
+def _not_json(token: str) -> None:
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _load_json(path: str | os.PathLike) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = json.load(fh, parse_constant=_not_json)
+    except (OSError, ValueError) as e:
         raise ParseError(f"cannot read channel file: {e}", path=str(path)) from e
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("channel file must be a JSON object with a 'type' field",
@@ -350,10 +354,36 @@ def _load_json(path: str | os.PathLike) -> dict:
     return doc
 
 
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _size(doc: dict, key: str) -> int:
+    """A size field, which must be a JSON integer."""
+    if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+        raise ParseError("size must be a JSON integer", field=key, value=doc[key])
+    return doc[key]
+
+
+def _number(doc: dict, key: str) -> float:
+    """A parameter field, which must be a JSON number."""
+    if not _is_number(doc[key]):
+        raise ParseError("parameter must be a JSON number", field=key, value=doc[key])
+    return float(doc[key])
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """A probability array field, which must hold JSON numbers only."""
+    arr = np.asarray(doc[key], dtype=object)
+    if not all(map(_is_number, arr.flat)):
+        raise ParseError("probability array must hold JSON numbers only", field=key)
+    return arr.astype(np.float64)
+
+
 def _discrete_from_dict(doc: dict) -> DiscreteIC:
     try:
-        sizes = tuple(int(doc[k]) for k in ("nx1", "nx2", "ny1", "ny2"))
-        p = np.asarray(doc["p"], dtype=np.float64)
+        sizes = tuple(_size(doc, k) for k in ("nx1", "nx2", "ny1", "ny2"))
+        p = _numbers(doc, "p")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed discrete channel: {e}") from e
     if p.shape != sizes:
@@ -370,8 +400,7 @@ def load_channel(path: str | os.PathLike) -> DiscreteIC | GaussianIC:
         return _discrete_from_dict(doc)
     if kind == "gaussian":
         try:
-            return GaussianIC(float(doc["a"]), float(doc["b"]),
-                              float(doc["p1"]), float(doc["p2"]))
+            return GaussianIC(*(_number(doc, k) for k in ("a", "b", "p1", "p2")))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed gaussian channel: {e}") from e
     raise ParseError("unknown channel type", type=kind)
@@ -383,8 +412,8 @@ def load_coupling(path: str | os.PathLike) -> VirtualCoupling:
         raise ParseError("expected a coupling file", type=doc["type"])
     try:
         base = _discrete_from_dict(doc["base"])
-        nyt1, nyt2 = int(doc["ny1t"]), int(doc["ny2t"])
-        q = np.asarray(doc["q"], dtype=np.float64)
+        nyt1, nyt2 = _size(doc, "ny1t"), _size(doc, "ny2t")
+        q = _numbers(doc, "q")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed coupling: {e}") from e
     expected = base.law.cards + (nyt1, nyt2)

@@ -119,9 +119,10 @@ def _gaussian_noisy_dict(r: GaussianNoisyReport) -> dict:
             "certificate": cert, "search_feasible": r.search_feasible}
 
 
-def _region_doc(region: RateRegion, scheme: str, header: dict, cfg_doc: dict) -> dict:
+def _region_doc(region: RateRegion, scheme: str, header: dict, cfg_doc: dict,
+                command: str = "region") -> dict:
     return {
-        "command": "region",
+        "command": command,
         "scheme": scheme,
         "channel": header,
         "region": region.to_json_dict(),
@@ -138,35 +139,32 @@ def _gaussian_regimes(g: GaussianIC) -> dict:
     }
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     ch = load_channel(args.channel)
     if isinstance(ch, GaussianIC):
         _refuse_unread(args, (), "classify on a gaussian channel")
         side = "side_a" if ch.b == 0.0 else ("side_b" if ch.a == 0.0 else "none")
-        doc = {
+        return {
             "command": "classify",
             "channel": _channel_header(ch),
             "one_sided": side,
             **_gaussian_regimes(ch),
-        }
-    else:
-        cfg = _config(args)
-        vw1, vw2 = check_very_weak(ch, cfg)
-        st2, st1 = check_strong_both(ch, cfg)
-        doc = {
-            "command": "classify",
-            "channel": _channel_header(ch),
-            "one_sided": is_one_sided(ch).value,
-            "very_weak": [vw1.to_json_dict(), vw2.to_json_dict()],
-            "strong_y2": st2.to_json_dict(),
-            "strong_y1": st1.to_json_dict(),
-            "config": cfg.to_json_dict(),
-        }
-    _emit(stable_json_dumps(doc), args.out)
-    return 0
+        }, None
+    cfg = _config(args)
+    vw1, vw2 = check_very_weak(ch, cfg)
+    st2, st1 = check_strong_both(ch, cfg)
+    return {
+        "command": "classify",
+        "channel": _channel_header(ch),
+        "one_sided": is_one_sided(ch).value,
+        "very_weak": [vw1.to_json_dict(), vw2.to_json_dict()],
+        "strong_y2": st2.to_json_dict(),
+        "strong_y1": st1.to_json_dict(),
+        "config": cfg.to_json_dict(),
+    }, None
 
 
-def _cmd_region(args: argparse.Namespace) -> int:
+def _cmd_region(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     ch = load_channel(args.channel)
     if isinstance(ch, GaussianIC):
         _refuse_unread(args, ("angles",), "region on a gaussian channel")
@@ -176,99 +174,78 @@ def _cmd_region(args: argparse.Namespace) -> int:
     else:
         cfg = _config(args)
         region, cfg_doc = region_scheme(ch, args.scheme, cfg), cfg.to_json_dict()
-    doc = _region_doc(region, args.scheme, _channel_header(ch), cfg_doc)
-    _emit(stable_json_dumps(doc), args.out)
-    if args.csv:
-        _emit(frontier_csv(region.theta_deg, region.h_bits, region.points), args.csv)
-    return 0
+    return _region_doc(region, args.scheme, _channel_header(ch), cfg_doc), region
 
 
-def _cmd_sumrate(args: argparse.Namespace) -> int:
+def _cmd_sumrate(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     ch = load_channel(args.channel)
     cfg = _config(args)
     if isinstance(ch, GaussianIC):
         raise IcError("use `gaussian sumcap` for gaussian channels")
     opt, value = tin_sumrate(ch, cfg)
-    doc = {
+    return {
         "command": "sumrate",
         "channel": _channel_header(ch),
         "tin_bits": value,
         "optimal_input": opt.to_json_dict(),
         "config": cfg.to_json_dict(),
-    }
-    _emit(stable_json_dumps(doc), args.out)
-    return 0
+    }, None
 
 
-def _cmd_outer(args: argparse.Namespace) -> int:
+def _cmd_outer(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     ch = load_channel(args.channel)
     if not isinstance(ch, DiscreteIC):
         raise IcError("outer bound needs a discrete channel")
     vc = load_coupling(args.virtual)
     cfg = _config(args)
-    doc = {
+    return {
         "command": "outer",
         "channel": _channel_header(ch),
         "outer_bits": outer_bound(ch, vc, cfg),
         "config": cfg.to_json_dict(),
-    }
-    _emit(stable_json_dumps(doc), args.out)
-    return 0
+    }, None
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     ch = load_channel(args.channel)
     if not isinstance(ch, DiscreteIC):
         raise IcError("certification needs a discrete channel")
     vc = load_coupling(args.virtual)
     cfg = _config(args)
     cert = certify_sum_capacity(ch, vc, cfg)
-    doc = {
+    return {
         "command": "certify",
         "channel": _channel_header(ch),
         **cert.to_json_dict(),
         "config": cfg.to_json_dict(),
-    }
-    _emit(stable_json_dumps(doc), args.out)
-    return 0
+    }, None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     if args.suite in _SUITE_READS:
         _refuse_unread(args, _SUITE_READS[args.suite], f"verify {args.suite}")
     # --tol is the suite tolerance; the channel generator keeps its own.
     cfg = dataclasses.replace(_config(args, SUITE_CONFIG), violation_tol=SUITE_CONFIG.violation_tol)
     outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,
                         tol=args.violation_tol)
-    doc = {"command": "verify", **outcome.to_json_dict()}
-    _emit(stable_json_dumps(doc), args.out)
-    return 0 if outcome.ok else 1
+    return {"command": "verify", **outcome.to_json_dict()}, None
 
 
-def _cmd_gaussian(args: argparse.Namespace) -> int:
+def _cmd_gaussian(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     g = GaussianIC(a=args.a, b=args.b, p1=args.p1, p2=args.p2)
     if args.mode == "regime":
-        doc = {"command": "gaussian regime", "channel": _channel_header(g), **_gaussian_regimes(g)}
-        _emit(stable_json_dumps(doc), args.out)
-        return 0
+        return {"command": "gaussian regime", "channel": _channel_header(g), **_gaussian_regimes(g)}, None
     if args.mode == "sumcap":
         value = noisy_sum_capacity(g)
-        doc = {
+        return {
             "command": "gaussian sumcap",
             "channel": _channel_header(g),
             "in_regime": value is not None,
             "sum_capacity_bits": value,
             "config": {},
-        }
-        _emit(stable_json_dumps(doc), args.out)
-        return 0
+        }, None
     region, cfg_doc = _gaussian_region(g, args.scheme, args.splits, args.angles)
-    doc = _region_doc(region, args.scheme, _channel_header(g), cfg_doc)
-    doc["command"] = "gaussian region"
-    _emit(stable_json_dumps(doc), args.out)
-    if args.csv:
-        _emit(frontier_csv(region.theta_deg, region.h_bits, region.points), args.csv)
-    return 0
+    return _region_doc(region, args.scheme, _channel_header(g), cfg_doc, "gaussian region"), region
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,13 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and write its document and region CSV, inside the
+    error handler, so a value the stable format refuses also exits 3."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        doc, region = args.fn(args)
+        _emit(stable_json_dumps(doc), args.out)
+        if region is not None and args.csv:
+            _emit(frontier_csv(region.theta_deg, region.h_bits, region.points), args.csv)
     except IcError as e:
         sys.stderr.write(f"{e}\n")
         return 3
+    return 1 if doc["command"] == "verify" and doc["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -159,12 +159,13 @@ class ProbTensor:
         ``self`` is a conditional law whose conditioning axes are among
         ``names``, and ``q`` a tensor over ``names`` with ``shape``; the
         joint is ``q * self`` over ``names`` and the law's other axes (its
-        outputs).  When ``keep`` names an output, ``G`` has the law folded
-        in: entry ``[k, s]`` sums the law weights of the joint cells that
-        input cell ``k`` sends to kept cell ``s``.  When it names none, the
-        law is never read and ``G`` is the 0/1 aggregation of ``q``, so the
-        marginal is an exact sum.  Kept cells are ordered like the joint's
-        axes: ``names``, then outputs.
+        outputs).  Entry ``[k, s]`` is 0 or the law's marginal on the kept
+        outputs (the factor :meth:`BatchJoint._contract` reads too) at input
+        cell ``k`` and kept cell ``s``; building ``G`` allocates ``G`` and at
+        most a copy of the law.  When ``keep`` names no output the law is
+        never read: ``G`` is the 0/1 aggregation of ``q``, so the marginal is
+        an exact sum.  Kept cells are ordered like the joint's axes:
+        ``names``, then outputs.
         """
         return self._kernels.get((names, shape, keep),
                                  lambda: _kernel_matrix(self, names, shape, keep))
@@ -353,26 +354,36 @@ def compose_joint(aux: "AuxInputDist", ch: "DiscreteIC") -> ProbTensor:
     return ProbTensor(("W1", "W2", "X1", "X2", "Y1", "Y2"), joint)
 
 
+def _law_marginal(law: ProbTensor, keep: frozenset[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The law's marginal on the outputs in ``keep``, and its axis names.
+
+    Its axes are the law's inputs, then the kept outputs in law order; the
+    other outputs are summed one cell at a time in their flattened order.
+    When ``keep`` names no output the law is not read: the scalar 1, no axes.
+    """
+    names = tuple(n for i, n in enumerate(law.names) if i < 2 or n in keep)
+    if len(names) == 2:
+        return np.ones(()), ()
+    drop = [i for i, n in enumerate(law.names) if n not in names]
+    v = np.moveaxis(law.values, drop, range(len(drop)))
+    return sum(v.reshape(-1, *v.shape[len(drop):])), names
+
+
 def _kernel_matrix(
     law: ProbTensor, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
 ) -> np.ndarray:
-    """Build :meth:`ProbTensor.marginal_kernel` (uncached)."""
-    outs = tuple(n for n in law.names if n not in names)
-    if not keep & set(outs):
-        outs = ()
-    full_names = names + outs
-    full_shape = shape + tuple(law.card(n) for n in outs)
-    coords = np.indices(full_shape).reshape(len(full_shape), -1)
-    kept = [i for i, n in enumerate(full_names) if n in keep]
-    kept_shape = tuple(full_shape[i] for i in kept)
-    agg = np.zeros((coords.shape[1], int(np.prod(kept_shape))))
-    agg[np.arange(coords.shape[1]),
-        np.ravel_multi_index(coords[kept], kept_shape) if kept else 0] = 1.0
-    if not outs:
-        return agg
-    # Weight every joint cell by its law entry, then sum out the outputs.
-    weights = law.values[tuple(coords[full_names.index(n)] for n in law.names)]
-    return (weights[:, np.newaxis] * agg).reshape(int(np.prod(shape)), -1, agg.shape[1]).sum(axis=1)
+    """Build :meth:`ProbTensor.marginal_kernel` (uncached): one einsum, with
+    no summed index, of an identity on each kept input, ones on each other
+    input and :func:`_law_marginal`, so each entry is a marginal entry or 0."""
+    m, m_names = _law_marginal(law, keep)
+    sub = {n: i for i, n in enumerate(names + m_names[2:])}
+    ops: list = []
+    for i, n in enumerate(names):
+        ops += [np.eye(shape[i]), [i, len(sub) + i]] if n in keep else [np.ones(shape[i]), [i]]
+    copies = [len(sub) + i for i, n in enumerate(names) if n in keep]
+    g = np.einsum(*ops, m, [sub[n] for n in m_names], [*range(len(names)), *copies,
+                                                      *range(len(names), len(sub))])
+    return g.reshape(int(np.prod(shape)), -1)
 
 
 class BatchJoint:
@@ -385,17 +396,20 @@ class BatchJoint:
     coupling's joint law, row ``b`` is an input law over axes that include
     the inputs, and the joint is that law times ``law`` over ``in_names``
     plus the outputs (``names``).  Its marginals are contracted from the
-    input law through kernels the law caches (see
-    :meth:`ProbTensor.marginal_kernel`), so the joint itself is never formed.
+    input law and the law's marginal on the kept outputs, through kernels
+    the law caches (:meth:`ProbTensor.marginal_kernel`) or past
+    ``_AGG_LIMIT`` in one einsum, so the joint itself is never formed.
 
     Subset entropies are cached per instance, so evaluating many
     mutual-information terms over the same batch reuses marginals.
     Instances are write-once: callers must not mutate ``values``.
     """
 
-    #: Joints with more cells than this marginalize by one contraction of
-    #: the input law with the law instead of cached kernel matrices, which
-    #: would get quadratically large.
+    #: Joints with more cells than this marginalize by one einsum of the
+    #: input law with the law's output marginal, not a kernel, which is
+    #: faster below it.  A limit on kernel bytes instead would send large
+    #: input layouts to products ``q @ G`` that do |kept input cells| times
+    #: the work the einsum does.
     _AGG_LIMIT = 65536
 
     def __init__(
@@ -433,10 +447,11 @@ class BatchJoint:
     def _contract(self, key: frozenset[str]) -> np.ndarray:
         """Marginal on ``key`` without a kernel matrix, ``[B, kept cells]``."""
         if key & set(self._outputs):
+            marg, marg_names = _law_marginal(self._law, key)
             sub = {n: i + 1 for i, n in enumerate(self.names)}
             m = np.einsum(
                 self.values, [0, *(sub[n] for n in self.in_names)],
-                self._law.values, [sub[n] for n in self._law.names],
+                marg, [sub[n] for n in marg_names],
                 [0, *(sub[n] for n in self.names if n in key)],
                 optimize=True,
             )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,33 @@ from icrates.regions import AuxInputDist
 from tests.conftest import product_channel, xor_channel
 
 
+#: Valid channel and coupling files; each parse-error case edits one field so
+#: that it breaks a rule of the format: sizes are JSON integers, Gaussian
+#: parameters JSON numbers, probability arrays numeric (``NaN`` and
+#: ``Infinity`` are not JSON numbers).
+DISCRETE = {"type": "discrete", "nx1": 1, "nx2": 1, "ny1": 2, "ny2": 1, "p": [[[[0.5], [0.5]]]]}
+GAUSSIAN = {"type": "gaussian", "a": 0.5, "b": 0.4, "p1": 1, "p2": 1.0}
+COUPLING = {"type": "coupling", "base": DISCRETE, "ny1t": 1, "ny2t": 1, "q": [[[[[[0.5]]], [[[0.5]]]]]]}
+BAD_FILES = [
+    (load_channel, "{not json"),
+    (load_channel, '{"type":"weird"}'),
+    (load_channel, '{"type":"gaussian","a":NaN,"b":0.4,"p1":1,"p2":1}'),
+    (load_channel, '{"type":"discrete","nx1":1,"nx2":1,"ny1":2,"ny2":1,"p":[[[[NaN],[0.5]]]]}'),
+    (load_coupling, json.dumps(COUPLING).replace("0.5", "Infinity", 1)),
+    *((load_channel, json.dumps({**DISCRETE, **edit})) for edit in (
+        {"nx1": 1.7}, {"nx1": "1"}, {"nx2": True}, {"ny1": 2.0}, {"ny2": None},
+        {"p": [[[["0.5"], ["0.5"]]]]}, {"p": [[[[True], [False]]]]}, {"p": [[[[0.5], [0.5, 0.0]]]]},
+    )),
+    *((load_channel, json.dumps({**GAUSSIAN, **edit})) for edit in (
+        {"a": "0.5"}, {"b": True}, {"p1": None}, {"p2": [1.0]},
+    )),
+    *((load_coupling, json.dumps({**COUPLING, **edit})) for edit in (
+        {"ny1t": 1.0}, {"ny2t": "1"}, {"ny1t": False}, {"q": [[[[[["0.5"]]], [[["0.5"]]]]]]},
+        {"base": {**DISCRETE, "nx1": 1.2}},
+    )),
+]
+
+
 class TestFileIO:
     def test_discrete_roundtrip(self, tmp_path):
         ch = random_channel(4, (2, 3, 2, 2))
@@ -53,14 +82,24 @@ class TestFileIO:
             load_channel(path)
 
     def test_parse_errors(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError):
+        path = tmp_path / "bad.json"
+        accepted = []
+        for load, text in BAD_FILES:
+            path.write_text(text)
+            try:
+                load(path)
+            except ParseError:
+                continue
+            accepted.append(text)
+        assert accepted == []
+
+    def test_valid_files_load(self, tmp_path):
+        path = tmp_path / "ok.json"
+        for doc in (DISCRETE, GAUSSIAN, {**DISCRETE, "p": [[[[1], [0]]]]}):
+            path.write_text(json.dumps(doc))
             load_channel(path)
-        path2 = tmp_path / "unknown.json"
-        path2.write_text('{"type":"weird"}')
-        with pytest.raises(ParseError):
-            load_channel(path2)
+        path.write_text(json.dumps(COUPLING))
+        load_coupling(path)
 
     def test_coupling_roundtrip(self, tmp_path):
         ch = random_channel(9, (2, 2, 2, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import icrates
-from icrates import SearchConfig, random_channel, save_channel
+from icrates import SearchConfig, cli, random_channel, save_channel
 from icrates.channels import random_coupling, save_coupling
 from icrates.cli import main
 from icrates.gaussian import CERTIFICATE_SEARCH_POINTS
@@ -204,6 +205,25 @@ class TestExitCodes:
 
     def test_missing_file_is_three(self, capsys):
         assert main(["classify", "/nonexistent/file.json"]) == 3
+
+    def test_suite_failures_are_one(self, capsys, monkeypatch):
+        real = cli.run_suite
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), failures=1)
+
+        monkeypatch.setattr(cli, "run_suite", failing)
+        code, out = run(capsys, "verify", "lemma1", "--trials", "2", "--seed", "1")
+        assert code == 1 and json.loads(out)["failures"] == 1
+
+    def test_serialization_error_is_three(self, capsys, monkeypatch, tmp_path):
+        # The document is written by `main` inside its error handler, so a
+        # value the stable format refuses exits 3 and writes nothing.
+        monkeypatch.setattr(cli, "noisy_sum_capacity", lambda g: float("nan"))
+        out = tmp_path / "sumcap.json"
+        argv = ["gaussian", "sumcap", "--a", "0.1", "--b", "0.1", "--p1", "1", "--p2", "1"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "[VALIDATION_ERROR]" in capsys.readouterr().err and not out.exists()
 
     def test_over_budget_grid_is_three(self, capsys, tmp_path):
         ch = random_channel(4, (3, 3, 2, 2))

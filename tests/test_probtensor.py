@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from icrates import (
     marginalize,
     mutual_information,
     random_channel,
+    random_coupling,
     require_valid,
     validate,
 )
@@ -272,6 +274,46 @@ class TestBatchJoint:
         kernel = ch.law.marginal_kernel(("W1", "X1", "X2"), q.shape, frozenset(key))
         assert len(ch.law._kernels) == 1
         assert not kernel.flags.writeable
+
+    def test_kernel_build_costs_the_kernels_own_size(self):
+        # A 16 KB kernel over a 2x2x8x8 channel with 8-symbol side outputs:
+        # enumerating the joint's cells against the kept cells to build it
+        # would allocate about 130 MB.
+        law = random_coupling(random_channel(3, (2, 2, 8, 8)), 8, 8, 3).joint_law
+        keep = frozenset(("U", "Y2", "X2", "Yt2"))
+        tracemalloc.start()
+        try:
+            kernel = probtensor._kernel_matrix(law, ("X1", "X2", "U"), (2, 2, 2), keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.shape == (8, 2 * 2 * 8 * 8)
+        assert peak <= 4 * kernel.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize("keep", [
+        ("U",), ("X2", "U"), ("Y2",), ("U", "Y2", "X2", "Yt2"), ("X1", "Y1", "Yt1", "Y2", "Yt2"),
+    ])
+    def test_kernel_entries_are_sequential_law_marginals(self, keep):
+        # The loop reference: each entry adds the law's cells over the outputs
+        # `keep` drops one at a time in flattened order, or is 0 where the
+        # kept inputs disagree; a kernel of inputs only holds exact 0s and 1s.
+        law = random_coupling(random_channel(5, (2, 3, 2, 3)), 2, 2, 5).joint_law
+        names, shape, keep = ("X1", "X2", "U"), (2, 3, 2), frozenset(keep)
+        cards = dict(zip(names, shape)) | dict(zip(law.names, law.cards))
+        kept = [n for n in names + law.names[2:] if n in keep]
+        outs = [n for n in law.names[2:] if n in keep]
+        dropped = [n for n in law.names[2:] if n not in keep]
+        want = np.zeros((int(np.prod(shape)), int(np.prod([cards[n] for n in kept]))))
+        for k, cell in enumerate(np.ndindex(*shape)):
+            at = dict(zip(names, cell))
+            for out_cell in np.ndindex(*(cards[n] for n in outs)):
+                at.update(zip(outs, out_cell))
+                total = 0.0 if outs else 1.0
+                for drop_cell in np.ndindex(*(cards[n] for n in dropped)) if outs else ():
+                    at.update(zip(dropped, drop_cell))
+                    total += law.values[tuple(at[n] for n in law.names)]
+                want[k, np.ravel_multi_index([at[n] for n in kept], [cards[n] for n in kept])] = total
+        assert (probtensor._kernel_matrix(law, names, shape, keep) == want).all()
 
     def test_kernel_cache_evicts_oldest_first_under_its_budget(self):
         cache = probtensor.KernelCache(budget=100)

@@ -19,6 +19,7 @@ from icrates import (
     max_sumrate,
     mutual_information,
     random_channel,
+    random_coupling,
     region_gaussian,
     region_scheme,
 )
@@ -32,6 +33,7 @@ from icrates.errors import (
 )
 from icrates.gaussian import split_system, tin_rates
 from icrates.probtensor import BatchJoint
+from icrates.regimes import OBJECTIVES
 from icrates.regions import (
     FAMILIES,
     SCHEME_TABLES,
@@ -896,21 +898,53 @@ def zero_entry_batch(nx1, nx2):
 
 
 class TestChannelKernel:
-    @pytest.mark.parametrize("ch", [
-        random_channel(2, (3, 3, 3, 3)),
-        random_channel(4, (2, 3, 2, 3)),
-        random_channel(6, (3, 2, 2, 3)),
-        zero_entry_channel(),
-        xor_channel(),
-        strong_pair_channel(),
-    ], ids=["3x3", "2x3-2x3", "3x2-2x3", "zeros", "xor", "strong-pair"])
-    def test_entropies_match_dense_joint(self, ch):
+    # The kernel cases keep their channel ids; "-contraction" forces the law
+    # branch of `BatchJoint._contract` by dropping the aggregation limit to 0.
+    @pytest.mark.parametrize("ch,path", [
+        pytest.param(ch, path, id=name + ("" if path == "kernel" else "-contraction"))
+        for path in ("kernel", "contraction")
+        for name, ch in [
+            ("3x3", random_channel(2, (3, 3, 3, 3))),
+            ("2x3-2x3", random_channel(4, (2, 3, 2, 3))),
+            ("3x2-2x3", random_channel(6, (3, 2, 2, 3))),
+            ("zeros", zero_entry_channel()),
+            ("xor", xor_channel()),
+            ("strong-pair", strong_pair_channel()),
+        ]
+    ])
+    def test_entropies_match_dense_joint(self, ch, path, monkeypatch):
+        if path == "contraction":
+            monkeypatch.setattr(BatchJoint, "_AGG_LIMIT", 0)
         subsets = table_subsets()
         family = [b for b, _, _ in scheme_family(ch, FAMILIES["hk"], CFG)]  # |W| = 1, 2 and W = X lifts
         family.append(zero_entry_batch(ch.nx1, ch.nx2))
         for batch in [*family, relayer(family[-1], 1), relayer(family[-1], 2)]:
             bj = batch_joint(ch, batch)
             dense = dense_batch_joint(ch, batch)
+            for s in subsets:
+                np.testing.assert_allclose(bj.entropy(s), dense.entropy(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sides", [(1, 1), (2, 3)], ids=["1x1", "2x3"])
+    @pytest.mark.parametrize("path", ["kernel", "contraction"])
+    def test_coupling_entropies_match_dense_joint(self, sides, path, monkeypatch):
+        # Every entropy subset an objective over the (X1, X2) or (X1, X2, U)
+        # layout reads, on a coupling's joint law.  With 1x1 side outputs the
+        # kernels sum the whole channel output of each input cell.
+        if path == "contraction":
+            monkeypatch.setattr(BatchJoint, "_AGG_LIMIT", 0)
+        law = random_coupling(random_channel(4, (2, 3, 2, 3)), *sides, seed=4).joint_law
+        rng = np.random.default_rng(9)
+        for names in (("X1", "X2"), ("X1", "X2", "U")):
+            subsets = {frozenset(part) for layout, rows in OBJECTIVES.values()
+                       if layout.names == names for _, t in rows
+                       for part in (t[0] + t[2], t[1] + t[2], t[2], t[0] + t[1] + t[2])}
+            shape = (2, 3, 2)[:len(names)]
+            q = rng.dirichlet(np.ones(np.prod(shape)), size=7).reshape(7, *shape)
+            q[0] = np.eye(np.prod(shape))[0].reshape(shape)
+            bj = BatchJoint(names, q, law)
+            dense = BatchJoint(names + law.names[2:], np.einsum(
+                q, [0, *range(1, len(names) + 1)], law.values, [1, 2, *range(10, 14)],
+                [0, *range(1, len(names) + 1), *range(10, 14)]))
             for s in subsets:
                 np.testing.assert_allclose(bj.entropy(s), dense.entropy(s), rtol=0, atol=1e-12)
 
