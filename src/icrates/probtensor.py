@@ -17,6 +17,7 @@ to one.  The normalization tolerance is ``MASS_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
@@ -30,6 +31,7 @@ from .errors import (
     SizeLimitError,
     SliceNormalizationError,
     UnknownAxisError,
+    ValidationError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
@@ -51,15 +53,32 @@ def _neg_xlog2x_sum(values: np.ndarray) -> float:
     return float(-(v * logs).sum())
 
 
-def _row_entropies(m: np.ndarray) -> np.ndarray:
-    """``-sum(m * log2(m))`` of each row of ``m [B, K]``, with 0*log0 := 0.
+#: Largest block of marginal cells one fused entropy pass holds at a time.
+_BLOCK_BYTES = 256 << 10
 
-    Zero cells take ``log2(1) = 0``, so no masked ``log2`` is needed.
+
+def _block_entropies(flat: np.ndarray, kernel: np.ndarray | None,
+                     starts: Sequence[int]) -> np.ndarray:
+    """Entropies ``[segments, B]`` of the marginals ``flat @ kernel``.
+
+    The columns of the marginals ``[B, cells]`` (``flat`` itself when
+    ``kernel`` is None) fall into segments that begin at ``starts``, one
+    marginal each; row ``i`` of the result is ``-sum(m * log2(m))`` of each
+    batch row over segment ``i``, with 0*log0 := 0.  The rows go in blocks of
+    at most ``_BLOCK_BYTES`` of marginal cells, each one matmul, one pass in
+    which zero cells take ``log2(1) = 0`` (so no masked ``log2`` is needed)
+    and one segmented row sum.
     """
-    x = np.where(m > 0.0, m, 1.0)
-    np.log2(x, out=x)
-    x *= m
-    return -x.sum(axis=1)
+    width = flat.shape[1] if kernel is None else kernel.shape[1]
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    out = np.empty((len(starts), flat.shape[0]))
+    for i in range(0, flat.shape[0], step):
+        m = flat[i:i + step] if kernel is None else flat[i:i + step] @ kernel
+        x = np.where(m > 0.0, m, 1.0)
+        np.log2(x, out=x)
+        x *= m
+        out[:, i:i + step] = -np.add.reduceat(x, starts, axis=1).T
+    return out
 
 
 class KernelCache:
@@ -102,7 +121,7 @@ class ProbTensor:
     :func:`require_valid` so that deliberately invalid tensors can be built
     and diagnosed.  A conditional law caches the kernels that fold it into
     batches of input laws (:meth:`marginal_kernel`), so they are built once
-    per layout and subset and are freed with the law.
+    per layout and subset list and are freed with the law.
     """
 
     names: tuple[str, ...]
@@ -152,23 +171,35 @@ class ProbTensor:
         return tuple(self.axis(n) for n in names)
 
     def marginal_kernel(
-        self, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
-    ) -> np.ndarray:
-        """Matrix ``G`` such that ``q_flat @ G`` is a flattened marginal.
+        self, names: tuple[str, ...], shape: tuple[int, ...], keys: tuple[frozenset[str], ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix ``G`` such that ``q_flat @ G`` holds flattened marginals, and
+        the column at which each marginal starts.
 
         ``self`` is a conditional law whose conditioning axes are among
         ``names``, and ``q`` a tensor over ``names`` with ``shape``; the
         joint is ``q * self`` over ``names`` and the law's other axes (its
-        outputs).  Entry ``[k, s]`` is 0 or the law's marginal on the kept
-        outputs (the factor :meth:`BatchJoint._contract` reads too) at input
-        cell ``k`` and kept cell ``s``; building ``G`` allocates ``G`` and at
-        most a copy of the law.  When ``keep`` names no output the law is
-        never read: ``G`` is the 0/1 aggregation of ``q``, so the marginal is
-        an exact sum.  Kept cells are ordered like the joint's axes:
-        ``names``, then outputs.
+        outputs).  ``G`` holds one block of columns per subset of ``keys``,
+        side by side in their order.  Entry ``[k, s]`` of a block is 0 or
+        the law's marginal on the subset's outputs (the factor
+        :meth:`BatchJoint._contract` reads too) at input cell ``k`` and kept
+        cell ``s``; building ``G`` allocates ``G`` and at most a copy of the
+        law per block.  When a subset names no output the law is never read:
+        its block is the 0/1 aggregation of ``q``, so the marginal is an
+        exact sum.  Kept cells are ordered like the joint's axes: ``names``,
+        then outputs.
         """
-        return self._kernels.get((names, shape, keep),
-                                 lambda: _kernel_matrix(self, names, shape, keep))
+        cards = dict(zip(names, shape)) | dict(zip(self.names[2:], self.cards[2:]))
+        widths = [math.prod(cards[n] for n in cards if n in key) for key in keys]
+        starts = np.cumsum([0, *widths[:-1]])
+
+        def build() -> np.ndarray:
+            g = np.empty((math.prod(shape), sum(widths)))
+            for key, start, width in zip(keys, starts, widths):
+                g[:, start:start + width] = _kernel_matrix(self, names, shape, key)
+            return g
+
+        return self._kernels.get((names, shape, keys), build), starts
 
 
 @dataclass(frozen=True)
@@ -215,7 +246,11 @@ def validate(t: ProbTensor, conditioning: Iterable[str] = ()) -> ValidationRepor
 
 
 def require_valid(t: ProbTensor, conditioning: Iterable[str] = ()) -> ValidationReport:
-    """Like :func:`validate` but raises on the first violated invariant."""
+    """Like :func:`validate` but raises on the first violated invariant;
+    ``NaN`` and infinite entries come first."""
+    bad = int(np.count_nonzero(~np.isfinite(t.values)))
+    if bad:
+        raise ValidationError("tensor has non-finite entries", count=bad)
     report = validate(t, conditioning)
     if report.min_value < -MASS_TOL:
         raise NegativeMassError(
@@ -317,6 +352,14 @@ def term(
     return tuple((n,) if isinstance(n, str) else tuple(n) for n in (target, second, given))
 
 
+def term_subsets(target: Iterable[str], second: Iterable[str],
+                 given: Iterable[str] = ()) -> tuple[frozenset[str], ...]:
+    """The entropy subsets ``(T|G, S|G, G, T|S|G)`` of ``I(T;S|G)``, in the
+    order :meth:`BatchJoint.mi` combines them."""
+    t, s, g = frozenset(target), frozenset(second), frozenset(given)
+    return t | g, s | g, g, t | s | g
+
+
 def mutual_information(t: ProbTensor, q: InfoQuery) -> float:
     """Conditional mutual information ``I(target; second | given)`` in bits."""
     if not q.second:
@@ -401,7 +444,8 @@ class BatchJoint:
     ``_AGG_LIMIT`` in one einsum, so the joint itself is never formed.
 
     Subset entropies are cached per instance, so evaluating many
-    mutual-information terms over the same batch reuses marginals.
+    mutual-information terms over the same batch reuses marginals;
+    :meth:`entropies` fills the cache for many subsets in one pass.
     Instances are write-once: callers must not mutate ``values``.
     """
 
@@ -460,21 +504,30 @@ class BatchJoint:
             m = self.values.sum(axis=sum_axes) if sum_axes else self.values
         return m.reshape(m.shape[0], -1)
 
+    def entropies(self, keys: Sequence[frozenset[str]]) -> list[np.ndarray]:
+        """Entropies ``[B]`` of the marginals on ``keys``, in their order.
+
+        The subsets not cached yet go through one :func:`_block_entropies`
+        pass over the law's kernel for all of them, or past ``_AGG_LIMIT``
+        (and without a law) through one pass per contracted marginal.
+        """
+        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        unknown = set().union(*missing) - set(self.names)
+        if unknown:
+            raise UnknownAxisError("no such axis", axis=sorted(unknown), have=list(self.names))
+        if missing and self._law is not None and self._cells <= self._AGG_LIMIT:
+            kernel, starts = self._law.marginal_kernel(
+                self.in_names, self.values.shape[1:], tuple(missing))
+            self._cache.update(zip(missing, _block_entropies(self._flat, kernel, starts)))
+        else:
+            for key in missing:
+                self._cache[key] = _block_entropies(self._contract(key), None, (0,))[0]
+        return [self._cache[k] for k in keys]
+
     def entropy(self, names: Iterable[str]) -> np.ndarray:
         key = frozenset(names)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        unknown = key - set(self.names)
-        if unknown:
-            raise UnknownAxisError("no such axis", axis=sorted(unknown), have=list(self.names))
-        if self._law is not None and self._cells <= self._AGG_LIMIT:
-            m = self._flat @ self._law.marginal_kernel(self.in_names, self.values.shape[1:], key)
-        else:
-            m = self._contract(key)
-        h = _row_entropies(m)
-        self._cache[key] = h
-        return h
+        return cached if cached is not None else self.entropies((key,))[0]
 
     def mi(
         self,
@@ -482,8 +535,5 @@ class BatchJoint:
         second: Iterable[str],
         given: Iterable[str] = (),
     ) -> np.ndarray:
-        t = frozenset(target)
-        s = frozenset(second)
-        g = frozenset(given)
-        out = self.entropy(t | g) + self.entropy(s | g) - self.entropy(g) - self.entropy(t | s | g)
-        return np.maximum(out, 0.0)
+        tg, sg, g, tsg = map(self.entropy, term_subsets(target, second, given))
+        return np.maximum(tg + sg - g - tsg, 0.0)

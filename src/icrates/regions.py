@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import split_system
-from .probtensor import BatchJoint, ProbTensor, Term, require_valid
+from .probtensor import BatchJoint, ProbTensor, Term, require_valid, term_subsets
 from .probtensor import term as _T  # table shorthand
 from .regimes import _product_blocks
 from .search import (
@@ -740,18 +740,22 @@ def union_over_batches(
     (``None`` for every region) and each row's count, the number of laws
     of the family it stands for (:func:`scheme_family` yields a layered
     grid as one law per relabelling orbit of W); ``laws_enumerated`` sums
-    the counts.  Every scheme's bounds are computed once per batch, and all
-    of a batch's bound rows go to its regions' accumulators, whose prune
-    drops repeats, so what is added does not depend on how the laws are
-    batched.  ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
+    the counts.  Every scheme's bounds are computed once per batch, from
+    the entropies of all the tables' subsets taken in one pass, and all of
+    a batch's bound rows go to its regions' accumulators, whose prune drops
+    repeats, so what is added does not depend on how the laws are batched.
+    ``per_batch_hook(bj, bounds, counts)`` receives the batch's joint, its
     bound matrices keyed by scheme and the counts, enabling zero-tolerance
     per-law checks on exactly the laws the regions were built from.
     """
     tables = {scheme: table_for_scheme(scheme) for scheme in regions.values()}
+    subsets = tuple(dict.fromkeys(k for table in tables.values() for _, _, terms in table
+                                  for t in terms for k in term_subsets(*t)))
     accs = {name: SupportAccumulator(angles) for name in regions}
     laws = dict.fromkeys(regions, 0)
     for batch, feeds, counts in batches:
         bj = batch_joint(ch, batch)
+        bj.entropies(subsets)
         bounds = {scheme: batch_bounds(bj, table) for scheme, table in tables.items()}
         merged = {scheme: merged_dirs_bounds(table, bounds[scheme])
                   for scheme, table in tables.items()}

@@ -293,17 +293,43 @@ def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
     return np.concatenate([w[:, :, np.newaxis], x], axis=2)
 
 
+#: Byte budget of the canonical tables kept by :func:`canonical_table`.
+_TABLE_BUDGET = 16 << 20
+_canonical_tables: dict[tuple[SimplexBlock, ...], Table] = {}
+
+
 def canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
     """The grid over the label ``blocks`` modulo relabelling, as one table:
     one row per orbit, each block ``[m, n_slices, k]`` with its labels in
     canonical order (:func:`_label_keys`), counted by the orbit's size, its
     raw index the flat index of the orbit's first raw grid point.
 
-    Orbits come in the order of their first raw grid point.  Each ``CHUNK``
-    batch of the raw grid (:func:`product_batches` over the slice tables)
-    is reduced to its distinct keys, with their counts, before the batches
-    are merged, so the raw grid is never held whole.
+    Orbits come in the order of their first raw grid point.  Tables are
+    kept per block tuple, read-only, the oldest dropped first once they
+    hold more than ``_TABLE_BUDGET`` bytes (a single larger table is kept
+    alone).
     """
+    key = tuple(blocks)
+    table = _canonical_tables.get(key)
+    if table is None:
+        table = _canonical_tables[key] = _build_canonical_table(key)
+        for a in (*table.columns.values(), table.counts, table.raw):
+            a.setflags(write=False)
+        while (len(_canonical_tables) > 1
+               and sum(map(_table_bytes, _canonical_tables.values())) > _TABLE_BUDGET):
+            del _canonical_tables[next(iter(_canonical_tables))]
+    return table
+
+
+def _table_bytes(t: Table) -> int:
+    return sum(a.nbytes for a in (*t.columns.values(), t.counts, t.raw))
+
+
+def _build_canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
+    """:func:`canonical_table`, uncached.  Each ``CHUNK`` batch of the raw
+    grid (:func:`product_batches` over the slice tables) is reduced to its
+    distinct keys, with their counts, before the batches are merged, so the
+    raw grid is never held whole."""
     keys, firsts, counts = [], [], []
     for batch, _, idx in product_batches(_slice_tables(blocks), CHUNK):
         rows = _label_keys(batch, blocks).reshape(len(idx), -1)

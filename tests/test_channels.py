@@ -206,6 +206,14 @@ class TestRandomChannel:
         ch = random_channel(1, (3, 2, 4, 2))
         assert ch.law.values.min() >= 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_channel_rejected(self, bad):
+        # A NaN cell used to pass validation and fail later in the search.
+        law = random_channel(1, (2, 2, 2, 2)).law.values.copy()
+        law[1, 0, 0, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            DiscreteIC.from_array(law)
+
     def test_seeds_differ(self):
         a = random_channel(1, (2, 2, 2, 2))
         b = random_channel(2, (2, 2, 2, 2))
@@ -230,6 +238,14 @@ class TestVirtualCoupling:
         # side outputs copy the true outputs, which depend on both inputs
         q = np.einsum("ijkl,km,ln->ijklmn", ch.law.values, np.eye(2), np.eye(2))
         with pytest.raises(ValidationError):
+            VirtualCoupling(ch, ProbTensor((X1, X2, Y1, Y2, YT1, YT2), q))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        ch = random_channel(5, (2, 2, 2, 2))
+        q = random_coupling(ch, 2, 2, seed=5).joint_law.values.copy()
+        q[0, 1, 1, 0, 1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
             VirtualCoupling(ch, ProbTensor((X1, X2, Y1, Y2, YT1, YT2), q))
 
     def test_wrong_base_marginal_rejected(self):

@@ -25,8 +25,10 @@ from icrates.errors import (
     SizeLimitError,
     SliceNormalizationError,
     UnknownAxisError,
+    ValidationError,
 )
-from icrates.probtensor import BatchJoint
+from icrates.probtensor import BatchJoint, term_subsets
+from icrates.regions import SCHEME_TABLES
 
 
 def random_tensor(seed, cards, names=None):
@@ -59,6 +61,18 @@ class TestValidate:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             ProbTensor(("A", "B"), np.zeros((4000, 4000)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("conditioning", [(), ("A",)])
+    def test_non_finite_cells_are_invalid(self, bad, conditioning):
+        # NaN compares false both ways, so require_valid's mass checks alone
+        # let it pass; validate's ok already failed, as NaN fails ``>=``.
+        vals = np.full((2, 2), 0.5 if conditioning else 0.25)
+        vals[1, 0] = bad
+        t = ProbTensor(("A", "B"), vals)
+        assert not validate(t, conditioning).ok
+        with pytest.raises(ValidationError, match="non-finite"):
+            require_valid(t, conditioning)
 
 
 class TestMarginalize:
@@ -214,16 +228,43 @@ class TestInvariants:
 class TestBatchJoint:
     @pytest.mark.parametrize("cells", [3, 9, 27, 36])
     def test_row_entropies_equal_the_masked_log(self, cells):
+        # Three marginals side by side, each summed over its own segment;
+        # the segmented sum adds in another order than a plain row sum.
         rng = np.random.default_rng(cells)
-        m = rng.dirichlet(np.ones(cells), size=4096)
-        m[rng.random(m.shape) < 0.3] = 0.0
-        m[0] = 0.0
-        m[1] = np.eye(cells)[0]
-        logs = np.zeros_like(m)
-        np.log2(m, out=logs, where=m > 0.0)
-        want = -(m * logs).sum(axis=1)
-        got = probtensor._row_entropies(m)
-        assert (got == want).all() and (np.signbit(got) == np.signbit(want)).all()
+        widths = (cells, 1, cells // 2 + 1)
+        segments = []
+        for width in widths:
+            m = rng.dirichlet(np.ones(width), size=4096)
+            m[rng.random(m.shape) < 0.3] = 0.0
+            m[0] = 0.0
+            m[1] = np.eye(width)[0]
+            segments.append(m)
+        got = probtensor._block_entropies(np.hstack(segments), None, np.cumsum([0, *widths[:-1]]))
+        assert got.shape == (3, 4096)
+        for h, m in zip(got, segments):
+            logs = np.zeros_like(m)
+            np.log2(m, out=logs, where=m > 0.0)
+            want = -(m * logs).sum(axis=1)
+            np.testing.assert_allclose(h, want, rtol=0, atol=1e-14)
+            assert (np.signbit(h[:2]) == np.signbit(want[:2])).all()
+
+    def test_fused_pass_stays_within_its_blocks(self):
+        # A 4096-row hk batch of a 3x3x3x3 channel at |W| = 4: one subset's
+        # whole marginal is [4096, 144], 4.7 MB; the pass holds row blocks.
+        ch = random_channel(2, (3, 3, 3, 3))
+        q = np.random.default_rng(0).dirichlet(np.ones(144), size=4096).reshape(4096, 4, 4, 3, 3)
+        keys = tuple(dict.fromkeys(
+            k for _, _, terms in SCHEME_TABLES["hk"] for t in terms for k in term_subsets(*t)))
+        tracemalloc.start()
+        try:
+            h = BatchJoint(("W1", "W2", "X1", "X2"), q, ch.law).entropies(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel, _ = ch.law.marginal_kernel(("W1", "W2", "X1", "X2"), q.shape[1:], keys)
+        out = len(keys) * q.shape[0] * 8
+        assert len(h) == len(keys) and kernel.shape[0] == 144
+        assert peak <= 4 * probtensor._BLOCK_BYTES + kernel.nbytes + out + (1 << 20)
 
     def test_matches_probtensor_path(self):
         t = random_tensor(13, (2, 3, 2), ("A", "B", "C"))
@@ -271,8 +312,8 @@ class TestBatchJoint:
         first = BatchJoint(("W1", "X1", "X2"), q[np.newaxis, ...], ch.law)
         second = BatchJoint(("W1", "X1", "X2"), np.stack([q, q]), ch.law)
         np.testing.assert_allclose(second.entropy(key), first.entropy(key)[0], rtol=0, atol=1e-15)
-        kernel = ch.law.marginal_kernel(("W1", "X1", "X2"), q.shape, frozenset(key))
-        assert len(ch.law._kernels) == 1
+        kernel, starts = ch.law.marginal_kernel(("W1", "X1", "X2"), q.shape, (frozenset(key),))
+        assert len(ch.law._kernels) == 1 and list(starts) == [0]
         assert not kernel.flags.writeable
 
     def test_kernel_build_costs_the_kernels_own_size(self):

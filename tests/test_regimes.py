@@ -22,7 +22,7 @@ from icrates import (
 )
 from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
-from icrates.probtensor import BatchJoint
+from icrates.probtensor import BatchJoint, term_subsets
 from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
 from icrates.sumcap import evaluate_genie_dominance_margin
 from tests.conftest import product_channel, strong_pair_channel, xor_channel
@@ -287,8 +287,10 @@ class TestObjectiveTable:
     @pytest.mark.parametrize("size", [1, 7, 4096])
     @pytest.mark.parametrize("name", NAMES)
     def test_equals_the_composition_through_mi(self, name, size):
-        # The objective builds its rows' axis sets once; its values must be
-        # the signed running total of ``BatchJoint.mi`` over the rows.
+        # The objective compiles its rows once and takes every entropy in one
+        # fused pass; its values must be the signed running total of
+        # ``BatchJoint.mi`` over the rows once the joint's entropies come
+        # from the same pass (the same subsets in the same order).
         ch = random_channel(11, (2, 3, 3, 2))
         vc = random_coupling(ch, 2, 2, seed=4)
         law = vc.joint_law if name.startswith(("genie", "alignment")) else ch.law
@@ -303,6 +305,7 @@ class TestObjectiveTable:
         ops = [batch[op].reshape(size, *(cards.get(c, -1) for c in sub[1:]))
                for op, sub in zip(layout.operands, subs.split(","))]
         bj = BatchJoint(layout.names, np.einsum(layout.expr, *ops), law)
+        bj.entropies([k for _, t in rows for k in term_subsets(*t)])
         want = 0.0
         for sign, t in rows:
             want = want + bj.mi(*t) if sign > 0 else want - bj.mi(*t)

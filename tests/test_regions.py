@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icrates import regions, search, sumcap
+from icrates import probtensor, regions, search, sumcap
 from icrates import (
     AuxInputDist,
     DiscreteIC,
@@ -32,7 +32,7 @@ from icrates.errors import (
     NotOneSidedError,
 )
 from icrates.gaussian import split_system, tin_rates
-from icrates.probtensor import BatchJoint
+from icrates.probtensor import BatchJoint, term_subsets
 from icrates.regimes import OBJECTIVES
 from icrates.regions import (
     FAMILIES,
@@ -947,6 +947,46 @@ class TestChannelKernel:
                 [0, *range(1, len(names) + 1), *range(10, 14)]))
             for s in subsets:
                 np.testing.assert_allclose(bj.entropy(s), dense.entropy(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", ["default", "1-row", "mid"])
+    @pytest.mark.parametrize("law_kind", ["channel", "1x1", "2x3"])
+    @pytest.mark.parametrize("sizes", [(2, 3, 2, 3), (3, 2, 3, 2)])
+    def test_fused_pass_matches_dense_joint(self, sizes, law_kind, block, monkeypatch):
+        # Every layout an objective or a scheme table reads, with each of its
+        # entropy subsets that the law holds, in one fused pass over the
+        # concatenated kernel; rows 0 and 1 are point masses.  "1-row" and
+        # "mid" (5-row) blocks split the 37 rows unevenly.
+        ch = random_channel(sum(sizes), sizes)
+        law = ch.law if law_kind == "channel" else random_coupling(
+            ch, *(1, 1) if law_kind == "1x1" else (2, 3), seed=sum(sizes)).joint_law
+        region = ("W1", "W2", "X1", "X2")
+        layouts = {layout.names for layout, _ in OBJECTIVES.values()} | {region}
+        cards = {"W1": 3, "W2": 2, "U": 2} | dict(zip(law.names, law.cards))
+        rng = np.random.default_rng(sum(sizes) + len(law_kind))
+        for names in sorted(layouts):
+            terms = [t for layout, rows in OBJECTIVES.values() if layout.names == names for _, t in rows]
+            if names == region:
+                terms += [t for table in SCHEME_TABLES.values() for _, _, ts in table for t in ts]
+            keys = tuple(dict.fromkeys(k for t in terms for k in term_subsets(*t)
+                                       if k <= set(names + law.names[2:])))
+            if not keys:  # the coupling's layout over the channel law
+                continue
+            shape = tuple(cards[n] for n in names)
+            q = rng.dirichlet(np.ones(math.prod(shape)), size=37)
+            q[0], q[1] = np.eye(q.shape[1])[0], np.eye(q.shape[1])[-1]
+            kernel, starts = law.marginal_kernel(names, shape, keys)
+            if block != "default":  # 8 bytes a cell: 1 row, or 5 rows a block
+                rows = 1 if block == "1-row" else 5
+                monkeypatch.setattr(probtensor, "_BLOCK_BYTES", 8 * rows * kernel.shape[1])
+            got = probtensor._block_entropies(q, kernel, starts)
+            monkeypatch.undo()
+            law_axes = [1 + names.index(n) for n in law.names[:2]] + list(range(10, 8 + len(law.names)))
+            dense = BatchJoint(names + law.names[2:], np.einsum(
+                q.reshape(37, *shape), range(len(names) + 1), law.values, law_axes,
+                [*range(len(names) + 1), *law_axes[2:]]))
+            assert got.shape == (len(keys), 37)
+            for h, key in zip(got, keys):
+                np.testing.assert_allclose(h, dense.entropy(key), rtol=0, atol=1e-12)
 
     def test_same_shape_channels_in_sequence(self, monkeypatch):
         # Same-shape channels, each built, used and freed in turn, so the

@@ -220,6 +220,22 @@ def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
     assert res.n_evaluated == len(got)
 
 
+def test_canonical_tables_are_kept_per_block_tuple(monkeypatch):
+    monkeypatch.setattr(search, "_canonical_tables", {})
+    blocks = [SimplexBlock("pw", 1, 3, 4), SimplexBlock("px_own", 3, 2, 2)]
+    first = search.canonical_table(blocks)
+    assert search.canonical_table(tuple(blocks)) is first
+    arrays = [*first.columns.values(), first.counts, first.raw]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        first.counts[0] = 0
+    # Past the budget the oldest table goes first; the newest stays alone.
+    monkeypatch.setattr(search, "_TABLE_BUDGET", 1)
+    other = search.canonical_table([SimplexBlock("pw", 1, 2, 4), SimplexBlock("px_own", 2, 2, 2)])
+    assert [t is other for t in search._canonical_tables.values()] == [True]
+    assert search.canonical_table(blocks) is not first
+
+
 def test_shrink_to_budget_reduces_largest_block():
     blocks = [SimplexBlock("a", 4, 4, 4), SimplexBlock("b", 1, 2, 8)]
     assert grid_size(blocks) > 10_000

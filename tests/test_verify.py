@@ -118,6 +118,20 @@ class TestSuites:
         assert all(r["w1_crossoutput_mi_worst_bits"] <= 1e-9 for r in out.records)
 
     @pytest.mark.parametrize(
+        "suite", ["very_weak_regions", "very_weak_sumrate", "strong_y2_regions", "one_sided_regions"])
+    def test_region_suites_stay_exact_at_the_acceptance_configuration(self, suite):
+        # The suites pass at 5e-3 bits; their gaps and per-law excesses sit
+        # near 1e-13 and 1e-15, so a rounding change large enough to matter
+        # shows here long before it reaches the suite tolerance.
+        cfg = SearchConfig(grid_steps=8, cond_grid_steps=4, restarts=4, aux_card_w=2, seed=2026)
+        out = run_suite(suite, trials=4, seed=2026, cfg=cfg, tol=5e-3)
+        assert out.ok and out.trials == 4
+        for r in out.records:
+            worst = {k: v for k, v in r.items() if k == "gap_bits" or "worst" in k}
+            assert "gap_bits" in worst
+            assert all(v < 1e-9 for v in worst.values()), worst
+
+    @pytest.mark.parametrize(
         "suite", ["very_weak_regions", "strong_y2_regions", "one_sided_regions"])
     def test_region_suites_count_every_law(self, suite, monkeypatch):
         spec = verify._REGION_SUITES[suite]
