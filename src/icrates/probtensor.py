@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,33 +82,31 @@ def _block_entropies(flat: np.ndarray, kernel: np.ndarray | None,
 
 
 class KernelCache:
-    """Marginal kernels by key under a byte budget.
+    """Read-only values by key under a byte budget: a law's marginal kernels
+    with their segment starts, or :func:`search.canonical_table`'s tables.
 
-    The oldest kernels are evicted first; a single kernel larger than the
-    budget is kept alone.  Kernels are read-only because callers share them.
+    ``size(value)`` is a value's bytes.  The oldest values are evicted
+    first; a single value larger than the budget is kept alone.  ``build``
+    must return a read-only value, because callers share it.
     """
 
-    def __init__(self, budget: int = 64 << 20) -> None:
+    def __init__(self, size: Callable[[Any], int], budget: int = 64 << 20) -> None:
+        self.size = size
         self.budget = budget
-        self._kernels: dict[Hashable, np.ndarray] = {}
-        self._nbytes = 0
+        self._entries: dict[Hashable, Any] = {}
+        self.nbytes = 0
 
     def __len__(self) -> int:
-        return len(self._kernels)
+        return len(self._entries)
 
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
-
-    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = build()
-            kernel.setflags(write=False)
-            self._nbytes += kernel.nbytes
-            while len(self._kernels) > 1 and self._nbytes > self.budget:
-                self._nbytes -= self._kernels.pop(next(iter(self._kernels))).nbytes
-        return kernel
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        value = self._entries.get(key)
+        if value is None:
+            value = self._entries[key] = build()
+            self.nbytes += self.size(value)
+            while len(self._entries) > 1 and self.nbytes > self.budget:
+                self.nbytes -= self.size(self._entries.pop(next(iter(self._entries))))
+        return value
 
 
 @dataclass(frozen=True)
@@ -119,15 +117,14 @@ class ProbTensor:
     ``names[i]``.  Construction checks structure only (shapes, unique names,
     size budget); the mass invariants are checked by :func:`validate` /
     :func:`require_valid` so that deliberately invalid tensors can be built
-    and diagnosed.  A conditional law caches the kernels that fold it into
-    batches of input laws (:meth:`marginal_kernel`), so they are built once
-    per layout and subset list and are freed with the law.
+    and diagnosed.  A conditional law keeps the kernels that fold it into
+    batches of input laws (:meth:`marginal_kernel`), freed with the law.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    _kernels: KernelCache = field(default_factory=KernelCache, init=False, repr=False,
-                                  compare=False)
+    _kernels: KernelCache = field(default_factory=lambda: KernelCache(lambda v: v[0].nbytes),
+                                  init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -181,25 +178,27 @@ class ProbTensor:
         joint is ``q * self`` over ``names`` and the law's other axes (its
         outputs).  ``G`` holds one block of columns per subset of ``keys``,
         side by side in their order.  Entry ``[k, s]`` of a block is 0 or
-        the law's marginal on the subset's outputs (the factor
-        :meth:`BatchJoint._contract` reads too) at input cell ``k`` and kept
-        cell ``s``; building ``G`` allocates ``G`` and at most a copy of the
-        law per block.  When a subset names no output the law is never read:
-        its block is the 0/1 aggregation of ``q``, so the marginal is an
-        exact sum.  Kept cells are ordered like the joint's axes: ``names``,
-        then outputs.
+        the law's marginal on the subset's outputs (the factor :func:`_contract`
+        reads too) at input cell ``k`` and kept cell ``s``; building ``G``
+        allocates ``G`` and at most a copy of the law per block.  When a
+        subset names no output the law is never read: its block is the 0/1
+        aggregation of ``q``, so the marginal is an exact sum.  Kept cells are
+        ordered like the joint's axes: ``names``, then outputs.  Both arrays
+        are read-only and kept under ``(names, shape, keys)``: a repeated
+        call is one lookup.
         """
-        cards = dict(zip(names, shape)) | dict(zip(self.names[2:], self.cards[2:]))
-        widths = [math.prod(cards[n] for n in cards if n in key) for key in keys]
-        starts = np.cumsum([0, *widths[:-1]])
-
-        def build() -> np.ndarray:
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            cards = dict(zip(names, shape)) | dict(zip(self.names[2:], self.cards[2:]))
+            widths = [math.prod(cards[n] for n in cards if n in key) for key in keys]
+            starts = np.cumsum([0, *widths[:-1]])
             g = np.empty((math.prod(shape), sum(widths)))
             for key, start, width in zip(keys, starts, widths):
                 g[:, start:start + width] = _kernel_matrix(self, names, shape, key)
-            return g
+            g.setflags(write=False)
+            starts.setflags(write=False)
+            return g, starts
 
-        return self._kernels.get((names, shape, keys), build), starts
+        return self._kernels.get((names, shape, keys), build)
 
 
 @dataclass(frozen=True)
@@ -352,14 +351,6 @@ def term(
     return tuple((n,) if isinstance(n, str) else tuple(n) for n in (target, second, given))
 
 
-def term_subsets(target: Iterable[str], second: Iterable[str],
-                 given: Iterable[str] = ()) -> tuple[frozenset[str], ...]:
-    """The entropy subsets ``(T|G, S|G, G, T|S|G)`` of ``I(T;S|G)``, in the
-    order :meth:`BatchJoint.mi` combines them."""
-    t, s, g = frozenset(target), frozenset(second), frozenset(given)
-    return t | g, s | g, g, t | s | g
-
-
 def mutual_information(t: ProbTensor, q: InfoQuery) -> float:
     """Conditional mutual information ``I(target; second | given)`` in bits."""
     if not q.second:
@@ -429,6 +420,75 @@ def _kernel_matrix(
     return g.reshape(int(np.prod(shape)), -1)
 
 
+def _contract(names: tuple[str, ...], q: np.ndarray, law: ProbTensor | None,
+              key: frozenset[str]) -> np.ndarray:
+    """Marginal ``[B, kept cells]`` on ``key`` of the joints ``q`` times
+    ``law`` (see :class:`BatchJoint`) without a kernel: one einsum of ``q``
+    with :func:`_law_marginal`, or axis sums when ``key`` names no output."""
+    outputs = law.names[2:] if law is not None else ()
+    if key & set(outputs):
+        marg, marg_names = _law_marginal(law, key)
+        sub = {n: i + 1 for i, n in enumerate(names + outputs)}
+        m = np.einsum(q, [0, *(sub[n] for n in names)], marg, [sub[n] for n in marg_names],
+                      [0, *(sub[n] for n in names + outputs if n in key)], optimize=True)
+    else:
+        sum_axes = tuple(i + 1 for i, n in enumerate(names) if n not in key)
+        m = q.sum(axis=sum_axes) if sum_axes else q
+    return m.reshape(m.shape[0], -1)
+
+
+def joint_entropies(names: tuple[str, ...], q: np.ndarray, law: ProbTensor | None,
+                    keys: Sequence[frozenset[str]]) -> np.ndarray:
+    """Entropies ``[len(keys), B]`` of the marginals on ``keys`` of the joints
+    ``q [B, ...]`` over ``names`` times ``law`` (see :class:`BatchJoint`).
+
+    The one place that chooses how: with a law and joints of at most
+    ``BatchJoint._AGG_LIMIT`` cells, one :func:`_block_entropies` pass over
+    the law's kernel for all ``keys`` (:meth:`ProbTensor.marginal_kernel`);
+    otherwise one :func:`_contract` and one pass per key.
+    """
+    if law is not None and math.prod(q.shape[1:] + law.cards[2:]) <= BatchJoint._AGG_LIMIT:
+        kernel, starts = law.marginal_kernel(names, q.shape[1:], tuple(keys))
+        return _block_entropies(np.ascontiguousarray(q.reshape(len(q), -1)), kernel, starts)
+    return np.array([_block_entropies(_contract(names, q, law, k), None, (0,))[0] for k in keys])
+
+
+class TermTable:
+    """Columns of signed mutual-information terms, the one evaluator of
+    every constraint table, objective and probe.  ``columns[c]`` lists
+    ``(sign, Term)`` rows, compiled once into ``keys``, the distinct entropy
+    subsets in first-use order; ``index``, the positions in ``keys`` of each
+    term ``I(T;S|G)``'s subsets ``(T|G, S|G, G, T|S|G)``; ``terms``, every
+    row's term in order; and each row's column and sign.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[tuple[int, Term]]]) -> None:
+        rows = [(c, sign, t) for c, column in enumerate(columns) for sign, t in column]
+        self.terms = tuple(t for *_, t in rows)
+        self._rows = [(c, sign) for c, sign, _ in rows]
+        self._width = len(columns)
+        keys: dict[frozenset[str], int] = {}
+        self.index = [tuple(keys.setdefault(k, len(keys)) for k in (t | g, s | g, g, t | s | g))
+                      for t, s, g in (map(frozenset, row) for row in self.terms)]
+        self.keys = tuple(keys)
+
+    def mi(self, h: np.ndarray | Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """Each term's ``max((h_a + h_b) - h_c - h_d, 0)`` ``[B]``, in row
+        order, from the entropies ``h[i] [B]`` of ``keys[i]``.  The terms are
+        made as :meth:`combine` reads them, so a batch holds one term's
+        temporaries at a time besides ``h``."""
+        return (np.maximum(h[a] + h[b] - h[c] - h[d], 0.0) for a, b, c, d in self.index)
+
+    def combine(self, values: Iterable[np.ndarray]) -> list[np.ndarray]:
+        """The columns, unstacked: each row's per-term value, signed, added
+        into its column in row order (each column starts from 0.0); a lazy
+        ``values`` is read one term at a time."""
+        cols: list = [0.0] * self._width
+        for (c, sign), v in zip(self._rows, values):
+            cols[c] = cols[c] + v if sign > 0 else cols[c] - v
+        return cols
+
+
 class BatchJoint:
     """A batch of joint distributions sharing one axis layout.
 
@@ -439,14 +499,11 @@ class BatchJoint:
     coupling's joint law, row ``b`` is an input law over axes that include
     the inputs, and the joint is that law times ``law`` over ``in_names``
     plus the outputs (``names``).  Its marginals are contracted from the
-    input law and the law's marginal on the kept outputs, through kernels
-    the law caches (:meth:`ProbTensor.marginal_kernel`) or past
-    ``_AGG_LIMIT`` in one einsum, so the joint itself is never formed.
+    input law and the law's marginal on the kept outputs
+    (:func:`joint_entropies`), so the joint itself is never formed.
 
-    Subset entropies are cached per instance, so evaluating many
-    mutual-information terms over the same batch reuses marginals;
-    :meth:`entropies` fills the cache for many subsets in one pass.
-    Instances are write-once: callers must not mutate ``values``.
+    Subset entropies are cached per instance, and :meth:`entropies` fills
+    the cache for many subsets at once.  Callers must not mutate ``values``.
     """
 
     #: Joints with more cells than this marginalize by one einsum of the
@@ -468,72 +525,31 @@ class BatchJoint:
                 names=list(self.in_names),
             )
         self._law = law
-        out_cells = 1
-        self._outputs: tuple[str, ...] = ()
-        if law is not None:
-            if any(n not in self.in_names or values.shape[1 + self.in_names.index(n)] != law.card(n)
-                   for n in law.names[:2]):
-                raise DimensionMismatchError(
-                    "input law does not match the law's inputs",
-                    names=list(self.in_names), shape=values.shape[1:], law=law.cards,
-                )
-            self._outputs = law.names[2:]
-            out_cells = int(np.prod(law.cards[2:]))
-        self.names = self.in_names + self._outputs
-        self._flat = np.ascontiguousarray(values.reshape(values.shape[0], -1))
-        self._cells = self._flat.shape[1] * out_cells
+        if law is not None and any(
+                n not in self.in_names or values.shape[1 + self.in_names.index(n)] != law.card(n)
+                for n in law.names[:2]):
+            raise DimensionMismatchError(
+                "input law does not match the law's inputs",
+                names=list(self.in_names), shape=values.shape[1:], law=law.cards,
+            )
+        self.names = self.in_names + (law.names[2:] if law is not None else ())
         self._cache: dict[frozenset[str], np.ndarray] = {}
 
     @property
     def batch_size(self) -> int:
         return self.values.shape[0]
 
-    def _contract(self, key: frozenset[str]) -> np.ndarray:
-        """Marginal on ``key`` without a kernel matrix, ``[B, kept cells]``."""
-        if key & set(self._outputs):
-            marg, marg_names = _law_marginal(self._law, key)
-            sub = {n: i + 1 for i, n in enumerate(self.names)}
-            m = np.einsum(
-                self.values, [0, *(sub[n] for n in self.in_names)],
-                marg, [sub[n] for n in marg_names],
-                [0, *(sub[n] for n in self.names if n in key)],
-                optimize=True,
-            )
-        else:
-            sum_axes = tuple(i + 1 for i, n in enumerate(self.in_names) if n not in key)
-            m = self.values.sum(axis=sum_axes) if sum_axes else self.values
-        return m.reshape(m.shape[0], -1)
-
     def entropies(self, keys: Sequence[frozenset[str]]) -> list[np.ndarray]:
-        """Entropies ``[B]`` of the marginals on ``keys``, in their order.
-
-        The subsets not cached yet go through one :func:`_block_entropies`
-        pass over the law's kernel for all of them, or past ``_AGG_LIMIT``
-        (and without a law) through one pass per contracted marginal.
-        """
+        """Entropies ``[B]`` of the marginals on ``keys``, in their order; the
+        subsets not cached yet go through one :func:`joint_entropies` call."""
         missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
         unknown = set().union(*missing) - set(self.names)
         if unknown:
             raise UnknownAxisError("no such axis", axis=sorted(unknown), have=list(self.names))
-        if missing and self._law is not None and self._cells <= self._AGG_LIMIT:
-            kernel, starts = self._law.marginal_kernel(
-                self.in_names, self.values.shape[1:], tuple(missing))
-            self._cache.update(zip(missing, _block_entropies(self._flat, kernel, starts)))
-        else:
-            for key in missing:
-                self._cache[key] = _block_entropies(self._contract(key), None, (0,))[0]
+        if missing:
+            self._cache.update(zip(missing, joint_entropies(
+                self.in_names, self.values, self._law, missing)))
         return [self._cache[k] for k in keys]
 
     def entropy(self, names: Iterable[str]) -> np.ndarray:
-        key = frozenset(names)
-        cached = self._cache.get(key)
-        return cached if cached is not None else self.entropies((key,))[0]
-
-    def mi(
-        self,
-        target: Iterable[str],
-        second: Iterable[str],
-        given: Iterable[str] = (),
-    ) -> np.ndarray:
-        tg, sg, g, tsg = map(self.entropy, term_subsets(target, second, given))
-        return np.maximum(tg + sg - g - tsg, 0.0)
+        return self.entropies((frozenset(names),))[0]

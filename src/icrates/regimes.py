@@ -19,7 +19,6 @@ resolution increases monotone: the old witness is always re-tested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -33,7 +32,7 @@ from .gaussian import (
     noisy_gaussian,
     very_weak_gaussian,
 )
-from .probtensor import BatchJoint, ProbTensor, Term, _block_entropies, term_subsets
+from .probtensor import ProbTensor, Term, TermTable, joint_entropies
 from .probtensor import term as _T  # table shorthand
 from .search import SearchConfig, SearchResult, SimplexBlock, maximize
 
@@ -168,43 +167,22 @@ OBJECTIVES: dict[str, tuple[Layout, tuple[tuple[int, Term], ...]]] = {
 def objective(name: str, law: ProbTensor) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
     """Batched ``OBJECTIVES[name]`` over the search laws times ``law``.
 
-    The rows are compiled once: their distinct entropy subsets in first-use
-    order, each term's subsets ``(T|G, S|G, G, T|S|G)`` as indices into
-    them, and the signs.  A call forms the input law by one einsum and takes
-    every subset's entropy in one :func:`probtensor._block_entropies` pass
-    over the law's kernel for that input shape, or past
-    ``BatchJoint._AGG_LIMIT`` through :meth:`BatchJoint.entropies`.  Each
-    term is then ``max((h_a + h_b) - h_c - h_d, 0)``, elementwise as in
-    :meth:`BatchJoint.mi`, and the terms are signed and summed in row order;
-    no batch joint or per-subset lookup is built per call.
+    The rows are compiled once into a one-column :class:`probtensor.TermTable`.
+    A call forms the input law by one einsum, takes every subset's entropy
+    through :func:`probtensor.joint_entropies` and combines the terms; no
+    batch joint or per-subset lookup is built per call.
     """
     layout, rows = OBJECTIVES[name]
     subs, out = layout.expr.split("->")
     cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names}
     shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs.split(",")]
-    subsets: dict[frozenset[str], int] = {}
-    index = np.array([[subsets.setdefault(k, len(subsets)) for k in term_subsets(*t)]
-                      for _, t in rows]).T
-    signs = [sign for sign, _ in rows]
-    keys = tuple(subsets)
-    out_cells = math.prod(law.cards[2:])
-    kernels: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    table = TermTable([rows])
 
     def evaluate(batch: Mapping[str, np.ndarray]) -> np.ndarray:
         ops = [batch[op].reshape(len(batch[op]), *s) for op, s in zip(layout.operands, shapes)]
         q = np.einsum(layout.expr, *ops)
-        shape = q.shape[1:]
-        if math.prod(shape) * out_cells > BatchJoint._AGG_LIMIT:
-            h = np.stack(BatchJoint(layout.names, q, law).entropies(keys))
-        else:
-            if shape not in kernels:
-                kernels[shape] = law.marginal_kernel(layout.names, shape, keys)
-            h = _block_entropies(q.reshape(len(q), -1), *kernels[shape])
-        a, b, c, d = h[index]
-        total = 0.0
-        for sign, mi in zip(signs, np.maximum(a + b - c - d, 0.0)):
-            total = total + mi if sign > 0 else total - mi
-        return total
+        h = joint_entropies(layout.names, q, law, table.keys)
+        return table.combine(table.mi(h))[0]
 
     return evaluate
 

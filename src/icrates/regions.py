@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import split_system
-from .probtensor import BatchJoint, ProbTensor, Term, require_valid, term_subsets
+from .probtensor import BatchJoint, ProbTensor, Term, TermTable, require_valid
 from .probtensor import term as _T  # table shorthand
 from .regimes import _product_blocks
 from .search import (
@@ -491,19 +491,10 @@ def max_sumrate(r: RateRegion) -> float:
 # ---------------------------------------------------------------------------
 
 
-def table_bounds(table: Sequence[Constraint], mi: Callable[..., object]) -> np.ndarray:
-    """``[B, n_constraints]`` matrix of unclamped constraint bounds.
-
-    ``mi(target, second, given)`` evaluates one term: an array over a batch
-    of laws, or a float for a single law (then ``B = 1``).
-    """
-    cols = []
-    for _, _, terms in table:
-        val = 0.0
-        for term in terms:
-            val = val + mi(*term)
-        cols.append(val)
-    return np.column_stack(cols)
+@lru_cache(maxsize=None)
+def constraint_terms(table: tuple[Constraint, ...]) -> TermTable:
+    """``table`` compiled with one column per constraint, its terms added."""
+    return TermTable([[(+1, t) for t in terms] for _, _, terms in table])
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +514,10 @@ def batch_joint(ch: DiscreteIC, batch: DistBatch) -> BatchJoint:
 
 
 def batch_bounds(bj: BatchJoint, table: Sequence[Constraint]) -> np.ndarray:
-    """``[B, n_constraints]`` bound matrix for one constraint table."""
-    return np.maximum(table_bounds(table, bj.mi), 0.0)
+    """``[B, n_constraints]`` bound matrix for one constraint table; each
+    bound is a sum of clamped terms, so none is negative."""
+    terms = constraint_terms(tuple(table))
+    return np.column_stack(terms.combine(terms.mi(bj.entropies(terms.keys))))
 
 
 def merged_dirs_bounds(
@@ -749,8 +742,7 @@ def union_over_batches(
     per-law checks on exactly the laws the regions were built from.
     """
     tables = {scheme: table_for_scheme(scheme) for scheme in regions.values()}
-    subsets = tuple(dict.fromkeys(k for table in tables.values() for _, _, terms in table
-                                  for t in terms for k in term_subsets(*t)))
+    subsets = tuple(dict.fromkeys(k for t in tables.values() for k in constraint_terms(t).keys))
     accs = {name: SupportAccumulator(angles) for name in regions}
     laws = dict.fromkeys(regions, 0)
     for batch, feeds, counts in batches:
@@ -804,7 +796,7 @@ def region_scheme(
 # Gaussian regions (closed-form bounds over power splits)
 # ---------------------------------------------------------------------------
 
-GAUSSIAN_SCHEMES = ("tin", "semijoint", "hk_strong_y2", "one_sided")
+GAUSSIAN_SCHEMES = ("tin", "semijoint", "hk", "hk_strong_y2", "one_sided")
 
 
 def region_gaussian(
@@ -826,11 +818,12 @@ def region_gaussian(
     lam = np.linspace(0.0, 1.0, splits) if splits > 1 else np.array([0.0])
     if scheme == "tin":
         lam1 = lam2 = np.zeros(1)
-    elif scheme == "semijoint":
+    elif scheme in ("semijoint", "hk"):
         lam1, lam2 = (m.ravel() for m in np.meshgrid(lam, lam, indexing="ij"))
     else:
         lam1, lam2 = 0.0, lam
-    bounds = table_bounds(table, split_system(g, lam1, lam2).mi_bits)
+    terms, system = constraint_terms(table), split_system(g, lam1, lam2)
+    bounds = np.column_stack(terms.combine(system.mi_bits(*t) for t in terms.terms))
     acc = SupportAccumulator(angles)
     acc.add(*merged_dirs_bounds(table, bounds))
     return acc.finalize({

@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, SizeLimitError
+from .probtensor import KernelCache
 
 #: Default number of candidate points evaluated per vectorized chunk.
 CHUNK = 4096
@@ -94,10 +95,13 @@ class SearchConfig:
             raise ConfigError("aux_card_w must be >= 1", aux_card_w=self.aux_card_w)
         if self.aux_card_u is not None and self.aux_card_u < 1:
             raise ConfigError("aux_card_u must be >= 1", aux_card_u=self.aux_card_u)
-        if self.violation_tol <= 0:
-            raise ConfigError("violation_tol must be > 0", violation_tol=self.violation_tol)
+        if not (math.isfinite(self.violation_tol) and self.violation_tol > 0):
+            raise ConfigError("violation_tol must be finite and > 0",
+                              violation_tol=self.violation_tol)
         if self.angles < 2:
             raise ConfigError("angles must be >= 2", angles=self.angles)
+        if self.max_candidates < 1:
+            raise ConfigError("max_candidates must be >= 1", max_candidates=self.max_candidates)
 
     def card_w(self, nx: int) -> int:
         return self.aux_card_w if self.aux_card_w is not None else nx + 1
@@ -293,9 +297,13 @@ def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
     return np.concatenate([w[:, :, np.newaxis], x], axis=2)
 
 
+def _table_bytes(t: Table) -> int:
+    return sum(a.nbytes for a in (*t.columns.values(), t.counts, t.raw))
+
+
 #: Byte budget of the canonical tables kept by :func:`canonical_table`.
 _TABLE_BUDGET = 16 << 20
-_canonical_tables: dict[tuple[SimplexBlock, ...], Table] = {}
+_canonical_tables = KernelCache(_table_bytes, _TABLE_BUDGET)
 
 
 def canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
@@ -305,28 +313,15 @@ def canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
     raw index the flat index of the orbit's first raw grid point.
 
     Orbits come in the order of their first raw grid point.  Tables are
-    kept per block tuple, read-only, the oldest dropped first once they
-    hold more than ``_TABLE_BUDGET`` bytes (a single larger table is kept
-    alone).
+    kept per block tuple, read-only, in a :class:`probtensor.KernelCache`
+    of ``_TABLE_BUDGET`` bytes.
     """
     key = tuple(blocks)
-    table = _canonical_tables.get(key)
-    if table is None:
-        table = _canonical_tables[key] = _build_canonical_table(key)
-        for a in (*table.columns.values(), table.counts, table.raw):
-            a.setflags(write=False)
-        while (len(_canonical_tables) > 1
-               and sum(map(_table_bytes, _canonical_tables.values())) > _TABLE_BUDGET):
-            del _canonical_tables[next(iter(_canonical_tables))]
-    return table
-
-
-def _table_bytes(t: Table) -> int:
-    return sum(a.nbytes for a in (*t.columns.values(), t.counts, t.raw))
+    return _canonical_tables.get(key, lambda: _build_canonical_table(key))
 
 
 def _build_canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
-    """:func:`canonical_table`, uncached.  Each ``CHUNK`` batch of the raw
+    """:func:`canonical_table`, uncached and read-only.  Each ``CHUNK`` batch of the raw
     grid (:func:`product_batches` over the slice tables) is reduced to its
     distinct keys, with their counts, before the batches are merged, so the
     raw grid is never held whole."""
@@ -345,7 +340,10 @@ def _build_canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
     cuts = np.cumsum([blocks[0].n_slices] + [b.k for b in blocks[1:-1]])
     columns = dict(zip([b.name for b in blocks], np.split(keys, cuts, axis=2)))
     columns[blocks[0].name] = np.swapaxes(columns[blocks[0].name], 1, 2)
-    return Table(columns, count[order], first[keep], grid_size(blocks))
+    table = Table(columns, count[order], first[keep], grid_size(blocks))
+    for a in (*table.columns.values(), table.counts, table.raw):
+        a.setflags(write=False)
+    return table
 
 
 def iter_grid_batches(

@@ -38,8 +38,8 @@ from .regimes import (
     check_very_weak,
     check_very_weak_gaussian,
 )
-# batch_bounds, batch_joint and layered_family are unused here; icbench/tracing.py
-# patches them, and the suites' scheme_family, under this module's names.
+# batch_joint and layered_family are unused here; icbench/tracing.py patches
+# them, and the suites' scheme_family and batch_bounds, under this module's names.
 from .regions import (  # noqa: F401
     FAMILIES,
     Constraint,
@@ -52,7 +52,6 @@ from .regions import (  # noqa: F401
     region_scheme,
     scheme_family,
     source,
-    table_bounds,
     union_over_batches,
 )
 from .search import SearchConfig
@@ -100,6 +99,12 @@ class VerifyOutcome:
             "records": list(self.records),
             "config": self.config,
         }
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse, before any trial, a suite tolerance no gap could exceed."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError("tol must be finite and >= 0", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,7 @@ def verify_telescoping(
     na: int = 2,
 ) -> VerifyOutcome:
     """Exactness of the telescoping identity on random joints."""
+    _check_tol(tol)
     records = []
     failures = 0
     worst = 0.0
@@ -426,6 +432,7 @@ def _run_region_suite(
     bounds that a relabelling of W leaves unchanged), so ``laws_checked``
     and ``per_law_violations`` count every enumerated law.
     """
+    _check_tol(tol)
     suite = _REGION_SUITES[name]
     records = []
     for t in range(trials):
@@ -434,7 +441,7 @@ def _run_region_suite(
         tally = {"laws": 0, "violations": 0}
 
         def hook(bj: BatchJoint, bounds: Mapping[str, np.ndarray], counts: np.ndarray) -> None:
-            values = {**bounds, **{p: table_bounds(t, bj.mi) for p, t in suite.probes.items()}}
+            values = {**bounds, **{p: batch_bounds(bj, t) for p, t in suite.probes.items()}}
             for key, relations in suite.relations.items():
                 excess = np.maximum.reduce([_excess(values, rel) for rel in relations])
                 worst[key] = max(worst[key], float(excess.max()))
@@ -490,6 +497,7 @@ def verify_sumrate_collapse(
     TIN search per channel gives both the compared sum rate and the hk
     family's anchor.
     """
+    _check_tol(tol)
     records = []
     for t in range(trials):
         ch = generate_regime_channel("very_weak", seed * 1000 + t, cfg)
@@ -625,6 +633,8 @@ def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: 
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
     if trials is not None and trials < 1:
         raise ConfigError("trials must be >= 1", trials=trials)
+    if tol is not None:
+        _check_tol(tol)
     if name == "gaussian_regimes":
         return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
     given = {"trials": trials, "tol": tol, "cfg": None if name == "lemma1" else cfg}

@@ -6,6 +6,14 @@ import pytest
 from icrates import DiscreteIC, regions, search, sumcap
 
 
+def composed_mi(bj, term) -> np.ndarray:
+    """``I(T;S|G)`` over the batch joint ``bj``, written out from its four
+    subset entropies: ``max((H(TG) + H(SG)) - H(G) - H(TSG), 0)``."""
+    t, s, g = map(frozenset, term)
+    h_tg, h_sg, h_g, h_tsg = map(bj.entropy, (t | g, s | g, g, t | s | g))
+    return np.maximum(h_tg + h_sg - h_g - h_tsg, 0.0)
+
+
 def orthogonal_channel() -> DiscreteIC:
     """Noiseless parallel links: Y1 = X1, Y2 = X2 (binary)."""
     law = np.zeros((2, 2, 2, 2))

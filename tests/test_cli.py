@@ -90,6 +90,13 @@ class TestCommands:
         assert lines[0] == "theta_deg,h_bits,r1,r2"
         assert len(lines) == 92
 
+    def test_gaussian_hk_region(self, capsys):
+        code, out = run(capsys, "gaussian", "region", "--a", "0.3", "--b", "0.2",
+                        "--p1", "2", "--p2", "3", "--scheme", "hk", "--splits", "5")
+        doc = json.loads(out)
+        assert code == 0 and doc["scheme"] == "hk" and doc["config"]["splits"] == 5
+        assert doc["region"]["max_sumrate_bits"] >= doc["region"]["support_bits"][0]
+
     def test_region_json_and_csv(self, capsys, channel_file, tmp_path):
         out_path = tmp_path / "region.json"
         csv_path = tmp_path / "region.csv"
@@ -224,6 +231,21 @@ class TestExitCodes:
         argv = ["gaussian", "sumcap", "--a", "0.1", "--b", "0.1", "--p1", "1", "--p2", "1"]
         assert main([*argv, "--out", str(out)]) == 3
         assert "[VALIDATION_ERROR]" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("command", [["classify", "CH"], ["verify", "very_weak_regions"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_vacuous_tol_is_three_before_any_search(self, capsys, channel_file, monkeypatch,
+                                                    command, tol):
+        def search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "check_very_weak", search)
+        monkeypatch.setattr(cli, "run_suite", search)
+        argv = [channel_file if a == "CH" else a for a in command]
+        assert main([*argv, f"--tol={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert "[INVALID_CONFIG]" in captured.err and "violation_tol" in captured.err
+        assert captured.out == ""
 
     def test_over_budget_grid_is_three(self, capsys, tmp_path):
         ch = random_channel(4, (3, 3, 2, 2))

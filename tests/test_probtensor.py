@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from icrates.errors import (
     UnknownAxisError,
     ValidationError,
 )
-from icrates.probtensor import BatchJoint, term_subsets
-from icrates.regions import SCHEME_TABLES
+from icrates.probtensor import BatchJoint, TermTable, term
+from icrates.regions import SCHEME_TABLES, constraint_terms
 
 
 def random_tensor(seed, cards, names=None):
@@ -253,8 +254,7 @@ class TestBatchJoint:
         # whole marginal is [4096, 144], 4.7 MB; the pass holds row blocks.
         ch = random_channel(2, (3, 3, 3, 3))
         q = np.random.default_rng(0).dirichlet(np.ones(144), size=4096).reshape(4096, 4, 4, 3, 3)
-        keys = tuple(dict.fromkeys(
-            k for _, _, terms in SCHEME_TABLES["hk"] for t in terms for k in term_subsets(*t)))
+        keys = constraint_terms(SCHEME_TABLES["hk"]).keys
         tracemalloc.start()
         try:
             h = BatchJoint(("W1", "W2", "X1", "X2"), q, ch.law).entropies(keys)
@@ -269,7 +269,8 @@ class TestBatchJoint:
     def test_matches_probtensor_path(self):
         t = random_tensor(13, (2, 3, 2), ("A", "B", "C"))
         bj = BatchJoint(("A", "B", "C"), t.values[np.newaxis, ...])
-        got = bj.mi(("A",), ("B",), ("C",))[0]
+        table = TermTable([[(+1, term("A", "B", "C"))]])
+        got = table.combine(table.mi(bj.entropies(table.keys)))[0][0]
         want = mutual_information(t, InfoQuery.of("A", "B", "C"))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -297,7 +298,7 @@ class TestBatchJoint:
         q = np.stack([np.einsum("w,v,wi,vj->wvij", d.pw1, d.pw2, d.px1_given_w1,
                                 d.px2_given_w2) for d in dists])
         bj = BatchJoint(("W1", "W2", "X1", "X2"), q, ch.law)
-        assert bj._cells > BatchJoint._AGG_LIMIT
+        assert q[0].size * math.prod(ch.law.cards[2:]) > BatchJoint._AGG_LIMIT
         for names in (("W1", "X2"), ("X1", "Y1", "W2"), ("Y1", "Y2"), ("W1", "X1", "X2", "Y2")):
             got = bj.entropy(names)
             for row, d in enumerate(dists):
@@ -357,17 +358,41 @@ class TestBatchJoint:
         assert (probtensor._kernel_matrix(law, names, shape, keep) == want).all()
 
     def test_kernel_cache_evicts_oldest_first_under_its_budget(self):
-        cache = probtensor.KernelCache(budget=100)
+        cache = probtensor.KernelCache(lambda a: a.nbytes, budget=100)
         for key, n in enumerate([4, 4, 4, 20, 2]):  # 32, 32, 32, 160 and 16 bytes
             cache.get(key, lambda n=n: np.zeros(n))
-            assert cache.nbytes == sum(k.nbytes for k in cache._kernels.values()) <= 100 or len(cache) == 1
-        assert list(cache._kernels) == [4] and cache.nbytes == 16
+            assert cache.nbytes == sum(a.nbytes for a in cache._entries.values()) <= 100 or len(cache) == 1
+        assert list(cache._entries) == [4] and cache.nbytes == 16
         cache.budget = 40  # a budget set after construction holds from the next insertion
         cache.get(5, lambda: np.zeros(2))
-        assert list(cache._kernels) == [4, 5] and cache.nbytes == 32
+        assert list(cache._entries) == [4, 5] and cache.nbytes == 32
         cache.get(4, lambda: np.zeros(9))  # a hit builds and evicts nothing
         cache.get(6, lambda: np.zeros(2))
-        assert list(cache._kernels) == [5, 6] and cache.nbytes == 32
+        assert list(cache._entries) == [5, 6] and cache.nbytes == 32
+
+    def test_repeated_kernel_lookup_builds_nothing(self, monkeypatch):
+        # The second call with the same layout, shape and subsets hands back
+        # the cached (G, starts) objects; no kernel block is built again.
+        ch = random_channel(1, (2, 3, 2, 2))
+        builds = []
+        build = probtensor._kernel_matrix
+        monkeypatch.setattr(probtensor, "_kernel_matrix", lambda *a: builds.append(a[-1]) or build(*a))
+        keys = (frozenset(("W1", "Y1")), frozenset(("X2",)))
+        first = ch.law.marginal_kernel(("W1", "X1", "X2"), (2, 2, 3), keys)
+        assert builds == list(keys)
+        second = ch.law.marginal_kernel(("W1", "X1", "X2"), (2, 2, 3), keys)
+        assert builds == list(keys) and all(a is b for a, b in zip(first, second))
+        assert not any(a.flags.writeable for a in first)
+        assert ch.law._kernels.nbytes == first[0].nbytes
+
+    def test_dispatch_lives_in_probtensor(self):
+        # How a batch's entropies are taken (kernel or contraction) is
+        # decided by probtensor.joint_entropies alone.
+        src = Path(probtensor.__file__).parent
+        named = [(path.name, name) for path in sorted(src.glob("*.py")) if path.name != "probtensor.py"
+                 for name in ("_AGG_LIMIT", "marginal_kernel", "_block_entropies")
+                 if name in path.read_text(encoding="utf-8")]
+        assert named == []
 
     def test_channel_must_match_input_law(self):
         ch = random_channel(1, (2, 3, 2, 2))

@@ -22,10 +22,10 @@ from icrates import (
 )
 from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
-from icrates.probtensor import BatchJoint, term_subsets
+from icrates.probtensor import BatchJoint, TermTable
 from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
 from icrates.sumcap import evaluate_genie_dominance_margin
-from tests.conftest import product_channel, strong_pair_channel, xor_channel
+from tests.conftest import composed_mi, product_channel, strong_pair_channel, xor_channel
 
 CFG = SearchConfig(grid_steps=4, cond_grid_steps=2, restarts=2, aux_card_w=2, seed=3)
 
@@ -184,6 +184,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SearchConfig(grid_steps=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("violation_tol", float("nan")), ("violation_tol", float("inf")), ("violation_tol", 0.0),
+        ("max_candidates", 0), ("max_candidates", -5),
+    ])
+    def test_vacuous_settings_are_refused(self, field, value):
+        # A NaN or infinite tolerance would report every violation as
+        # NO_VIOLATION_FOUND; an empty budget would fail later, in the grid.
+        with pytest.raises(ConfigError, match=field):
+            SearchConfig(**{field: value})
+
     def test_report_serializes(self):
         report = check_strong_at_y2(strong_pair_channel(), CFG)
         doc = report.to_json_dict()
@@ -288,9 +298,10 @@ class TestObjectiveTable:
     @pytest.mark.parametrize("name", NAMES)
     def test_equals_the_composition_through_mi(self, name, size):
         # The objective compiles its rows once and takes every entropy in one
-        # fused pass; its values must be the signed running total of
-        # ``BatchJoint.mi`` over the rows once the joint's entropies come
-        # from the same pass (the same subsets in the same order).
+        # fused pass; its values must be the signed running total of the
+        # terms ``max((h_tg + h_sg) - h_g - h_tsg, 0)`` over the rows once
+        # the joint's entropies come from the same pass (the same subsets in
+        # the same order).
         ch = random_channel(11, (2, 3, 3, 2))
         vc = random_coupling(ch, 2, 2, seed=4)
         law = vc.joint_law if name.startswith(("genie", "alignment")) else ch.law
@@ -305,10 +316,10 @@ class TestObjectiveTable:
         ops = [batch[op].reshape(size, *(cards.get(c, -1) for c in sub[1:]))
                for op, sub in zip(layout.operands, subs.split(","))]
         bj = BatchJoint(layout.names, np.einsum(layout.expr, *ops), law)
-        bj.entropies([k for _, t in rows for k in term_subsets(*t)])
+        bj.entropies(TermTable([rows]).keys)
         want = 0.0
         for sign, t in rows:
-            want = want + bj.mi(*t) if sign > 0 else want - bj.mi(*t)
+            want = want + composed_mi(bj, t) if sign > 0 else want - composed_mi(bj, t)
         got = objective(name, law)(batch)
         assert got.shape == (size,)
         assert (got == want).all()

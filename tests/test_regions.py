@@ -31,8 +31,8 @@ from icrates.errors import (
     EmptyListError,
     NotOneSidedError,
 )
-from icrates.gaussian import split_system, tin_rates
-from icrates.probtensor import BatchJoint, term_subsets
+from icrates.gaussian import split_system, tin_rates, very_weak_gaussian
+from icrates.probtensor import BatchJoint, TermTable
 from icrates.regimes import OBJECTIVES
 from icrates.regions import (
     FAMILIES,
@@ -42,13 +42,14 @@ from icrates.regions import (
     batch_joint,
     merged_dirs_bounds,
     relayer,
+    constraint_terms,
     scheme_family,
-    table_bounds,
     table_for_scheme,
     union_over_batches,
 )
 from icrates.verify import _REGION_SUITES, generate_regime_channel
 from tests.conftest import (
+    composed_mi,
     constant_w_laws,
     family_from_scratch,
     orthogonal_channel,
@@ -783,6 +784,32 @@ class TestBatchConsistency:
                 want = oracle_bounds(ch, d, table_for_scheme(scheme))
                 np.testing.assert_allclose(bounds[row], want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    @pytest.mark.parametrize("table", [*SCHEME_TABLES, "w1_leak"])
+    def test_bounds_equal_the_composition_through_mi(self, table, size):
+        # Every scheme table and the one_sided suite's probe: each bound is
+        # the running total of its terms over the row, from the entropies
+        # of the same pass; rows 0 and 1 hold point masses.
+        rows = SCHEME_TABLES.get(table) or _REGION_SUITES["one_sided_regions"].probes[table]
+        ch = random_channel(11, (2, 3, 3, 2))
+        rng = np.random.default_rng(size)
+        batch = {"pw1": rng.dirichlet(np.ones(3), size=size), "pw2": rng.dirichlet(np.ones(2), size=size),
+                 "px1w1": rng.dirichlet(np.ones(2), size=(size, 3)),
+                 "px2w2": rng.dirichlet(np.ones(3), size=(size, 2))}
+        batch["pw1"][0] = np.eye(3)[0]
+        batch["px2w2"][-1, 1] = np.eye(3)[2]
+        bj = batch_joint(ch, batch)
+        bj.entropies(constraint_terms(rows).keys)
+        want = []
+        for _, _, terms in rows:
+            total = 0.0
+            for t in terms:
+                total = total + composed_mi(bj, t)
+            want.append(total)
+        got = batch_bounds(bj, rows)
+        assert got.shape == (size, len(rows))
+        assert (got == np.column_stack(want)).all()
+
     def test_polytope_size_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             batch_joint(random_channel(3, (2, 3, 2, 2)), aux_batch([random_aux(0)]))
@@ -967,8 +994,8 @@ class TestChannelKernel:
             terms = [t for layout, rows in OBJECTIVES.values() if layout.names == names for _, t in rows]
             if names == region:
                 terms += [t for table in SCHEME_TABLES.values() for _, _, ts in table for t in ts]
-            keys = tuple(dict.fromkeys(k for t in terms for k in term_subsets(*t)
-                                       if k <= set(names + law.names[2:])))
+            keys = tuple(k for k in TermTable([[(+1, t) for t in terms]]).keys
+                         if k <= set(names + law.names[2:]))
             if not keys:  # the coupling's layout over the channel law
                 continue
             shape = tuple(cards[n] for n in names)
@@ -1033,7 +1060,8 @@ class TestGaussianRegions:
         # Strong interference (|a|, |b| >= 1): the semijoint member at
         # lam1 = lam2 = 1 (W = X) is Sato's (1981) capacity region.
         table = table_for_scheme("semijoint")
-        bounds = table_bounds(table, split_system(GaussianIC(a, b, p1, p2), 1.0, 1.0).mi_bits)
+        terms, system = constraint_terms(table), split_system(GaussianIC(a, b, p1, p2), 1.0, 1.0)
+        bounds = np.column_stack(terms.combine(system.mi_bits(*t) for t in terms.terms))
         dirs, merged = merged_dirs_bounds(table, bounds)
         c = lambda snr: 0.5 * math.log2(1.0 + snr)  # noqa: E731
         sato = {(1, 0): c(p1), (0, 1): c(p2),
@@ -1041,6 +1069,26 @@ class TestGaussianRegions:
         assert set(dirs) == set(sato)
         for d, bound in zip(dirs, merged[0]):
             assert bound == pytest.approx(sato[d], abs=1e-12)
+
+    def test_hk_sum_rate_collapses_to_tin_in_the_very_weak_regime(self):
+        # Draws from verify_gaussian_regimes' ranges.  In the very weak
+        # regime the hk max sum rate is the TIN sum rate; the 12-decimal
+        # vertex snap moves each coordinate by at most 5e-13, so the sum by
+        # at most 1e-12, and 1e-13 more covers the log-det rounding.
+        # Outside it, hk contains the TIN corner (its lam = 0 member) and
+        # beats it by more than 1e-3 bits on some draw.
+        tol = 1.1e-12
+        rng = np.random.default_rng(np.random.SeedSequence([0x6A55, 0]))
+        gains = 10.0 ** rng.uniform(-2.0, 0.5, size=(60, 2))
+        powers = 10.0 ** rng.uniform(-1.0, 1.5, size=(60, 2))
+        gaps = {True: [], False: []}
+        for (a, b), (p1, p2) in zip(gains, powers):
+            g = GaussianIC(a=float(a), b=float(b), p1=float(p1), p2=float(p2))
+            hk = max_sumrate(region_gaussian(g, "hk"))
+            gaps[very_weak_gaussian(g).in_regime].append(hk - sum(tin_rates(g)))
+        assert len(gaps[True]) >= 20 and len(gaps[False]) >= 20
+        assert max(abs(gap) for gap in gaps[True]) <= tol
+        assert min(gaps[False]) >= -tol and max(gaps[False]) > 1e-3
 
     def test_no_interference_rectangle(self):
         g = GaussianIC(a=0.0, b=0.0, p1=1.0, p2=1.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from icrates import SearchConfig, random_channel, random_coupling
 from icrates import regions, search
 from icrates.errors import SizeLimitError
+from icrates.probtensor import KernelCache
 from icrates.regimes import OBJECTIVES, objective
 from icrates.search import (
     IMPROVE_EPS,
@@ -221,7 +222,10 @@ def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
 
 
 def test_canonical_tables_are_kept_per_block_tuple(monkeypatch):
-    monkeypatch.setattr(search, "_canonical_tables", {})
+    # The tables share the kernels' cache and its eviction rule.
+    assert isinstance(search._canonical_tables, KernelCache)
+    assert search._canonical_tables.budget == search._TABLE_BUDGET
+    monkeypatch.setattr(search, "_canonical_tables", KernelCache(search._table_bytes, search._TABLE_BUDGET))
     blocks = [SimplexBlock("pw", 1, 3, 4), SimplexBlock("px_own", 3, 2, 2)]
     first = search.canonical_table(blocks)
     assert search.canonical_table(tuple(blocks)) is first
@@ -229,10 +233,11 @@ def test_canonical_tables_are_kept_per_block_tuple(monkeypatch):
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         first.counts[0] = 0
+    assert search._canonical_tables.nbytes == sum(a.nbytes for a in arrays)
     # Past the budget the oldest table goes first; the newest stays alone.
-    monkeypatch.setattr(search, "_TABLE_BUDGET", 1)
+    search._canonical_tables.budget = 1
     other = search.canonical_table([SimplexBlock("pw", 1, 2, 4), SimplexBlock("px_own", 2, 2, 2)])
-    assert [t is other for t in search._canonical_tables.values()] == [True]
+    assert [t is other for t in search._canonical_tables._entries.values()] == [True]
     assert search.canonical_table(blocks) is not first
 
 

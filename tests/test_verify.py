@@ -10,7 +10,7 @@ from icrates import (
     telescoping_gap,
 )
 from icrates.channels import channel_digest
-from icrates.errors import DimensionMismatchError
+from icrates.errors import ConfigError, DimensionMismatchError
 from icrates.probtensor import ProbTensor
 from icrates.verify import (
     random_identity_joint,
@@ -170,6 +170,22 @@ class TestSuites:
         a = verify_very_weak_equivalence(trials=1, seed=5, cfg=CFG)
         b = verify_very_weak_equivalence(trials=1, seed=5, cfg=CFG)
         assert a.to_json_dict() == b.to_json_dict()
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_vacuous_tolerance_is_refused_before_any_trial(self, tol, monkeypatch):
+        # No gap exceeds NaN or inf, so such a suite could never fail.
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(verify, "generate_regime_channel", trial)
+        monkeypatch.setattr(verify, "random_identity_joint", trial)
+        for name in verify.SUITES:
+            with pytest.raises(ConfigError, match="tol"):
+                run_suite(name, trials=1, seed=0, cfg=CFG, tol=tol)
+        for suite in (verify_telescoping, verify_very_weak_equivalence, verify_sumrate_collapse,
+                      verify_strong_y2_equivalence, verify_one_sided_reduction):
+            with pytest.raises(ConfigError, match="tol"):
+                suite(trials=1, tol=tol)
 
     def test_run_suite_dispatch(self):
         out = run_suite("lemma1", trials=20, seed=0, cfg=CFG, tol=None)
