@@ -41,7 +41,7 @@ from .regions import GAUSSIAN_SCHEMES, SCHEMES, RateRegion, region_gaussian, reg
 from .search import SearchConfig
 from .serialize import frontier_csv, stable_json_dumps
 from .sumcap import certify_sum_capacity, outer_bound, tin_sumrate
-from .verify import SUITE_CONFIG, SUITES, run_suite
+from .verify import SUITE_CONFIG, SUITES, refuse_unread, run_suite
 
 
 #: Search flag -> (``SearchConfig`` field, type, help).  Every flag defaults
@@ -57,9 +57,6 @@ _SEARCH_FLAGS = {
     "--tol": ("violation_tol", float, "tolerance in bits for the command's main check"),
 }
 
-
-#: ``SearchConfig`` fields of the search flags each non-region suite reads.
-_SUITE_READS = {"lemma1": ("seed", "violation_tol"), "gaussian_regimes": ("seed",)}
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -222,8 +219,8 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
-    if args.suite in _SUITE_READS:
-        _refuse_unread(args, _SUITE_READS[args.suite], f"verify {args.suite}")
+    given = [dest for dest, _, _ in _SEARCH_FLAGS.values() if getattr(args, dest) is not None]
+    refuse_unread(args.suite, ["tol" if dest == "violation_tol" else dest for dest in given])
     # --tol is the suite tolerance; the channel generator keeps its own.
     cfg = dataclasses.replace(_config(args, SUITE_CONFIG), violation_tol=SUITE_CONFIG.violation_tol)
     outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,

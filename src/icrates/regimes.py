@@ -19,7 +19,7 @@ resolution increases monotone: the old witness is always re-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ def _report(condition: str, result: SearchResult, cfg: SearchConfig) -> RegimeRe
         condition=condition,
         status=status,
         margin_bits=result.value,
-        witness={k: v.copy() for k, v in result.point.items()},
+        witness={k: v.copy() for k, v in OBJECTIVES[condition][0].lift(result.point).items()},
         resolution=resolution,
     )
 
@@ -93,14 +93,14 @@ class Layout:
 
     ``expr`` multiplies the blocks named by ``operands`` into the input law;
     its output subscripts letter ``names`` after the batch letter ``b``.
-    Each block ``[B, slices, k]`` is reshaped to its subscripts: the letters
-    of ``X1`` and ``X2`` take the law's input cardinalities, the one other
-    letter the rest.  The objective's joint is the input law times a
+    Each block ``[B, slices, k]`` is reshaped to its subscripts: the last
+    letter takes ``k``, the ``X1``/``X2`` letters but ``broadcast`` the law's
+    input cardinalities, the one other letter the rest (a ``broadcast`` axis
+    of size 1 is broadcast).  The objective's joint is the input law times a
     conditional law (the channel law or a coupling's joint law), over
-    ``names`` followed by the law's outputs.  ``labels`` names the blocks
-    whose labels no objective over the layout sees, in the form
-    :func:`search.iter_grid_batches` takes: the first block's columns are
-    the labels, every later one has one slice per label.
+    ``names`` then the law's outputs.  ``labels`` names the blocks whose
+    labels no objective over the layout sees, as :func:`search.iter_grid_batches`
+    takes them.  ``lift`` makes a searched point the witness reported.
     """
 
     blocks: Callable[[DiscreteIC, SearchConfig], list[SimplexBlock]]
@@ -108,6 +108,8 @@ class Layout:
     operands: tuple[str, ...]
     names: tuple[str, ...]
     labels: tuple[str, ...] = ()
+    broadcast: str = ""
+    lift: Callable[[Mapping[str, np.ndarray]], dict[str, np.ndarray]] = dict
 
 
 def _product_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
@@ -126,9 +128,9 @@ def _layer_blocks(cfg: SearchConfig, n_own: int, n_other: int) -> list[SimplexBl
     ]
 
 
-def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig) -> list[SimplexBlock]:
+def _dominance_blocks(ch: DiscreteIC, cfg: SearchConfig, n_own: int) -> list[SimplexBlock]:
     return _product_blocks(ch, cfg) + [
-        SimplexBlock("pu", ch.nx1 * ch.nx2, cfg.card_u(ch.nx1, ch.nx2), cfg.cond_grid_steps),
+        SimplexBlock("pu", n_own, cfg.aux_card_u or n_own, cfg.cond_grid_steps),
     ]
 
 
@@ -139,9 +141,12 @@ _LAYER_1 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx1, ch.nx2), "bw,bwi,bj
                   ("pw", "px_own", "px_other"), ("W1", "X1", "X2"), ("pw", "px_own"))
 _LAYER_2 = Layout(lambda ch, cfg: _layer_blocks(cfg, ch.nx2, ch.nx1), "bw,bwj,bi->bwij",
                   ("pw", "px_own", "px_other"), ("W2", "X1", "X2"), ("pw", "px_own"))
-#: ``P(x1) P(x2) P(u|x1,x2)``; U's labels, the columns of ``pu``, are exchangeable.
-_AUX_U = Layout(_dominance_blocks, "bi,bj,biju->biju", ("px1", "px2", "pu"), ("X1", "X2", "U"),
-                ("pu",))
+#: ``P(x1) P(x2) P(u|x1)`` and its mirror, ``pu`` at size 1 on the other input; U's labels are
+#: exchangeable.  Witnesses: the dense ``P(u|x1,x2)``, rows in ``(x1, x2)`` order, scored alike.
+_AUX_U1 = Layout(lambda ch, cfg: _dominance_blocks(ch, cfg, ch.nx1), "bi,bj,biju->biju", ("px1", "px2", "pu"),
+                 ("X1", "X2", "U"), ("pu",), "j", lambda p: {**p, "pu": np.repeat(p["pu"], p["px2"].size, 0)})
+_AUX_U2 = replace(_AUX_U1, blocks=lambda ch, cfg: _dominance_blocks(ch, cfg, ch.nx2), broadcast="i",
+                  lift=lambda p: {**p, "pu": np.tile(p["pu"], (p["px1"].size, 1))})
 
 #: Every searched or scored quantity: a layout and signed rows, summed in
 #: order as ``sum(sign * I(term))`` over the layout's joint; ``strong_y1``
@@ -157,10 +162,10 @@ OBJECTIVES: dict[str, tuple[Layout, tuple[tuple[int, Term], ...]]] = {
     "strong_y1": (_PRODUCT, ((+1, _T("X2", "Y2", "X1")), (-1, _T("X2", "Y1", "X1")))),
     "very_weak_1": (_LAYER_1, ((+1, _T("W1", "Y2", "X2")), (-1, _T("W1", "Y1")))),
     "very_weak_2": (_LAYER_2, ((+1, _T("W2", "Y1", "X1")), (-1, _T("W2", "Y2")))),
-    "genie_dominance_1": (_AUX_U, ((+1, _T("U", "Y2", ("X2", "Yt2"))),
-                                   (-1, _T("U", "Yt1", ("X2", "Yt2"))))),
-    "genie_dominance_2": (_AUX_U, ((+1, _T("U", "Y1", ("X1", "Yt1"))),
-                                   (-1, _T("U", "Yt2", ("X1", "Yt1"))))),
+    "genie_dominance_1": (_AUX_U1, ((+1, _T("U", "Y2", ("X2", "Yt2"))),
+                                    (-1, _T("U", "Yt1", ("X2", "Yt2"))))),
+    "genie_dominance_2": (_AUX_U2, ((+1, _T("U", "Y1", ("X1", "Yt1"))),
+                                    (-1, _T("U", "Yt2", ("X1", "Yt1"))))),
 }
 
 
@@ -174,12 +179,13 @@ def objective(name: str, law: ProbTensor) -> Callable[[Mapping[str, np.ndarray]]
     """
     layout, rows = OBJECTIVES[name]
     subs, out = layout.expr.split("->")
-    cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names}
-    shapes = [tuple(cards.get(c, -1) for c in sub[1:]) for sub in subs.split(",")]
+    cards = {c: law.card(n) for c, n in zip(out[1:], layout.names) if n in law.names and c != layout.broadcast}
+    shapes = [tuple(cards.get(c, -1) for c in sub[1:-1]) for sub in subs.split(",")]
     table = TermTable([rows])
 
     def evaluate(batch: Mapping[str, np.ndarray]) -> np.ndarray:
-        ops = [batch[op].reshape(len(batch[op]), *s) for op, s in zip(layout.operands, shapes)]
+        ops = [batch[op].reshape(len(batch[op]), *s, batch[op].shape[-1])
+               for op, s in zip(layout.operands, shapes)]
         q = np.einsum(layout.expr, *ops)
         h = joint_entropies(layout.names, q, law, table.keys)
         return table.combine(table.mi(h))[0]

@@ -65,10 +65,10 @@ class SearchConfig:
 
     ``grid_steps`` controls marginal simplices, ``cond_grid_steps``
     conditional ones.  ``aux_card_w`` / ``aux_card_u`` default to
-    ``|X_i| + 1`` and ``|X1|*|X2|`` when left unset.  ``max_candidates``
-    bounds every full grid enumeration, searches and region product grids
-    alike; blocks are coarsened (largest first) to fit, and the effective
-    resolution is reported alongside every result.
+    ``|X_i| + 1`` and ``|X_own|`` (enough, by Caratheodory) when left
+    unset.  ``max_candidates`` bounds every full grid enumeration, searches
+    and region product grids alike; blocks are coarsened (largest first) to
+    fit, and the effective resolution is reported alongside every result.
     """
 
     grid_steps: int = 8
@@ -105,9 +105,6 @@ class SearchConfig:
 
     def card_w(self, nx: int) -> int:
         return self.aux_card_w if self.aux_card_w is not None else nx + 1
-
-    def card_u(self, nx1: int, nx2: int) -> int:
-        return self.aux_card_u if self.aux_card_u is not None else nx1 * nx2
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -6,7 +6,8 @@ things about the genie that reveals the side outputs to the receivers:
 
 - *dominance*: for every auxiliary variable U, each side output is at least
   as informative about U as the cross receiver output it stands in for
-  (searched over ``P(X1) P(X2) P(U|X1,X2)``);
+  (searched over ``P(X1) P(X2) P(U|X_own)``, which reaches the supremum
+  over ``P(U|X1,X2)``);
 - *alignment*: at a maximizer of the genie-aided rate, each side output is
   redundant given the own receiver output (``I(X_i; Yt_i | Y_i) = 0``).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -625,16 +625,30 @@ SUITES: dict[str, Suite] = {
 }
 
 
+#: The request fields (``tol`` and ``SearchConfig`` fields) that each suite
+#: reading no ``cfg`` reads; the region suites read every field.
+_SUITE_READS = {"lemma1": ("seed", "tol"), "gaussian_regimes": ("seed",)}
+
+
+def refuse_unread(name: str, given: Iterable[str]) -> None:
+    """``INVALID_CONFIG`` for any field in ``given`` that suite ``name`` does
+    not read (:data:`_SUITE_READS`), so that nothing given is dropped."""
+    unread = [f for f in given if name in _SUITE_READS and f not in _SUITE_READS[name]]
+    if unread:
+        raise ConfigError(f"{name} does not read {', '.join(unread)}", suite=name, fields=unread)
+
+
 def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: float | None) -> VerifyOutcome:
     """Run one :data:`SUITES` entry; ``trials=None`` and ``tol=None`` keep the
     suite's own trial count and tolerance.  ``lemma1`` reads no ``cfg``, and
-    ``gaussian_regimes`` neither ``cfg`` nor ``tol``."""
+    ``gaussian_regimes`` neither ``cfg`` nor ``tol``, which it refuses."""
     if name not in SUITES:
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
     if trials is not None and trials < 1:
         raise ConfigError("trials must be >= 1", trials=trials)
     if tol is not None:
         _check_tol(tol)
+        refuse_unread(name, ["tol"])
     if name == "gaussian_regimes":
         return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
     given = {"trials": trials, "tol": tol, "cfg": None if name == "lemma1" else cfg}

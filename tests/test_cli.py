@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import icrates
-from icrates import SearchConfig, cli, random_channel, save_channel
+from icrates import SearchConfig, cli, random_channel, save_channel, search
 from icrates.channels import random_coupling, save_coupling
 from icrates.cli import main
+from icrates.errors import ConfigError
 from icrates.gaussian import CERTIFICATE_SEARCH_POINTS
+from icrates.regimes import OBJECTIVES
 
 
 @pytest.fixture
@@ -248,12 +250,19 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_over_budget_grid_is_three(self, capsys, tmp_path):
+        # |U| = 30 on a 3x3 channel: even one step per block leaves 3 * 3 * 30**3 points.
         ch = random_channel(4, (3, 3, 2, 2))
+        cfg = SearchConfig(aux_card_u=30)
+        one_step = [dataclasses.replace(b, steps=1)
+                    for b in OBJECTIVES["genie_dominance_1"][0].blocks(ch, cfg)]
+        assert search.grid_size(one_step) == 3 * 3 * 30**3 > cfg.max_candidates
         ch_path, vc_path = tmp_path / "ch.json", tmp_path / "vc.json"
         save_channel(ch, ch_path)
         save_coupling(random_coupling(ch, 2, 2, seed=4), vc_path)
-        assert main(["certify", str(ch_path), "--virtual", str(vc_path)]) == 3
-        assert "--aux-u" in capsys.readouterr().err
+        assert main(["certify", str(ch_path), "--virtual", str(vc_path), "--aux-u", "30"]) == 3
+        captured = capsys.readouterr()
+        assert "[SIZE_LIMIT_EXCEEDED]" in captured.err and "--aux-u" in captured.err
+        assert captured.out == ""
 
 
 class TestOutOfRange:
@@ -296,6 +305,14 @@ class TestUnreadFlags:
         files = {"CH": channel_file, "G": gaussian_file}
         assert main([files.get(a, a) for a in argv]) == 3
         assert "[INVALID_CONFIG]" in capsys.readouterr().err
+
+    def test_verify_refuses_through_the_library_check(self, capsys):
+        # The CLI and run_suite refuse an unread tolerance with one message.
+        with pytest.raises(ConfigError) as exc:
+            icrates.run_suite("gaussian_regimes", trials=3, seed=0, cfg=SearchConfig(), tol=0.5)
+        assert main(["verify", "gaussian_regimes", "--trials", "3", "--tol", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"{exc.value}\n" and captured.out == ""
 
     def test_read_flags_still_run(self, capsys):
         code, out = run(capsys, "verify", "lemma1", "--trials", "3", "--seed", "1", "--tol", "1e-9")

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from icrates import regimes, search
 from icrates import (
@@ -24,6 +26,7 @@ from icrates.channels import VirtualCoupling
 from icrates.errors import ConfigError
 from icrates.probtensor import BatchJoint, TermTable
 from icrates.regimes import NO_VIOLATION_FOUND, OBJECTIVES, VIOLATED, evaluate_objective, objective
+from icrates.search import SimplexBlock, grid_size, iter_grid_batches, maximize
 from icrates.sumcap import evaluate_genie_dominance_margin
 from tests.conftest import composed_mi, product_channel, strong_pair_channel, xor_channel
 
@@ -264,6 +267,15 @@ def _copy_coupling(sizes, seed: int, side: int) -> VirtualCoupling:
     return VirtualCoupling(ch, ProbTensor(("X1", "X2", "Y1", "Y2", "Yt1", "Yt2"), q))
 
 
+def _dense_blocks(name: str, ch: DiscreteIC, cfg: SearchConfig) -> list:
+    """The blocks of ``name``'s layout; for a dominance condition, the dense
+    ``P(x1) P(x2) P(u|x1,x2)`` that witnesses take, built here from ``cfg``."""
+    if "pu" not in OBJECTIVES[name][0].operands:
+        return OBJECTIVES[name][0].blocks(ch, cfg)
+    return [SimplexBlock("px1", 1, ch.nx1, cfg.grid_steps), SimplexBlock("px2", 1, ch.nx2, cfg.grid_steps),
+            SimplexBlock("pu", ch.nx1 * ch.nx2, cfg.aux_card_u, cfg.cond_grid_steps)]
+
+
 class TestObjectiveTable:
     NAMES = ("tin", "genie", "alignment_1", "alignment_2", "strong_y2", "strong_y1",
              "very_weak_1", "very_weak_2", "genie_dominance_1", "genie_dominance_2")
@@ -284,7 +296,7 @@ class TestObjectiveTable:
         law = vc.joint_law if name.startswith(("genie", "alignment")) else ch.law
         rng = np.random.default_rng(len(name))
         batch = {b.name: rng.dirichlet(np.ones(b.k), size=(6, b.n_slices))
-                 for b in OBJECTIVES[name][0].blocks(ch, cfg)}
+                 for b in _dense_blocks(name, ch, cfg)}
         first = next(iter(batch.values()))
         first[0, 0] = np.eye(first.shape[2])[0]  # a point mass: zero entries
         values = objective(name, law)(batch)
@@ -308,7 +320,7 @@ class TestObjectiveTable:
         layout, rows = OBJECTIVES[name]
         rng = np.random.default_rng(size)
         batch = {b.name: rng.dirichlet(np.ones(b.k), size=(size, b.n_slices))
-                 for b in layout.blocks(ch, SearchConfig(aux_card_w=3, aux_card_u=2))}
+                 for b in _dense_blocks(name, ch, SearchConfig(aux_card_w=3, aux_card_u=2))}
         first = next(iter(batch.values()))
         first[0, 0] = np.eye(first.shape[2])[0]  # a point mass: zero entries
         subs, out = layout.expr.split("->")
@@ -323,3 +335,69 @@ class TestObjectiveTable:
         got = objective(name, law)(batch)
         assert got.shape == (size,)
         assert (got == want).all()
+
+
+class TestDominanceSearch:
+    """The dominance conditions search ``P(u|x_own)``; their witnesses are the
+    dense ``P(u|x1,x2)`` that ``pu`` lifts to, scored by the same objective."""
+
+    NAMES = ("genie_dominance_1", "genie_dominance_2")
+
+    @pytest.mark.parametrize("coupling", ["product", "copy_y2", "copy_y1"])
+    @pytest.mark.parametrize("sizes", [(2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 2, 2)])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_lifted_witness_scores_the_same_under_the_dense_form(self, name, sizes, coupling):
+        if coupling == "product":
+            vc = random_coupling(random_channel(sum(sizes), sizes), 2, 3, seed=5)
+        else:
+            vc = _copy_coupling(sizes, sum(sizes), 1 if coupling == "copy_y2" else 2)
+        ch, law = vc.base, vc.joint_law
+        layout = OBJECTIVES[name][0]
+        rng = np.random.default_rng(sum(sizes))
+        batch = {b.name: rng.dirichlet(np.ones(b.k), size=(6, b.n_slices))
+                 for b in layout.blocks(ch, SearchConfig(aux_card_u=3))}
+        own = ch.nx1 if name.endswith("1") else ch.nx2
+        assert batch["pu"].shape == (6, own, 3)
+        values = objective(name, law)(batch)
+        for row in range(6):
+            point = {k: v[row] for k, v in batch.items()}
+            dense = layout.lift(point)
+            assert dense["pu"].shape == (ch.nx1 * ch.nx2, 3)
+            pu = dense["pu"].reshape(ch.nx1, ch.nx2, 3)
+            for x1, x2 in np.ndindex(ch.nx1, ch.nx2):  # rows in (x1, x2) order
+                assert (pu[x1, x2] == point["pu"][x1 if name.endswith("1") else x2]).all()
+            alone = evaluate_objective(name, law, point)
+            assert evaluate_objective(name, law, dense) == alone
+            assert alone == pytest.approx(values[row], abs=1e-12)
+            want = _reference(name, ch.law.values, law.values, dense)
+            assert alone == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(NAMES),
+           sizes=st.sampled_from([(2, 2, 2, 2), (2, 2, 3, 2), (2, 3, 2, 2), (2, 3, 2, 3)]),
+           coupling=st.sampled_from(["product", "copy_y2", "copy_y1"]),
+           seed=st.integers(0, 2**16), steps=st.integers(2, 4), cond=st.integers(1, 4),
+           card_u=st.integers(2, 3))
+    # Two channels whose best grid points hold U off the vertices: a reduced
+    # search coarser than the dense grid falls short on them.
+    @example(name="genie_dominance_1", sizes=(2, 2, 2, 2), coupling="copy_y1", seed=3, steps=4,
+             cond=4, card_u=2)
+    @example(name="genie_dominance_2", sizes=(2, 2, 2, 2), coupling="product", seed=7, steps=4,
+             cond=4, card_u=2)
+    def test_dense_grid_never_beats_the_reduced_search(self, name, sizes, coupling, seed, steps,
+                                                       cond, card_u):
+        cfg = SearchConfig(grid_steps=steps, cond_grid_steps=cond, restarts=0, aux_card_u=card_u)
+        if coupling == "product":
+            vc = random_coupling(random_channel(seed, sizes), 2, 2, seed=seed)
+        else:
+            vc = _copy_coupling(sizes, seed, 1 if coupling == "copy_y2" else 2)
+        dense = _dense_blocks(name, vc.base, cfg)
+        assume(grid_size(dense) <= 40_000)
+        score = objective(name, vc.joint_law)
+        dense_max = max(float(score(batch).max()) for _, batch in iter_grid_batches(dense))
+        layout = OBJECTIVES[name][0]
+        res = maximize(score, layout.blocks(vc.base, cfg), cfg, labels=layout.labels)
+        # A reduced point lifts to a dense one at the same steps, and the
+        # objective is linear in px_other: the two grid maxima agree.
+        assert abs(dense_max - res.grid_value) <= 1e-9
+        assert res.grid_value <= res.value + 1e-12

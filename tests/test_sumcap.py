@@ -23,7 +23,7 @@ from icrates import (
 from icrates import sumcap
 from icrates.channels import X1, X2, Y1, Y2, YT1, YT2, VirtualCoupling, save_channel, save_coupling
 from icrates.cli import main
-from icrates.errors import SizeLimitError, ValidationError
+from icrates.errors import ValidationError
 from icrates.probtensor import ProbTensor
 from icrates.regimes import NO_VIOLATION_FOUND, VIOLATED, RegimeReport
 from icrates.search import SearchResult
@@ -118,14 +118,19 @@ class TestOuterBound:
 
 
 class TestDominance:
-    def test_default_aux_u_on_three_by_three_exceeds_budget(self):
-        # |U| defaults to 9: even one step per block leaves 3 * 3 * 9**9 points.
+    def test_default_aux_u_on_three_by_three_runs_within_budget(self):
+        # |U| defaults to |X_own| = 3: each direction's grid is 45 * 45 * 15**3
+        # points, coarsened to fit, and its witness is the dense P(u|x1,x2).
         ch = random_channel(4, (3, 3, 2, 2))
         vc = random_coupling(ch, 2, 2, seed=4)
         start = time.perf_counter()
-        with pytest.raises(SizeLimitError, match="aux-u"):
-            check_genie_dominance(ch, vc, SearchConfig())
+        reports = check_genie_dominance(ch, vc, SearchConfig())
         assert time.perf_counter() - start < 10.0
+        for direction, report in enumerate(reports, start=1):
+            assert report.witness["pu"].shape == (9, 3)
+            assert report.resolution["effective_steps"]["px1"] == 8
+            again = evaluate_genie_dominance_margin(ch, vc, direction, report.witness)
+            assert again == report.margin_bits
 
     def test_degenerate_coupling_violated_with_cross_dependence(self):
         # Y2 = X1 noiselessly: constant side outputs cannot dominate

@@ -187,6 +187,15 @@ class TestSuites:
             with pytest.raises(ConfigError, match="tol"):
                 suite(trials=1, tol=tol)
 
+    def test_unread_tol_is_refused_before_any_trial(self, monkeypatch):
+        # gaussian_regimes has no tolerance: a tol given to it would be dropped.
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(verify, "verify_gaussian_regimes", trial)
+        with pytest.raises(ConfigError, match="gaussian_regimes does not read tol"):
+            run_suite("gaussian_regimes", trials=3, seed=0, cfg=verify.SUITE_CONFIG, tol=0.5)
+
     def test_run_suite_dispatch(self):
         out = run_suite("lemma1", trials=20, seed=0, cfg=CFG, tol=None)
         assert out.name == "lemma1"
