@@ -41,7 +41,7 @@ from .regions import GAUSSIAN_SCHEMES, SCHEMES, RateRegion, region_gaussian, reg
 from .search import SearchConfig
 from .serialize import frontier_csv, stable_json_dumps
 from .sumcap import certify_sum_capacity, outer_bound, tin_sumrate
-from .verify import SUITE_CONFIG, SUITES, refuse_unread, run_suite
+from .verify import SUITE_CONFIG, SUITE_READS, SUITES, refuse_unread, run_suite
 
 
 #: Search flag -> (``SearchConfig`` field, type, help).  Every flag defaults
@@ -223,8 +223,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, RateRegion | None]:
     refuse_unread(args.suite, ["tol" if dest == "violation_tol" else dest for dest in given])
     # --tol is the suite tolerance; the channel generator keeps its own.
     cfg = dataclasses.replace(_config(args, SUITE_CONFIG), violation_tol=SUITE_CONFIG.violation_tol)
-    outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed, cfg=cfg,
-                        tol=args.violation_tol)
+    outcome = run_suite(args.suite, trials=args.trials, seed=cfg.seed,
+                        cfg=None if args.suite in SUITE_READS else cfg, tol=args.violation_tol)
     return {"command": "verify", **outcome.to_json_dict()}, None
 
 

@@ -177,23 +177,29 @@ class ProbTensor:
         ``names``, and ``q`` a tensor over ``names`` with ``shape``; the
         joint is ``q * self`` over ``names`` and the law's other axes (its
         outputs).  ``G`` holds one block of columns per subset of ``keys``,
-        side by side in their order.  Entry ``[k, s]`` of a block is 0 or
-        the law's marginal on the subset's outputs (the factor :func:`_contract`
-        reads too) at input cell ``k`` and kept cell ``s``; building ``G``
-        allocates ``G`` and at most a copy of the law per block.  When a
-        subset names no output the law is never read: its block is the 0/1
-        aggregation of ``q``, so the marginal is an exact sum.  Kept cells are
-        ordered like the joint's axes: ``names``, then outputs.  Both arrays
-        are read-only and kept under ``(names, shape, keys)``: a repeated
-        call is one lookup.
+        side by side in their order.  A block is :func:`_contract` of the
+        identity batch (row ``k`` the point mass on input cell ``k``), so
+        entry ``[k, s]`` is 0 or the law's marginal on the subset's outputs at
+        input cell ``k`` and kept cell ``s``, times 1.0 plus exact zeros.
+        When a subset names no output the law is never read: its block is the
+        0/1 aggregation of ``q``, so the marginal is an exact sum.  The
+        identity goes in row blocks of at most ``_BLOCK_BYTES``, so building
+        ``G`` allocates ``G``, one identity block and at most a copy of the
+        law per contraction.  Kept cells are ordered like the joint's axes:
+        ``names``, then outputs.  Both arrays are read-only and kept under
+        ``(names, shape, keys)``: a repeated call is one lookup.
         """
         def build() -> tuple[np.ndarray, np.ndarray]:
             cards = dict(zip(names, shape)) | dict(zip(self.names[2:], self.cards[2:]))
             widths = [math.prod(cards[n] for n in cards if n in key) for key in keys]
             starts = np.cumsum([0, *widths[:-1]])
-            g = np.empty((math.prod(shape), sum(widths)))
-            for key, start, width in zip(keys, starts, widths):
-                g[:, start:start + width] = _kernel_matrix(self, names, shape, key)
+            cells = math.prod(shape)
+            g = np.empty((cells, sum(widths)))
+            step = max(1, _BLOCK_BYTES // (8 * cells))
+            for i in range(0, cells, step):
+                eye = np.eye(min(step, cells - i), cells, i).reshape(-1, *shape)
+                for key, start, width in zip(keys, starts, widths):
+                    g[i:i + step, start:start + width] = _contract(names, eye, self, key)
             g.setflags(write=False)
             starts.setflags(write=False)
             return g, starts
@@ -401,23 +407,6 @@ def _law_marginal(law: ProbTensor, keep: frozenset[str]) -> tuple[np.ndarray, tu
     drop = [i for i, n in enumerate(law.names) if n not in names]
     v = np.moveaxis(law.values, drop, range(len(drop)))
     return sum(v.reshape(-1, *v.shape[len(drop):])), names
-
-
-def _kernel_matrix(
-    law: ProbTensor, names: tuple[str, ...], shape: tuple[int, ...], keep: frozenset[str]
-) -> np.ndarray:
-    """Build :meth:`ProbTensor.marginal_kernel` (uncached): one einsum, with
-    no summed index, of an identity on each kept input, ones on each other
-    input and :func:`_law_marginal`, so each entry is a marginal entry or 0."""
-    m, m_names = _law_marginal(law, keep)
-    sub = {n: i for i, n in enumerate(names + m_names[2:])}
-    ops: list = []
-    for i, n in enumerate(names):
-        ops += [np.eye(shape[i]), [i, len(sub) + i]] if n in keep else [np.ones(shape[i]), [i]]
-    copies = [len(sub) + i for i, n in enumerate(names) if n in keep]
-    g = np.einsum(*ops, m, [sub[n] for n in m_names], [*range(len(names)), *copies,
-                                                      *range(len(names), len(sub))])
-    return g.reshape(int(np.prod(shape)), -1)
 
 
 def _contract(names: tuple[str, ...], q: np.ndarray, law: ProbTensor | None,

@@ -8,7 +8,8 @@ therefore reports one of two statuses:
   (left side minus right side, in bits) exceeds the violation tolerance.
   Witnesses are self-contained: the margin is the witness scored alone,
   so re-evaluating it (:func:`evaluate_condition_margin`) reproduces the
-  margin bit for bit.
+  margin bit for bit; a witness read back from a document holds 12
+  significant digits, so its re-score may move in the last bits.
 - ``NO_VIOLATION_FOUND``: no violation exists on the search grid (plus
   refinement); this certifies the condition *at the reported resolution*,
   never globally.

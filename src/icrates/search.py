@@ -155,10 +155,9 @@ def simplex_grid(k: int, steps: int) -> np.ndarray:
 
 
 def grid_size(blocks: Sequence[SimplexBlock]) -> int:
-    total = 1
-    for b in blocks:
-        total *= simplex_grid(b.k, b.steps).shape[0] ** b.n_slices
-    return total
+    """Points of the blocks' product grid, counted as :func:`simplex_grid`
+    states them, without building a grid."""
+    return math.prod(math.comb(b.steps + b.k - 1, b.k - 1) ** b.n_slices for b in blocks)
 
 
 def shrink_to_budget(blocks: Sequence[SimplexBlock], budget: int) -> list[SimplexBlock]:
@@ -170,7 +169,7 @@ def shrink_to_budget(blocks: Sequence[SimplexBlock], budget: int) -> list[Simple
     """
     out = list(blocks)
     while grid_size(out) > budget:
-        sizes = [simplex_grid(b.k, b.steps).shape[0] ** b.n_slices for b in out]
+        sizes = [grid_size([b]) for b in out]
         i = int(np.argmax(sizes))
         b = out[i]
         if b.steps == 1:

@@ -627,21 +627,23 @@ SUITES: dict[str, Suite] = {
 
 #: The request fields (``tol`` and ``SearchConfig`` fields) that each suite
 #: reading no ``cfg`` reads; the region suites read every field.
-_SUITE_READS = {"lemma1": ("seed", "tol"), "gaussian_regimes": ("seed",)}
+SUITE_READS = {"lemma1": ("seed", "tol"), "gaussian_regimes": ("seed",)}
 
 
 def refuse_unread(name: str, given: Iterable[str]) -> None:
     """``INVALID_CONFIG`` for any field in ``given`` that suite ``name`` does
-    not read (:data:`_SUITE_READS`), so that nothing given is dropped."""
-    unread = [f for f in given if name in _SUITE_READS and f not in _SUITE_READS[name]]
+    not read (:data:`SUITE_READS`), so that nothing given is dropped."""
+    unread = [f for f in given if name in SUITE_READS and f not in SUITE_READS[name]]
     if unread:
         raise ConfigError(f"{name} does not read {', '.join(unread)}", suite=name, fields=unread)
 
 
-def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: float | None) -> VerifyOutcome:
-    """Run one :data:`SUITES` entry; ``trials=None`` and ``tol=None`` keep the
-    suite's own trial count and tolerance.  ``lemma1`` reads no ``cfg``, and
-    ``gaussian_regimes`` neither ``cfg`` nor ``tol``, which it refuses."""
+def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig | None = None,
+              tol: float | None = None) -> VerifyOutcome:
+    """Run one :data:`SUITES` entry; ``trials``, ``cfg`` and ``tol`` left None
+    keep the suite's own trial count, config and tolerance.  ``lemma1``
+    reads no ``cfg``, and ``gaussian_regimes`` neither ``cfg`` nor ``tol``:
+    a given one is refused (:func:`refuse_unread`), ``tol`` first."""
     if name not in SUITES:
         raise DimensionMismatchError("unknown suite", suite=name, allowed=sorted(SUITES))
     if trials is not None and trials < 1:
@@ -649,7 +651,9 @@ def run_suite(name: str, trials: int | None, seed: int, cfg: SearchConfig, tol: 
     if tol is not None:
         _check_tol(tol)
         refuse_unread(name, ["tol"])
+    if cfg is not None:
+        refuse_unread(name, ["cfg"])
     if name == "gaussian_regimes":
         return verify_gaussian_regimes(seed=seed, **({} if trials is None else {"samples": trials}))
-    given = {"trials": trials, "tol": tol, "cfg": None if name == "lemma1" else cfg}
+    given = {"trials": trials, "tol": tol, "cfg": cfg}
     return SUITES[name](seed=seed, **{k: v for k, v in given.items() if v is not None})

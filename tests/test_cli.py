@@ -171,7 +171,7 @@ class TestDefaults:
         import dataclasses
 
         from icrates.serialize import stable_json_dumps
-        from icrates.verify import SUITE_CONFIG, run_suite
+        from icrates.verify import SUITE_CONFIG, run_suite, verify_very_weak_equivalence
 
         code, out = run(capsys, "verify", "very_weak_regions", "--trials", "1", "--tol", "1e-2",
                         *FAST)
@@ -180,6 +180,11 @@ class TestDefaults:
         cfg = dataclasses.replace(SUITE_CONFIG, grid_steps=4, cond_grid_steps=2, restarts=1)
         library = run_suite("very_weak_regions", 1, cfg.seed, cfg, tol=1e-2).to_json_dict()
         assert out == stable_json_dumps({"command": "verify", **library})
+        # --seed sets the suite seed and the config's seed alike, as README says.
+        code, out = run(capsys, "verify", "very_weak_regions", "--trials", "1", "--seed", "7", *FAST)
+        assert code == 0 and json.loads(out)["config"]["cfg"]["seed"] == 7
+        library = verify_very_weak_equivalence(trials=1, seed=7, cfg=dataclasses.replace(cfg, seed=7))
+        assert out == stable_json_dumps({"command": "verify", **library.to_json_dict()})
 
     def test_flagless_gaussian_region_equals_library_call(self, capsys):
         from icrates.channels import GaussianIC

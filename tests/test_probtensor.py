@@ -325,11 +325,25 @@ class TestBatchJoint:
         keep = frozenset(("U", "Y2", "X2", "Yt2"))
         tracemalloc.start()
         try:
-            kernel = probtensor._kernel_matrix(law, ("X1", "X2", "U"), (2, 2, 2), keep)
+            kernel, _ = law.marginal_kernel(("X1", "X2", "U"), (2, 2, 2), (keep,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert kernel.shape == (8, 2 * 2 * 8 * 8)
+        assert peak <= 4 * kernel.nbytes + (1 << 20)
+
+    def test_kernel_build_holds_no_dense_identity(self):
+        # 1,600 input cells against 4 kept ones: the dense 1,600 x 1,600
+        # identity batch would take 20 MB; the build walks it in row blocks.
+        law = random_channel(4, (4, 4, 3, 3)).law
+        tracemalloc.start()
+        try:
+            kernel, _ = law.marginal_kernel(("W1", "W2", "X1", "X2"), (10, 10, 4, 4),
+                                            (frozenset(("X1",)),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.shape == (1600, 4)
         assert peak <= 4 * kernel.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("keep", [
@@ -355,7 +369,7 @@ class TestBatchJoint:
                     at.update(zip(dropped, drop_cell))
                     total += law.values[tuple(at[n] for n in law.names)]
                 want[k, np.ravel_multi_index([at[n] for n in kept], [cards[n] for n in kept])] = total
-        assert (probtensor._kernel_matrix(law, names, shape, keep) == want).all()
+        assert (law.marginal_kernel(names, shape, (keep,))[0] == want).all()
 
     def test_kernel_cache_evicts_oldest_first_under_its_budget(self):
         cache = probtensor.KernelCache(lambda a: a.nbytes, budget=100)
@@ -372,11 +386,11 @@ class TestBatchJoint:
 
     def test_repeated_kernel_lookup_builds_nothing(self, monkeypatch):
         # The second call with the same layout, shape and subsets hands back
-        # the cached (G, starts) objects; no kernel block is built again.
+        # the cached (G, starts) objects; no kernel block is contracted again.
         ch = random_channel(1, (2, 3, 2, 2))
         builds = []
-        build = probtensor._kernel_matrix
-        monkeypatch.setattr(probtensor, "_kernel_matrix", lambda *a: builds.append(a[-1]) or build(*a))
+        build = probtensor._contract
+        monkeypatch.setattr(probtensor, "_contract", lambda *a: builds.append(a[-1]) or build(*a))
         keys = (frozenset(("W1", "Y1")), frozenset(("X2",)))
         first = ch.law.marginal_kernel(("W1", "X1", "X2"), (2, 2, 3), keys)
         assert builds == list(keys)

@@ -258,6 +258,19 @@ def test_shrink_to_budget_refuses_overshoot_at_one_step():
     assert exc.value.context["blocks"] == ["px1", "pu"]
 
 
+def test_shrink_to_budget_counts_grids_without_building_them(monkeypatch):
+    # The certify --aux-u 30 blocks on a 3x3 channel: refusing them counts
+    # the 40,920-row simplex_grid(30, 4) instead of building it.
+    blocks = OBJECTIVES["genie_dominance_1"][0].blocks(random_channel(4, (3, 3, 2, 2)),
+                                                       SearchConfig(aux_card_u=30))
+    assert grid_size(blocks[2:]) == math.comb(33, 29) ** 3 == 40_920**3
+    built = []
+    monkeypatch.setattr(search, "simplex_grid", lambda *a: built.append(a) or simplex_grid(*a))
+    with pytest.raises(SizeLimitError):
+        shrink_to_budget(blocks, SearchConfig().max_candidates)
+    assert built == []
+
+
 def test_iter_grid_batches_lexicographic():
     grid = [tuple(row) for row in simplex_grid(2, 2)]
     for q_slices in (1, 2):

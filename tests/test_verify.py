@@ -197,8 +197,12 @@ class TestSuites:
             run_suite("gaussian_regimes", trials=3, seed=0, cfg=verify.SUITE_CONFIG, tol=0.5)
 
     def test_run_suite_dispatch(self):
-        out = run_suite("lemma1", trials=20, seed=0, cfg=CFG, tol=None)
+        out = run_suite("lemma1", trials=20, seed=0)
         assert out.name == "lemma1"
         assert out.ok
+        # A cfg given to a suite that reads none is refused, not dropped.
+        for name in ("lemma1", "gaussian_regimes"):
+            with pytest.raises(ConfigError, match=f"{name} does not read cfg"):
+                run_suite(name, trials=1, seed=0, cfg=CFG)
         with pytest.raises(DimensionMismatchError):
             run_suite("nope", trials=1, seed=0, cfg=CFG, tol=None)
