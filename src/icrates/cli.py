@@ -25,12 +25,7 @@ from .channels import (
     load_coupling,
 )
 from .errors import ConfigError, IcError
-from .gaussian import (
-    CERTIFICATE_SEARCH_POINTS,
-    GaussianNoisyReport,
-    GaussianVeryWeakReport,
-    noisy_sum_capacity,
-)
+from .gaussian import CERTIFICATE_SEARCH_POINTS, noisy_sum_capacity
 from .regimes import (
     check_noisy_gaussian,
     check_strong_both,
@@ -103,19 +98,6 @@ def _channel_header(ch: DiscreteIC | GaussianIC) -> dict:
             "a": ch.a, "b": ch.b, "p1": ch.p1, "p2": ch.p2}
 
 
-def _gaussian_vw_dict(r: GaussianVeryWeakReport) -> dict:
-    return {"in_regime": r.in_regime, "margin1": r.margin1, "margin2": r.margin2}
-
-
-def _gaussian_noisy_dict(r: GaussianNoisyReport) -> dict:
-    cert = None
-    if r.certificate is not None:
-        cert = {"eta1": r.certificate.eta1, "eta2": r.certificate.eta2,
-                "rho1": r.certificate.rho1, "rho2": r.certificate.rho2}
-    return {"in_regime": r.in_regime, "margin": r.margin,
-            "certificate": cert, "search_feasible": r.search_feasible}
-
-
 def _region_doc(region: RateRegion, scheme: str, header: dict, cfg_doc: dict,
                 command: str = "region") -> dict:
     return {
@@ -130,8 +112,8 @@ def _region_doc(region: RateRegion, scheme: str, header: dict, cfg_doc: dict,
 def _gaussian_regimes(g: GaussianIC) -> dict:
     """The closed-form regime reports of ``g`` and the config they ran."""
     return {
-        "very_weak_gaussian": _gaussian_vw_dict(check_very_weak_gaussian(g)),
-        "noisy_gaussian": _gaussian_noisy_dict(check_noisy_gaussian(g)),
+        "very_weak_gaussian": dataclasses.asdict(check_very_weak_gaussian(g)),
+        "noisy_gaussian": dataclasses.asdict(check_noisy_gaussian(g)),
         "config": {"certificate_search_points": CERTIFICATE_SEARCH_POINTS},
     }
 

@@ -496,10 +496,10 @@ class BatchJoint:
     """
 
     #: Joints with more cells than this marginalize by one einsum of the
-    #: input law with the law's output marginal, not a kernel, which is
-    #: faster below it.  A limit on kernel bytes instead would send large
-    #: input layouts to products ``q @ G`` that do |kept input cells| times
-    #: the work the einsum does.
+    #: input law with the law's output marginal, not a kernel.  Below it the
+    #: kernel is faster on small input layouts, but the limit does not bound
+    #: kernel bytes, and on wide input layouts ``q @ G`` does |kept input
+    #: cells| times the work the einsum does.
     _AGG_LIMIT = 65536
 
     def __init__(

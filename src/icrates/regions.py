@@ -687,7 +687,7 @@ def layered_family(
     prefixes = {(t, ()): table for t, table in enumerate(tables)}
     for chain, feeds in members:
         chained = [_chain_table(prefixes, t, chain) for t in range(len(tables))]
-        for batch, counts, _ in product_batches(chained, CHUNK):
+        for batch, counts in product_batches(chained, CHUNK):
             yield batch, feeds, counts
 
 

@@ -227,44 +227,32 @@ def distinct_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[
 
 class Table(NamedTuple):
     """One factor of a product (:func:`product_batches`): ``m`` rows of the
-    named values ``columns[name] [m, ...]``, each row's ``counts`` (how many
-    points it stands for) and its ``raw`` index among the ``radix`` raw
-    points of the factor, by default its own index among ``m``."""
+    named values ``columns[name] [m, ...]`` and each row's ``counts`` (how
+    many points it stands for)."""
 
     columns: Mapping[str, np.ndarray]
     counts: np.ndarray
-    raw: np.ndarray | None = None
-    radix: int | None = None
 
 
-def product_batches(
-    tables: Sequence[Table], chunk: int
-) -> Iterator[tuple[Point, np.ndarray, np.ndarray]]:
-    """``(batch, counts, idx)`` over the product of ``tables``, in batches of
-    at most ``chunk`` rows, earlier tables varying slowest.
+def product_batches(tables: Sequence[Table], chunk: int) -> Iterator[tuple[Point, np.ndarray]]:
+    """``(batch, counts)`` over the product of ``tables``, in batches of at
+    most ``chunk`` rows, earlier tables varying slowest.
 
     ``batch[name]`` gathers each row's values from the table that holds
     ``name``; tables that share a name (the slices of one block) are laid
     side by side along axis 1, in table order.  A row's count is the product
-    of its tables' counts, and its raw flat index ``idx`` is its tables' raw
-    indices in mixed radix.  The product is never built whole.
+    of its tables' counts.  The product is never built whole.
     """
     sizes = [len(t.counts) for t in tables]
     total = math.prod(sizes)
     for start in range(0, total, chunk):
-        rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        rows, idx, scale = [], 0, 1
-        for t, size in zip(reversed(tables), reversed(sizes)):
-            rem, r = np.divmod(rem, size)
-            rows.insert(0, r)
-            idx = idx + (r if t.raw is None else t.raw[r]) * scale
-            scale *= size if t.radix is None else t.radix
+        rows = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
         parts: dict[str, list[np.ndarray]] = {}
         for t, r in zip(tables, rows):
             for name, v in t.columns.items():
                 parts.setdefault(name, []).append(v[r])
         batch = {name: p[0] if len(p) == 1 else np.concatenate(p, axis=1) for name, p in parts.items()}
-        yield batch, math.prod(t.counts[r] for t, r in zip(tables, rows)), idx
+        yield batch, math.prod(t.counts[r] for t, r in zip(tables, rows))
 
 
 def _slice_tables(blocks: Sequence[SimplexBlock]) -> list[Table]:
@@ -294,7 +282,7 @@ def _label_keys(batch: Point, blocks: Sequence[SimplexBlock]) -> np.ndarray:
 
 
 def _table_bytes(t: Table) -> int:
-    return sum(a.nbytes for a in (*t.columns.values(), t.counts, t.raw))
+    return sum(a.nbytes for a in (*t.columns.values(), t.counts))
 
 
 #: Byte budget of the canonical tables kept by :func:`canonical_table`.
@@ -305,8 +293,7 @@ _canonical_tables = KernelCache(_table_bytes, _TABLE_BUDGET)
 def canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
     """The grid over the label ``blocks`` modulo relabelling, as one table:
     one row per orbit, each block ``[m, n_slices, k]`` with its labels in
-    canonical order (:func:`_label_keys`), counted by the orbit's size, its
-    raw index the flat index of the orbit's first raw grid point.
+    canonical order (:func:`_label_keys`), counted by the orbit's size.
 
     Orbits come in the order of their first raw grid point.  Tables are
     kept per block tuple, read-only, in a :class:`probtensor.KernelCache`
@@ -320,24 +307,25 @@ def _build_canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
     """:func:`canonical_table`, uncached and read-only.  Each ``CHUNK`` batch of the raw
     grid (:func:`product_batches` over the slice tables) is reduced to its
     distinct keys, with their counts, before the batches are merged, so the
-    raw grid is never held whole."""
-    keys, firsts, counts = [], [], []
-    for batch, _, idx in product_batches(_slice_tables(blocks), CHUNK):
-        rows = _label_keys(batch, blocks).reshape(len(idx), -1)
+    raw grid is never held whole.  Orbits are ordered by the raw position
+    of their first point, each batch's positions offset by the rows before it."""
+    keys, firsts, counts, offset = [], [], [], 0
+    for batch, ones in product_batches(_slice_tables(blocks), CHUNK):
+        rows = _label_keys(batch, blocks).reshape(len(ones), -1)
         keep, count = distinct_rows(rows)
         keys.append(rows[keep])
-        firsts.append(idx[keep])
+        firsts.append(offset + keep)
         counts.append(count)
+        offset += len(rows)
     rows, first = np.concatenate(keys), np.concatenate(firsts)
     keep, count = distinct_rows(rows, np.concatenate(counts))
     order = np.argsort(first[keep])
-    keep = keep[order]
-    keys = rows[keep].reshape(len(keep), blocks[0].k, -1)
+    keys = rows[keep[order]].reshape(len(keep), blocks[0].k, -1)
     cuts = np.cumsum([blocks[0].n_slices] + [b.k for b in blocks[1:-1]])
     columns = dict(zip([b.name for b in blocks], np.split(keys, cuts, axis=2)))
     columns[blocks[0].name] = np.swapaxes(columns[blocks[0].name], 1, 2)
-    table = Table(columns, count[order], first[keep], grid_size(blocks))
-    for a in (*table.columns.values(), table.counts, table.raw):
+    table = Table(columns, count[order])
+    for a in (*table.columns.values(), table.counts):
         a.setflags(write=False)
     return table
 
@@ -345,12 +333,13 @@ def _build_canonical_table(blocks: Sequence[SimplexBlock]) -> Table:
 def iter_grid_batches(
     blocks: Sequence[SimplexBlock], chunk: int = CHUNK, labels: Sequence[str] = ()
 ) -> Iterator[tuple[np.ndarray, Point]]:
-    """Yield ``(flat_indices, point_batch)`` over the full product grid.
+    """Yield ``(counts, point_batch)`` over the full product grid.
 
     ``point_batch[name]`` has shape ``[B, n_slices, k]``.  The grid is the
     product (:func:`product_batches`) of one table per slice of every block,
-    so flat indices run lexicographically: earlier blocks (and earlier
-    slices within a block) vary slowest.
+    so points run lexicographically: earlier blocks (and earlier slices
+    within a block) vary slowest.  ``counts [B]`` is how many raw grid
+    points each point stands for: its orbit's size, or 1 without ``labels``.
 
     ``labels`` names adjacent blocks, in block order, whose labels the
     objective does not see: the first block's columns are the labels, and
@@ -358,15 +347,15 @@ def iter_grid_batches(
     the label).  Their slice tables are then replaced by one table, the
     label blocks' :func:`canonical_table`: the scan visits one canonical
     point per orbit of the grid under relabelling, in the order of the
-    orbit's first raw grid point, whose flat index it carries.  Points of
+    orbit's first raw grid point, counted by the orbit's size.  Points of
     the remaining blocks are unchanged.
     """
     i = [b.name for b in blocks].index(labels[0]) if labels else len(blocks)
     j = i + len(labels)
     label_table = [canonical_table(blocks[i:j])] if labels else []
     tables = _slice_tables(blocks[:i]) + label_table + _slice_tables(blocks[j:])
-    for batch, _, idx in product_batches(tables, chunk):
-        yield idx, batch
+    for batch, counts in product_batches(tables, chunk):
+        yield counts, batch
 
 
 def canonical_layers(pw: np.ndarray, pxw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,9 +512,9 @@ def maximize(
             near.append((value, point))
             near[:] = [nv for nv in near if nv[0] >= best_val - NEAR_TOL][-MAX_NEAR:]
 
-    for idx, batch in iter_grid_batches(eff_blocks, chunk, labels):
+    for counts, batch in iter_grid_batches(eff_blocks, chunk, labels):
         values = np.asarray(objective(batch), dtype=np.float64)
-        n_evaluated += idx.size
+        n_evaluated += counts.size
         order = np.argsort(-np.round(values, 12), kind="stable")
         for k in order[:MAX_NEAR]:
             if values[k] < best_val - NEAR_TOL:

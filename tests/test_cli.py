@@ -334,6 +334,12 @@ class TestUnreadFlags:
         assert doc["config"] == regime["config"] == {"certificate_search_points": CERTIFICATE_SEARCH_POINTS}
         for key in ("very_weak_gaussian", "noisy_gaussian"):
             assert doc[key] == regime[key]
+        # The reports' key order is the documents' order, also with a certificate.
+        code, out = run(capsys, "gaussian", "regime", "--a", "0.2", "--b", "0.2", "--p1", "1", "--p2", "1")
+        noisy = json.loads(out)["noisy_gaussian"]
+        assert list(json.loads(out)["very_weak_gaussian"]) == ["in_regime", "margin1", "margin2"]
+        assert list(noisy) == ["in_regime", "margin", "certificate", "search_feasible"]
+        assert list(noisy["certificate"]) == ["eta1", "eta2", "rho1", "rho2"]
 
     def test_gaussian_region_file_reports_splits_and_angles(self, capsys, gaussian_file):
         code, out = run(capsys, "region", gaussian_file, "--scheme", "semijoint",

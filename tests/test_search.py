@@ -184,32 +184,34 @@ def test_label_scan_visits_one_canonical_point_per_orbit(name, shape):
     def keys(batch):
         return [tuple(batch[b.name][k].tobytes() for b in blocks) for k in range(len(batch[blocks[0].name]))]
 
-    first = {}  # loop-oracle image of each raw grid point -> first raw index
-    for idx, batch in iter_grid_batches(blocks):
-        for key, i in zip(keys(label_images(batch, blocks, labels)), idx.tolist()):
-            first.setdefault(key, i)
-    got, got_idx = [], []
-    for idx, batch in iter_grid_batches(blocks, labels=labels):
+    first = {}  # loop-oracle image of each raw grid point -> [first raw position, orbit size]
+    raw = (key for _, batch in iter_grid_batches(blocks) for key in keys(label_images(batch, blocks, labels)))
+    for i, key in enumerate(raw):
+        first.setdefault(key, [i, 0])[1] += 1
+    got, got_counts = [], []
+    for counts, batch in iter_grid_batches(blocks, labels=labels):
         got += keys(batch)
-        got_idx += idx.tolist()
+        got_counts += counts.tolist()
     assert len(set(got)) == len(got) < grid_size(blocks)
     assert set(got) == set(first)
-    assert got_idx == [first[key] for key in got] == sorted(got_idx)
+    positions = [first[key][0] for key in got]
+    assert positions == sorted(positions)
+    assert got_counts == [first[key][1] for key in got]
 
     # The table behind the scan: one row per orbit of the label blocks' own
     # grid, the loop image of the orbit's first raw point, in the order of
     # those points, with the orbit's size.
     label_blocks = [b for b in blocks if b.name in labels]
-    orbits = {}  # loop image -> [first raw index, size]
-    for idx, batch in iter_grid_batches(label_blocks):
-        images = _label_rows(label_images(batch, label_blocks, labels), label_blocks)
-        for image, i in zip(images, idx.tolist()):
-            orbits.setdefault(image.tobytes(), [i, 0])[1] += 1
+    orbits = {}  # loop image -> [first raw position, size]
+    images = (image for _, batch in iter_grid_batches(label_blocks)
+              for image in _label_rows(label_images(batch, label_blocks, labels), label_blocks))
+    for i, image in enumerate(images):
+        orbits.setdefault(image.tobytes(), [i, 0])[1] += 1
     table = search.canonical_table(label_blocks)
-    assert table.counts.sum() == table.radix == grid_size(label_blocks)
+    assert table.counts.sum() == grid_size(label_blocks)
     rows = _label_rows(table.columns, label_blocks)
-    assert [(row.tobytes(), i, c) for row, i, c in zip(rows, table.raw.tolist(), table.counts.tolist())] \
-        == sorted(((image, i, c) for image, (i, c) in orbits.items()), key=lambda t: t[1])
+    assert [(row.tobytes(), c) for row, c in zip(rows, table.counts.tolist())] \
+        == [(image, c) for image, (_, c) in sorted(orbits.items(), key=lambda t: t[1][0])]
 
     if name == "side":
         return
@@ -229,7 +231,7 @@ def test_canonical_tables_are_kept_per_block_tuple(monkeypatch):
     blocks = [SimplexBlock("pw", 1, 3, 4), SimplexBlock("px_own", 3, 2, 2)]
     first = search.canonical_table(blocks)
     assert search.canonical_table(tuple(blocks)) is first
-    arrays = [*first.columns.values(), first.counts, first.raw]
+    arrays = [*first.columns.values(), first.counts]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         first.counts[0] = 0
@@ -277,14 +279,12 @@ def test_iter_grid_batches_lexicographic():
         blocks = [SimplexBlock("p", 1, 2, 2), SimplexBlock("q", q_slices, 2, 2)]
         size = grid_size(blocks)
         assert size % 4 != 0
-        seen, flat = [], []
-        for idx, batch in iter_grid_batches(blocks, chunk=4):
-            assert idx.size <= 4
-            flat += idx.tolist()
-            seen += [(tuple(batch["p"][k, 0]), *map(tuple, batch["q"][k])) for k in range(idx.size)]
-        # Each raw flat index is the point's position in the scan, and
-        # earlier blocks and slices vary slowest.
-        assert flat == list(range(size))
+        seen = []
+        for counts, batch in iter_grid_batches(blocks, chunk=4):
+            assert counts.size <= 4 and (counts == 1).all()
+            seen += [(tuple(batch["p"][k, 0]), *map(tuple, batch["q"][k])) for k in range(counts.size)]
+        # Every point once, earlier blocks and slices varying slowest.
+        assert len(seen) == size
         assert seen == list(itertools.product(grid, repeat=1 + q_slices))
         assert seen[0] == ((1.0, 0.0),) * (1 + q_slices)
         assert seen[1] == ((1.0, 0.0),) * q_slices + ((0.5, 0.5),)  # last slice varies fastest
@@ -303,14 +303,14 @@ def test_product_batches_are_chunk_invariant():
     runs = []
     for chunk in (1, 5, search.CHUNK):
         batches = list(search.product_batches(tables, chunk))
-        assert all(0 < len(counts) <= chunk for _, counts, _ in batches)
-        runs.append(({name: np.concatenate([b[name] for b, _, _ in batches]) for name in batches[0][0]},
-                     np.concatenate([c for _, c, _ in batches]), np.concatenate([i for *_, i in batches])))
-    columns, counts, idx = runs[0]
-    for other_columns, other_counts, other_idx in runs[1:]:
+        assert all(0 < len(counts) <= chunk for _, counts in batches)
+        runs.append(({name: np.concatenate([b[name] for b, _ in batches]) for name in batches[0][0]},
+                     np.concatenate([c for _, c in batches])))
+    columns, counts = runs[0]
+    for other_columns, other_counts in runs[1:]:
         assert other_columns.keys() == columns.keys()
         assert all((other_columns[name] == v).all() for name, v in columns.items())
-        assert (other_counts == counts).all() and (other_idx == idx).all()
+        assert (other_counts == counts).all()
     assert counts.sum() == math.prod(int(t.counts.sum()) for t in tables)
 
     # Row by row: earlier tables vary slowest, the slices of "q" side by side.
@@ -322,7 +322,6 @@ def test_product_batches_are_chunk_invariant():
         assert all((columns[name][n] == label.columns[name][k]).all() for name in ("a", "b"))
         assert all((columns[name][n] == side.columns[name][m]).all() for name in ("pw1", "px1w1"))
         assert counts[n] == label.counts[k] * side.counts[m]
-        assert idx[n] == ((i * len(q1.counts) + j) * label.radix + label.raw[k]) * len(side.counts) + m
 
 
 def quadratic_objective(target):

@@ -49,7 +49,7 @@ def test_every_patch_point_resolves():
 
 def test_grid_batches_are_index_and_batch_pairs():
     # The tracer's grid wrapper unpacks each item of iter_grid_batches as
-    # exactly ``idx, batch``.
+    # exactly ``counts, batch`` and reads the first item's ``.size``.
     ch = random_channel(8, (2, 3, 2, 2))
     cfg = SearchConfig(grid_steps=2, cond_grid_steps=2, restarts=0, aux_card_w=3, aux_card_u=2)
     layout = icrates.regimes.OBJECTIVES["very_weak_1"][0]
